@@ -62,7 +62,9 @@ def divisors(n: int) -> list[int]:
 
 
 def vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer, for p >= 2."""
+    if p < 2:
+        raise InputError(f"valuation needs p >= 2, got {p}")
     if n == 0:
         raise InputError("valuation of zero is undefined")
     v = 0

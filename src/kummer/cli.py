@@ -21,10 +21,9 @@ from .colimits import (
     counterexample_tower,
     direct_limit_split,
     divisible_tower,
-    limit_no_section_certificate,
     stabilizing_tower,
 )
-from .demos import DEMOS
+from .demos import DEMOS, demo_counterexample
 from .errors import InputError, KummerError, NotExactError
 from .fixtures import divisible_case_one_evidence, doomed_divisible_evidence
 from .groups import GroupElement
@@ -38,8 +37,6 @@ from .sequences import (
 )
 from .towers import (
     CoKummerTower,
-    KummerTower,
-    dual_of_tower,
     dual_tower,
     dual_tower_split,
     sigma_kummer_tower,
@@ -131,9 +128,9 @@ def _cmd_seq_split(args) -> tuple[dict, int]:
 def _cmd_tower_validate(args) -> tuple[dict, int]:
     tower = jsonio.decode_tower(_read_document(args))
     if isinstance(tower, CoKummerTower):
-        report = validate_co_tower(tower, jobs=args.jobs)
+        report = validate_co_tower(tower)
     else:
-        report = validate_tower(tower, jobs=args.jobs)
+        report = validate_tower(tower)
     payload = {
         "valid": report.valid,
         "levels": report.levels,
@@ -171,19 +168,8 @@ def _cmd_tower_generate(args) -> tuple[dict, int]:
 def _cmd_counterexample(args) -> tuple[dict, int]:
     p = args.p if args.p is not None else 2
     depth = args.depth if args.depth is not None else 4
-    cert = limit_no_section_certificate(counterexample_tower(p), depth)
-    payload = {
-        "p": cert.p,
-        "depth": cert.depth,
-        "divisibility_verified": cert.divisibility_verified,
-        "heights_cross_checked": [[lvl, bad] for lvl, bad
-                                  in cert.heights_cross_checked],
-        "compatibility": [[lvl, solvable] for lvl, solvable
-                          in cert.compatibility],
-        "inference": list(cert.inference),
-        "valid": cert.valid,
-    }
-    return payload, 0 if cert.valid else 1
+    ok, payload = demo_counterexample(p, depth)
+    return payload, 0 if ok else 1
 
 
 _FAMILIES = {
@@ -253,11 +239,8 @@ def _cmd_dual(args) -> tuple[dict, int]:
                 "value": jsonio.encode_seq(dualize_sequence(seq))}, 0
     if kind == "tower":
         tower = jsonio.decode_tower(doc.get("value"), "$.value")
-        if isinstance(tower, KummerTower):
-            return {"kind": "tower",
-                    "value": jsonio.encode_tower(dual_tower(tower))}, 0
         return {"kind": "tower",
-                "value": jsonio.encode_tower(dual_of_tower(tower))}, 0
+                "value": jsonio.encode_tower(dual_tower(tower))}, 0
     raise InputError(f"$.kind: expected group, hom, seq or tower, "
                      f"got {kind!r}")
 
@@ -297,14 +280,10 @@ def _cmd_gmod_split(args) -> tuple[dict, int]:
 def _cmd_demo(args) -> tuple[dict, int]:
     fn = DEMOS[args.name]
     kwargs = {}
-    if args.name in ("main-lemma", "dual-lemma"):
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.name == "main-lemma" and args.jobs is not None:
-            kwargs["jobs"] = args.jobs
-    if args.name in ("counterexample", "direct-limit", "chris"):
-        if args.p is not None:
-            kwargs["p"] = args.p
+    if args.name in ("main-lemma", "dual-lemma") and args.seed is not None:
+        kwargs["seed"] = args.seed
+    if args.name in ("counterexample", "direct-limit", "chris") and args.p is not None:
+        kwargs["p"] = args.p
     if args.name == "counterexample" and args.depth is not None:
         kwargs["depth"] = args.depth
     ok, report = fn(**kwargs)
@@ -317,14 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="path to a JSON document, or - for stdin")
     common.add_argument("--pretty", action="store_true",
                         help="indent the output document")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers for per-level checks")
-    common.add_argument("--depth", type=int, default=None,
-                        help="probe depth for limit certificates")
-    common.add_argument("--precision", type=int, default=None,
-                        help="p-power precision for case-1 evidence")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized demos")
     common.add_argument("--timing", action="store_true",
                         help="include wall-clock seconds in the output")
 
@@ -352,21 +323,29 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="number of tower levels (default 2)")
     gen.set_defaults(handler=_cmd_tower_generate)
 
-    ce = sub.add_parser("counterexample", parents=[common])
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument("--depth", type=int, default=None,
+                       help="probe depth for limit certificates")
+
+    ce = sub.add_parser("counterexample", parents=[common, depth])
     ce.add_argument("--p", type=int, default=None)
     ce.set_defaults(handler=_cmd_counterexample)
 
-    sub.add_parser("limit-split", parents=[common]
-                   ).set_defaults(handler=_cmd_limit_split)
+    limit = sub.add_parser("limit-split", parents=[common])
+    limit.add_argument("--precision", type=int, default=None,
+                       help="p-power precision for case-1 evidence")
+    limit.set_defaults(handler=_cmd_limit_split)
     sub.add_parser("dual", parents=[common]).set_defaults(handler=_cmd_dual)
     sub.add_parser("gmod-cohomology", parents=[common]
                    ).set_defaults(handler=_cmd_gmod_cohomology)
     sub.add_parser("gmod-split", parents=[common]
                    ).set_defaults(handler=_cmd_gmod_split)
 
-    demo = sub.add_parser("demo", parents=[common])
+    demo = sub.add_parser("demo", parents=[common, depth])
     demo.add_argument("name", choices=sorted(DEMOS))
     demo.add_argument("--p", type=int, default=None)
+    demo.add_argument("--seed", type=int, default=None,
+                      help="seed for randomized demos")
     demo.set_defaults(handler=_cmd_demo)
     return parser
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .arith import is_prime, vp
+from .arith import is_prime
 from .errors import InputError, UnsupportedError
 from .groups import (
     FgAbGroup,
@@ -25,12 +25,7 @@ from .groups import (
     hom_from_images,
     kernel,
 )
-from .matrices import (
-    IntMatrix,
-    MatrixEquationSystem,
-    hstack,
-    solve_integer_system,
-)
+from .matrices import IntMatrix, MatrixEquationSystem, hstack
 from .sequences import Section, ShortExactSequence, check_exact, section_exists
 
 __all__ = [
@@ -45,7 +40,6 @@ __all__ = [
     "tate_model",
     "regular_module",
     "reduce_mod_p",
-    "norm_hom",
     "ConnectingSequence",
     "les_multiplication_by_p",
     "regular_extension_fixture",
@@ -161,10 +155,7 @@ class Subquotient:
     def class_of(self, x: GroupElement) -> GroupElement:
         if x.group != self.ambient:
             raise InputError("element does not live in the ambient group")
-        hint = (int(self.ambient.exponent)
-                if self.ambient.is_finite else None)
-        sol = solve_integer_system(self.include.matrix, x.coords,
-                                   self.ambient.relations, mod=hint)
+        sol = self.ambient.solve(self.include.matrix, x.coords)
         if sol is None:
             raise InputError("element does not lie in the numerator subgroup")
         return self.project(self.include.source.element(sol))
@@ -172,21 +163,16 @@ class Subquotient:
     def representative(self, q: GroupElement) -> GroupElement:
         if q.group != self.group:
             raise InputError("class does not live in this subquotient")
-        hint = int(self.group.exponent) if self.group.is_finite else None
-        sol = solve_integer_system(self.project.matrix, q.coords,
-                                   self.group.relations, mod=hint)
+        sol = self.group.solve(self.project.matrix, q.coords)
         assert sol is not None, "projections are onto"
         return self.include(self.project.source.element(sol))
 
 
 def _corestrict(h: Homomorphism, inc: Homomorphism) -> Homomorphism:
     """Factor h through a subgroup inclusion containing its image."""
-    ambient = inc.target
-    hint = int(ambient.exponent) if ambient.is_finite else None
     images = []
     for gen in h.source.generators():
-        sol = solve_integer_system(inc.matrix, h(gen).coords,
-                                   ambient.relations, mod=hint)
+        sol = inc.target.solve(inc.matrix, h(gen).coords)
         if sol is None:
             raise InputError("map does not land in the subgroup")
         images.append(inc.source.element(sol))
@@ -284,9 +270,14 @@ def tate_model(p: int) -> CyclicGroupModule:
         cols.append([1 if i == j + 1 else 0 for i in range(p)])
     cols.append([-1] * (p - 1) + [p])
     cols.append([0] * (p - 1) + [1])
-    sigma = Homomorphism(grp, grp, IntMatrix(
-        p, p, tuple(cols[j][i] for i in range(p) for j in range(p))))
+    sigma = Homomorphism(grp, grp, IntMatrix.from_columns(p, cols))
     return CyclicGroupModule(p, grp, sigma)
+
+
+def _shift(d: int) -> IntMatrix:
+    """Permutation matrix sending basis vector j to basis vector j+1 mod d."""
+    return IntMatrix(d, d, tuple(int(i == (j + 1) % d)
+                                 for i in range(d) for j in range(d)))
 
 
 def regular_module(d: int) -> CyclicGroupModule:
@@ -294,9 +285,7 @@ def regular_module(d: int) -> CyclicGroupModule:
     if d < 1:
         raise InputError("the acting group must have positive order")
     grp = FgAbGroup.free(d)
-    shift = IntMatrix(d, d, tuple(1 if i == (j + 1) % d else 0
-                                  for i in range(d) for j in range(d)))
-    return CyclicGroupModule(d, grp, Homomorphism(grp, grp, shift))
+    return CyclicGroupModule(d, grp, Homomorphism(grp, grp, _shift(d)))
 
 
 def reduce_mod_p(module: CyclicGroupModule, p: int) -> CyclicGroupModule:
@@ -308,10 +297,6 @@ def reduce_mod_p(module: CyclicGroupModule, p: int) -> CyclicGroupModule:
                               IntMatrix.identity(g).scaled(p)))
     sigma = Homomorphism(quo, quo, module.sigma.matrix)
     return CyclicGroupModule(module.d, quo, sigma)
-
-
-def norm_hom(module: CyclicGroupModule) -> Homomorphism:
-    return module.norm
 
 
 @dataclass(frozen=True)
@@ -361,9 +346,7 @@ def les_multiplication_by_p(module: CyclicGroupModule,
         rep = h1_bar.representative(gen)
         norm_of_lift = module.norm(module.group.element(rep.coords))
         g = module.group.generator_count
-        sol = solve_integer_system(IntMatrix.identity(g).scaled(p),
-                                   norm_of_lift.coords,
-                                   module.group.relations)
+        sol = module.group.solve(IntMatrix.identity(g).scaled(p), norm_of_lift.coords)
         assert sol is not None, "norm of a mod-p cocycle is divisible by p"
         y = module.group.element(sol)
         assert not module.difference(y), "divided norm lies in ker T"
@@ -384,9 +367,7 @@ def regular_extension_fixture(p: int) -> GModuleSequence:
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     b_grp = FgAbGroup(p, IntMatrix.identity(p).scaled(p))
-    shift = IntMatrix(p, p, tuple(1 if i == (j + 1) % p else 0
-                                  for i in range(p) for j in range(p)))
-    b_mod = CyclicGroupModule(p, b_grp, Homomorphism(b_grp, b_grp, shift))
+    b_mod = CyclicGroupModule(p, b_grp, Homomorphism(b_grp, b_grp, _shift(p)))
     c_grp = FgAbGroup.cyclic(p)
     c_mod = CyclicGroupModule(p, c_grp, Homomorphism.identity(c_grp))
     aug = Homomorphism(b_grp, c_grp, IntMatrix(1, p, (1,) * p))

@@ -12,8 +12,7 @@ divisibility search.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence, Union
 
 from .arith import is_prime, vp
@@ -28,8 +27,8 @@ from .groups import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
+    common_exponent,
     direct_sum,
-    element_order,
     is_isomorphism,
     kernel,
 )
@@ -40,7 +39,6 @@ from .matrices import (
     hstack,
     lattice_intersection,
     preimage_lattice,
-    solve_integer_system,
     vstack,
 )
 from .sequences import (
@@ -65,7 +63,6 @@ __all__ = [
     "stabilizing_tower",
     "divisible_tower",
     "level_sections",
-    "colimit_order",
     "colimit_height",
     "section_compatibility_solvable",
     "limit_no_section_certificate",
@@ -77,7 +74,7 @@ Position = Literal["A", "B", "C"]
 
 
 class ColimitTower:
-    """Levels produced on demand by callables, memoized thread-safely.
+    """Levels produced on demand by callables, memoized.
 
     seq_fn(k) yields the level-k sequence, maps_fn(k) the triple of maps
     from level k to k+1, for every k >= 1. The family tag drives
@@ -97,24 +94,21 @@ class ColimitTower:
         self._maps_fn = maps_fn
         self._seqs: dict[int, ShortExactSequence] = {}
         self._maps: dict[int, LevelMaps] = {}
-        self._lock = threading.RLock()
 
     def sequence(self, k: int) -> ShortExactSequence:
         if k < 1:
             raise InputError("levels are indexed from 1")
-        with self._lock:
-            if k not in self._seqs:
-                self._seqs[k] = self._seq_fn(k)
-            return self._seqs[k]
+        if k not in self._seqs:
+            self._seqs[k] = self._seq_fn(k)
+        return self._seqs[k]
 
     def step(self, k: int) -> LevelMaps:
         """Maps from level k to level k+1."""
         if k < 1:
             raise InputError("levels are indexed from 1")
-        with self._lock:
-            if k not in self._maps:
-                self._maps[k] = self._maps_fn(k)
-            return self._maps[k]
+        if k not in self._maps:
+            self._maps[k] = self._maps_fn(k)
+        return self._maps[k]
 
     def prefix(self, n: int) -> KummerTower:
         """The first n levels as a concrete tower (shape only; validate
@@ -176,10 +170,7 @@ class ColimitElement:
         e = self
         while e.level > 1:
             h = e._map_at(e.level - 1)
-            grp = e.value.group
-            hint = int(grp.exponent) if grp.is_finite else None
-            sol = solve_integer_system(h.matrix, e.value.coords,
-                                       grp.relations, mod=hint)
+            sol = e.value.group.solve(h.matrix, e.value.coords)
             if sol is None:
                 break
             e = ColimitElement(e.tower, e.level - 1, e.position,
@@ -227,29 +218,24 @@ def counterexample_tower(p: int) -> ColimitTower:
         return check_exact(inc, g)
 
     def maps_fn(k: int) -> LevelMaps:
-        lo, hi = build(k), build(k + 1)
+        lo, hi = tower.sequence(k), tower.sequence(k + 1)
         psi = Homomorphism(lo.B, hi.B, vstack(
             IntMatrix.identity(k), IntMatrix.zeros(1, k)))
         eta = Homomorphism(lo.C, hi.C, IntMatrix.from_rows([[p]]))
         # phi is the restriction of psi to the kernels, solved columnwise
         cols = []
         for j in range(lo.A.generator_count):
-            target = psi.matrix.apply(lo.f.matrix.col(j))
-            sol = solve_integer_system(hi.f.matrix, target,
-                                       hi.B.relations, mod=p ** (k + 1))
+            sol = hi.B.solve(hi.f.matrix, psi.matrix.apply(lo.f.matrix.col(j)))
             if sol is None:
                 raise InputError("psi does not preserve the kernel")
             cols.append(sol)
-        ga = hi.A.generator_count
-        phi = Homomorphism(lo.A, hi.A, IntMatrix(
-            ga, lo.A.generator_count,
-            tuple(cols[j][i] for i in range(ga)
-                  for j in range(lo.A.generator_count))))
+        phi = Homomorphism(lo.A, hi.A, IntMatrix.from_columns(hi.A.generator_count, cols))
         if not (hi.f @ phi).same_map(psi @ lo.f):
             raise InputError("kernel restriction failed to commute")
         return LevelMaps(alpha=phi, beta=psi, gamma=eta)
 
-    return ColimitTower(p, build, maps_fn, family="counterexample")
+    tower = ColimitTower(p, build, maps_fn, family="counterexample")
+    return tower
 
 
 def stabilizing_tower(p: int, n0: int = 2) -> ColimitTower:
@@ -316,11 +302,6 @@ def level_sections(t: ColimitTower, n: int) -> Optional[Section]:
     return section_exists(seq)
 
 
-def colimit_order(e: ColimitElement) -> Union[int, float]:
-    """Order of the colimit element, computed at its own level."""
-    return element_order(e.value)
-
-
 @dataclass(frozen=True)
 class HeightProbe:
     """Result of a p-divisibility probe.
@@ -348,13 +329,11 @@ def _probe_height(e: ColimitElement, depth: int) -> HeightProbe:
     level alone decides divisibility anywhere in the window."""
     top = e.push(e.level + depth)
     grp = top.value.group
-    hint = int(grp.exponent) if grp.is_finite else None
     p = e.tower.p
     height = 0
     for h in range(depth, 0, -1):
-        sol = solve_integer_system(
-            IntMatrix.identity(grp.generator_count).scaled(p ** h),
-            top.value.coords, grp.relations, mod=hint)
+        sol = grp.solve(IntMatrix.identity(grp.generator_count).scaled(p ** h),
+                        top.value.coords)
         if sol is not None:
             height = h
             break
@@ -393,7 +372,7 @@ def limit_purity_witness(t: ColimitTower, c: ColimitElement) -> ColimitElement:
     """
     if c.position != "C" or c.tower is not t:
         raise InputError("witness requested for a non-C element")
-    order = element_order(c.value)
+    order = c.value.order()
     if order == math.inf:
         raise UnsupportedError("purity witnesses need finite order")
     order = int(order)
@@ -406,21 +385,15 @@ def limit_purity_witness(t: ColimitTower, c: ColimitElement) -> ColimitElement:
     chain = Homomorphism.identity(t.sequence(k).C)
     for j in range(k, c.level):
         chain = t.step(j).gamma @ chain
-    tgt = t.sequence(c.level).C
-    hint = int(tgt.exponent) if tgt.is_finite else None
-    down = solve_integer_system(chain.matrix, c.value.coords,
-                                tgt.relations, mod=hint)
+    down = t.sequence(c.level).C.solve(chain.matrix, c.value.coords)
     if down is None:
         raise PurityError("element does not come from its order level",
                           element=c.value)
     low_seq = t.sequence(k)
-    hint_c = int(low_seq.C.exponent) if low_seq.C.is_finite else None
-    lift = solve_integer_system(low_seq.g.matrix,
-                                low_seq.C.element(down).coords,
-                                low_seq.C.relations, mod=hint_c)
+    lift = low_seq.C.solve(low_seq.g.matrix, low_seq.C.element(down).coords)
     assert lift is not None, "level maps are epimorphisms"
     y = ColimitElement(t, k, "B", low_seq.B.element(lift)).push(c.level)
-    if element_order(y.value) != order:
+    if y.value.order() != order:
         raise PurityError("level lift does not have the expected order",
                           element=c.value)
     if t.sequence(c.level).g(y.value) != c.value:
@@ -466,11 +439,7 @@ def section_compatibility_solvable(t: ColimitTower, n: int) -> bool:
                      IntMatrix.zeros(gb_lo, rc_lo.cols))
     sys.add_equation([(None, "X", rc_hi), (-rb_hi, "WX", None)],
                      IntMatrix.zeros(gb_hi, rc_hi.cols))
-    mod = None
-    exps = [g.exponent for g in (lo.B, lo.C, hi.B, hi.C)]
-    if all(x != math.inf for x in exps):
-        mod = math.lcm(*[int(x) for x in exps])
-    return sys.solve(mod=mod) is not None
+    return sys.solve(mod=common_exponent(lo.B, lo.C, hi.B, hi.C)) is not None
 
 
 @dataclass(frozen=True)
@@ -514,9 +483,8 @@ def limit_no_section_certificate(t: ColimitTower,
     # brute-force the divisibility claim rather than citing the closed form
     pushed = c1.push(1 + depth)
     grp = pushed.value.group
-    sol = solve_integer_system(
-        IntMatrix.identity(grp.generator_count).scaled(p ** depth),
-        pushed.value.coords, grp.relations, mod=int(grp.exponent))
+    sol = grp.solve(IntMatrix.identity(grp.generator_count).scaled(p ** depth),
+                    pushed.value.coords)
     divisible = sol is not None
     cross = []
     for n in range(1, min(depth, 2) + 1):

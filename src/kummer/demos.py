@@ -7,7 +7,6 @@ Reports are deterministic for a fixed seed; no clocks, no environment.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from . import jsonio
 from .cohomology import chris_verify
@@ -46,8 +45,7 @@ __all__ = [
 ]
 
 
-def demo_main_lemma(seed: int = 0, count: int = 8,
-                    jobs: Optional[int] = None) -> tuple[bool, dict]:
+def demo_main_lemma(seed: int = 0, count: int = 8) -> tuple[bool, dict]:
     """Random sigma towers plus handcrafted ones: validate, split, verify."""
     rng = random.Random(seed)
     rows = []
@@ -57,7 +55,7 @@ def demo_main_lemma(seed: int = 0, count: int = 8,
         model = random_sigma_model(rng, p, 3)
         n = rng.randint(1, 3)
         tower = sigma_kummer_tower(model, n)
-        report = validate_tower(tower, jobs=jobs)
+        report = validate_tower(tower)
         section = tower_split(tower)
         verified = (tower.top.g @ section.s).is_identity()
         ok = ok and report.valid and verified
@@ -72,7 +70,7 @@ def demo_main_lemma(seed: int = 0, count: int = 8,
         })
     for p, a_mode in ((2, "growing"), (3, "constant"), (2, "capped")):
         tower = split_tower(p, 3, a_mode)
-        report = validate_tower(tower, jobs=jobs)
+        report = validate_tower(tower)
         section = tower_split(tower)
         verified = (tower.top.g @ section.s).is_identity()
         ok = ok and report.valid and verified

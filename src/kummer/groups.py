@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InputError, UnsupportedError
 from .matrices import (
+    HermiteColumnForm,
     IntMatrix,
     MatrixEquationSystem,
     block_diag,
@@ -26,7 +27,8 @@ from .matrices import (
     hstack,
     preimage_lattice,
     smith_normal_form,
-    solve_linear,
+    solve_integer_system,
+    solve_linear_explain,
 )
 
 __all__ = [
@@ -35,8 +37,7 @@ __all__ = [
     "Homomorphism",
     "DirectSum",
     "Simplified",
-    "group_from_relations",
-    "element_order",
+    "common_exponent",
     "kernel",
     "image",
     "cokernel",
@@ -196,9 +197,23 @@ class FgAbGroup:
         for combo in itertools.product(*ranges):
             yield GroupElement(self, tuple(combo))
 
-    def contains_lattice_vector(self, vec: Sequence[int]) -> bool:
-        """Whether an ambient integer vector lies in the relation lattice."""
-        return self.hermite.contains(vec)
+    # -- lattice questions --------------------------------------------------
+
+    def span(self, cols: IntMatrix) -> HermiteColumnForm:
+        """Hermite form of the lattice spanned by ``cols`` and the relations,
+        i.e. of the preimage in Z^g of the subgroup the columns generate."""
+        return hermite_column_form(hstack(cols, self.relations))
+
+    def solve(self, mat: IntMatrix, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """Some integer x with mat @ x = rhs in this group, or None.
+
+        That is, mat @ x - rhs lies in the relation lattice. A finite group's
+        lattice contains exponent * Z^g, so there the congruence is solved
+        with arithmetic modulo the exponent (Cohen, GTM 138, §2.4), which
+        keeps coefficients small; the answer is the same as over Z.
+        """
+        return solve_integer_system(mat, rhs, self.relations,
+                                    mod=common_exponent(self))
 
     def __repr__(self) -> str:
         inv = ",".join(str(d) for d in self.invariant_factors)
@@ -249,6 +264,7 @@ class GroupElement:
             raise InputError("elements of different groups")
 
     def order(self) -> Union[int, float]:
+        """Least n > 0 with n*x = 0, or infinite."""
         dec = self.group.snf
         y = dec.U.apply(self.coords)
         full = self.group._full_diagonal()
@@ -260,11 +276,6 @@ class GroupElement:
             else:
                 n = math.lcm(n, d // math.gcd(d, yi))
         return n
-
-
-def element_order(x: GroupElement) -> Union[int, float]:
-    """Least n > 0 with n*x = 0, or infinite."""
-    return x.order()
 
 
 @dataclass(frozen=True)
@@ -324,23 +335,27 @@ class Homomorphism:
         return self.source == self.target and self.same_map(Homomorphism.identity(self.source))
 
 
-def group_from_relations(g: int, relations: IntMatrix) -> FgAbGroup:
-    return FgAbGroup(g, relations)
-
-
 def hom_from_images(source: FgAbGroup, target: FgAbGroup,
                     images: Sequence[GroupElement]) -> Homomorphism:
     if len(images) != source.generator_count:
         raise InputError("one image per source generator required")
-    cols = [list(x.coords) for x in images]
-    mat = IntMatrix(target.generator_count, len(cols),
-                    tuple(cols[j][i] for i in range(target.generator_count)
-                          for j in range(len(cols))))
+    mat = IntMatrix.from_columns(target.generator_count, [x.coords for x in images])
     return Homomorphism(source, target, mat)
 
 
 def multiplication_hom(g: FgAbGroup, n: int) -> Homomorphism:
     return Homomorphism(g, g, IntMatrix.identity(g.generator_count).scaled(n))
+
+
+def common_exponent(*groups: FgAbGroup) -> Optional[int]:
+    """lcm of the exponents of finite groups, or None if one is infinite.
+
+    A congruence modulo the relation lattices of all the groups may be
+    solved with arithmetic modulo this number instead of over Z.
+    """
+    if not all(g.is_finite for g in groups):
+        return None
+    return math.lcm(*(int(g.exponent) for g in groups))
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +373,19 @@ def _lattice_subgroup(ambient: FgAbGroup, lattice: IntMatrix
     rel = ambient.relations
     qcols = []
     for j in range(rel.cols):
-        sol = solve_linear(lattice, rel.col(j))
+        sol, _ = solve_linear_explain(lattice, rel.col(j))
         if sol is None:
             raise InputError("sublattice does not contain the relation lattice")
         qcols.append(sol)
-    k = lattice.cols
-    q = IntMatrix(k, len(qcols),
-                  tuple(qcols[j][i] for i in range(k) for j in range(len(qcols))))
-    sub = FgAbGroup(k, q)
+    sub = FgAbGroup(lattice.cols, IntMatrix.from_columns(lattice.cols, qcols))
     return sub, Homomorphism(sub, ambient, lattice)
 
 
 def subgroup_generated(ambient: FgAbGroup, elements: Iterable[GroupElement]
                        ) -> tuple[FgAbGroup, Homomorphism]:
     """Subgroup generated by the given elements, with its inclusion."""
-    cols = [IntMatrix.column(x.coords) for x in elements]
-    lat = hermite_column_form(hstack(*cols, ambient.relations) if cols
-                              else ambient.relations).matrix
-    return _lattice_subgroup(ambient, lat)
+    cols = IntMatrix.from_columns(ambient.generator_count, [x.coords for x in elements])
+    return _lattice_subgroup(ambient, ambient.span(cols).matrix)
 
 
 def kernel(h: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
@@ -386,8 +396,7 @@ def kernel(h: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
 
 def image(h: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
     """Image subgroup with its inclusion into the target."""
-    lat = hermite_column_form(hstack(h.matrix, h.target.relations)).matrix
-    return _lattice_subgroup(h.target, lat)
+    return _lattice_subgroup(h.target, h.target.span(h.matrix).matrix)
 
 
 def cokernel(h: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
@@ -428,13 +437,8 @@ def invert_isomorphism(h: Homomorphism) -> Homomorphism:
                      IntMatrix.identity(gs))
     sys.add_equation([(h.matrix, "X", None), (-rt, "W2", None)],
                      IntMatrix.identity(gt))
-    # all equations are congruences modulo the relation lattices, so for
-    # finite groups the system may be solved with arithmetic modulo a
-    # common exponent multiple instead of over Z (no coefficient swell)
-    mod = None
-    if h.source.is_finite and h.target.is_finite:
-        mod = math.lcm(int(h.source.exponent), int(h.target.exponent))
-    sol = sys.solve(mod=mod)
+    # all equations are congruences modulo the relation lattices
+    sol = sys.solve(mod=common_exponent(h.source, h.target))
     if sol is None:
         raise InputError("homomorphism is not invertible")
     inv = Homomorphism(h.target, h.source, sol["X"])

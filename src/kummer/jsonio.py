@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Optional, Union
+import re
+from typing import Any, Union
 
 from .cohomology import CyclicGroupModule, GModuleMap, GModuleSequence
 from .errors import InputError
@@ -83,14 +84,16 @@ def _require_dict(doc: Any, path: str, keys: tuple[str, ...]) -> dict:
     return doc
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def decode_int(doc: Any, path: str) -> int:
     if isinstance(doc, bool):
         _fail(path, "expected an integer, got a boolean")
     if isinstance(doc, int):
         return doc
     if isinstance(doc, str):
-        stripped = doc[1:] if doc.startswith("-") else doc
-        if stripped.isdigit():
+        if _DECIMAL.fullmatch(doc):
             return int(doc)
         _fail(path, f"not a decimal integer: {doc!r}")
     _fail(path, f"expected an integer, got {type(doc).__name__}")

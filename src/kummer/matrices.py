@@ -23,7 +23,6 @@ __all__ = [
     "kernel_lattice",
     "preimage_lattice",
     "lattice_intersection",
-    "solve_linear",
     "solve_linear_explain",
     "solve_integer_system",
     "solve_modular",
@@ -95,6 +94,14 @@ class IntMatrix:
     def column(cls, vec: Sequence[int]) -> "IntMatrix":
         return cls(len(vec), 1, tuple(int(x) for x in vec))
 
+    @classmethod
+    def from_columns(cls, rows: int, cols: Sequence[Sequence[int]]) -> "IntMatrix":
+        """Matrix whose j-th column is cols[j]; ``rows`` fixes the shape when
+        there are no columns."""
+        if any(len(col) != rows for col in cols):
+            raise InputError(f"every column needs {rows} entries")
+        return cls(rows, len(cols), tuple(col[i] for i in range(rows) for col in cols))
+
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, key: tuple[int, int]) -> int:
@@ -109,16 +116,9 @@ class IntMatrix:
     def col(self, j: int) -> tuple[int, ...]:
         return self.data[j::self.cols] if self.cols else ()
 
-    def rows_list(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.data)
 
     @property
     def is_square(self) -> bool:
@@ -464,8 +464,7 @@ def hermite_column_form(mat: IntMatrix) -> HermiteColumnForm:
                         cj[i] -= q * pc[i]
             pivots.append((row, cidx))
             cidx += 1
-    kept = cols[:cidx]
-    h = IntMatrix(g, cidx, tuple(kept[j][i] for i in range(g) for j in range(cidx)))
+    h = IntMatrix.from_columns(g, cols[:cidx])
     return HermiteColumnForm(source=mat, matrix=h, pivots=tuple(pivots))
 
 
@@ -535,11 +534,6 @@ def solve_linear_explain(mat: IntMatrix, rhs: Sequence[int]):
     return snf.V.apply(w), None
 
 
-def solve_linear(mat: IntMatrix, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
-    sol, _ = solve_linear_explain(mat, rhs)
-    return sol
-
-
 def solve_integer_system(mat: IntMatrix, rhs: Sequence[int],
                          modulus_relations: Optional[IntMatrix] = None,
                          mod: Optional[int] = None) -> Optional[tuple[int, ...]]:
@@ -556,21 +550,17 @@ def solve_integer_system(mat: IntMatrix, rhs: Sequence[int],
     """
     if modulus_relations is not None and modulus_relations.rows != mat.rows:
         raise InputError("relation lattice has wrong ambient rank")
-    if mod is not None:
-        if mod < 1:
-            raise InputError("modulus hint must be positive")
-        if modulus_relations is None or modulus_relations.cols == 0:
-            big = mat
-        else:
-            big = hstack(mat, modulus_relations)
-        sol = solve_modular(big, rhs, mod)
-        return sol[:mat.cols] if sol is not None else None
+    if mod is not None and mod < 1:
+        raise InputError("modulus hint must be positive")
     if modulus_relations is None or modulus_relations.cols == 0:
-        return solve_linear(mat, rhs)
-    sol = solve_linear(hstack(mat, modulus_relations), rhs)
-    if sol is None:
-        return None
-    return sol[:mat.cols]
+        big = mat
+    else:
+        big = hstack(mat, modulus_relations)
+    if mod is None:
+        sol, _ = solve_linear_explain(big, rhs)
+    else:
+        sol = solve_modular(big, rhs, mod)
+    return sol[:mat.cols] if sol is not None else None
 
 
 def solve_modular(mat: IntMatrix, rhs: Sequence[int], m: int
@@ -720,6 +710,8 @@ class MatrixEquationSystem:
         self._shapes[name] = (rows, cols)
         self._offsets[name] = self._total
         self._total += rows * cols
+        for row in self._rows:  # equations added so far do not involve it
+            row.extend([0] * (rows * cols))
 
     def add_equation(self, terms: list[tuple[Optional[IntMatrix], str, Optional[IntMatrix]]],
                      rhs: IntMatrix) -> None:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import singledispatch
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .arith import crt_idempotents, divisors, factorint, prime_power_parts
 from .errors import InputError, NotExactError, PurityError, UnsupportedError
@@ -21,20 +21,16 @@ from .groups import (
     GroupElement,
     Homomorphism,
     cokernel,
+    common_exponent,
     direct_sum,
-    element_order,
-    image,
     kernel,
 )
 from .matrices import (
     IntMatrix,
     MatrixEquationSystem,
     block_diag,
-    hermite_column_form,
-    hstack,
     lattice_intersection,
     preimage_lattice,
-    solve_integer_system,
 )
 
 __all__ = [
@@ -97,10 +93,10 @@ class ShortExactSequence:
                     witness=g.target.element(comp.matrix.col(j)))
         checks.append("complex")
         ker_lat = preimage_lattice(g.matrix, g.target.relations)
-        im_lat = hermite_column_form(hstack(f.matrix, f.target.relations)).matrix
+        im_f = f.target.span(f.matrix)
         for j in range(ker_lat.cols):
             vec = ker_lat.col(j)
-            if not im_lat == hermite_column_form(hstack(im_lat, IntMatrix.column(vec))).matrix:
+            if not im_f.contains(vec):
                 raise NotExactError(
                     "middle", "kernel of g is larger than image of f",
                     witness=f.target.element(vec))
@@ -188,12 +184,8 @@ class PurityWitnessSet:
         for c, b in self.witnesses:
             if self.seq.g(b) != c:
                 raise InputError("witness does not lift its target")
-            if element_order(b) != element_order(c):
+            if b.order() != c.order():
                 raise InputError("witness has the wrong order")
-
-
-def _subgroup_lattice(cols: IntMatrix, ambient: FgAbGroup) -> IntMatrix:
-    return hermite_column_form(hstack(cols, ambient.relations)).matrix
 
 
 def is_pure(seq: ShortExactSequence,
@@ -219,18 +211,16 @@ def is_pure(seq: ShortExactSequence,
         scope = f"the supplied moduli {ns}"
     gb = b_group.generator_count
     fa = seq.f.matrix
-    a_lat = _subgroup_lattice(fa, b_group)
+    a_lat = b_group.span(fa).matrix
     comparisons = []
     failed = False
     for n in ns:
         if n == 0:
             comparisons.append((0, True))
             continue
-        n_a = _subgroup_lattice(fa.scaled(n), b_group)
-        n_b = _subgroup_lattice(IntMatrix.identity(gb).scaled(n), b_group)
-        inter = hermite_column_form(
-            hstack(lattice_intersection(a_lat, n_b), b_group.relations)).matrix
-        ok = n_a == inter
+        n_a = b_group.span(fa.scaled(n)).matrix
+        n_b = b_group.span(IntMatrix.identity(gb).scaled(n)).matrix
+        ok = n_a == b_group.span(lattice_intersection(a_lat, n_b)).matrix
         comparisons.append((n, ok))
         if not ok:
             failed = True
@@ -259,31 +249,23 @@ def pure_witness(seq: ShortExactSequence, c: GroupElement) -> GroupElement:
     """A lift b of c with the same order, or PurityError carrying c."""
     if c.group != seq.C:
         raise InputError("element does not belong to C")
-    m = element_order(c)
+    m = c.order()
     if m == math.inf:
         raise UnsupportedError("same-order lifts are only searched for "
                                "finite-order elements")
     m = int(m)
-    hint = int(seq.B.exponent) if seq.B.is_finite else None
-    b0 = solve_integer_system(seq.g.matrix, c.coords, seq.C.relations,
-                              mod=_lift_mod(seq))
+    b0 = seq.C.solve(seq.g.matrix, c.coords)
     if b0 is None:
         raise InputError("g is not surjective onto c")  # cannot happen: g epi
     ker_g = preimage_lattice(seq.g.matrix, seq.C.relations)
     target = tuple(-m * x for x in b0)
-    t = solve_integer_system(ker_g.scaled(m), target, seq.B.relations, mod=hint)
+    t = seq.B.solve(ker_g.scaled(m), target)
     if t is None:
         raise PurityError(f"no lift of the same order {m}", element=c)
     coords = tuple(x + y for x, y in zip(b0, ker_g.apply(t)))
     b = seq.B.element(coords)
-    assert element_order(b) == m
+    assert b.order() == m
     return b
-
-
-def _lift_mod(seq: ShortExactSequence) -> Optional[int]:
-    if seq.B.is_finite and seq.C.is_finite:
-        return math.lcm(int(seq.B.exponent), int(seq.C.exponent))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +356,7 @@ def section_exists(seq: ShortExactSequence) -> Optional[Section]:
                      IntMatrix.zeros(gb, rc.cols))
     sys.add_equation([(g_s.matrix, "X", None), (-rc, "W", None)],
                      IntMatrix.identity(gc))
-    mod = None
-    if sb.is_finite and sc.is_finite:
-        mod = math.lcm(int(sb.exponent), int(sc.exponent))
-    sol = sys.solve(mod=mod)
+    sol = sys.solve(mod=common_exponent(sb, sc))
     if sol is None:
         return None
     s_simple = Homomorphism(sc, sb, sol["X"])
@@ -395,9 +374,7 @@ def assemble_section(seq: ShortExactSequence, dec: PrueferDecomposition,
     k = dec.iso.source.generator_count
     if len(lifts) != k:
         raise InputError("need exactly one lift per cyclic generator")
-    gb = seq.B.generator_count
-    wit = IntMatrix(gb, k, tuple(lifts[j].coords[i]
-                                 for i in range(gb) for j in range(k)))
+    wit = IntMatrix.from_columns(seq.B.generator_count, [y.coords for y in lifts])
     return Section(seq, Homomorphism(seq.C, seq.B, wit @ dec.inverse.matrix))
 
 
@@ -418,17 +395,13 @@ def retraction_from_section(seq: ShortExactSequence, s: Section) -> Homomorphism
     """r: B -> A with r∘f = id, via r(b) = f⁻¹(b - s(g(b)))."""
     gb = seq.B.generator_count
     proj = IntMatrix.identity(gb) - s.s.matrix @ seq.g.matrix
-    hint = int(seq.B.exponent) if seq.B.is_finite else None
     cols = []
     for j in range(gb):
-        sol = solve_integer_system(seq.f.matrix, proj.col(j),
-                                   seq.B.relations, mod=hint)
+        sol = seq.B.solve(seq.f.matrix, proj.col(j))
         if sol is None:
             raise InputError("b - s(g(b)) left the image of f")  # impossible
         cols.append(sol)
-    ga = seq.A.generator_count
-    mat = IntMatrix(ga, gb, tuple(cols[j][i] for i in range(ga) for j in range(gb)))
-    r = Homomorphism(seq.B, seq.A, mat)
+    r = Homomorphism(seq.B, seq.A, IntMatrix.from_columns(seq.A.generator_count, cols))
     if not (r @ seq.f).is_identity():
         raise InputError("retraction verification failed")
     return r
@@ -440,19 +413,14 @@ def section_from_retraction(seq: ShortExactSequence, r: Homomorphism) -> Section
         raise InputError("retraction must map B onto A")
     if not (r @ seq.f).is_identity():
         raise InputError("not a retraction: r∘f is not the identity")
-    gc = seq.C.generator_count
-    hint = _lift_mod(seq)
     fr = seq.f.matrix @ r.matrix
     cols = []
-    for j in range(gc):
-        b = solve_integer_system(seq.g.matrix, seq.C.generator(j).coords,
-                                 seq.C.relations, mod=hint)
+    for c in seq.C.generators():
+        b = seq.C.solve(seq.g.matrix, c.coords)
         if b is None:
             raise InputError("g is not surjective")  # impossible for a SES
-        col = tuple(x - y for x, y in zip(b, fr.apply(b)))
-        cols.append(col)
-    gb = seq.B.generator_count
-    mat = IntMatrix(gb, gc, tuple(cols[j][i] for i in range(gb) for j in range(gc)))
+        cols.append(tuple(x - y for x, y in zip(b, fr.apply(b))))
+    mat = IntMatrix.from_columns(seq.B.generator_count, cols)
     return Section(seq, Homomorphism(seq.C, seq.B, mat))
 
 

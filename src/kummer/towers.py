@@ -12,10 +12,9 @@ remainder assembly of per-prime sections.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional, Union
 
 from .arith import is_prime, vp
 from .errors import GlueError, InputError, TowerInvalidError
@@ -25,7 +24,6 @@ from .groups import (
     Homomorphism,
     cokernel,
     direct_sum,
-    element_order,
     invert_isomorphism,
     kernel,
 )
@@ -38,7 +36,6 @@ from .matrices import (
     hstack,
     preimage_lattice,
     smith_normal_form,
-    solve_integer_system,
 )
 from .sequences import (
     PrueferDecomposition,
@@ -70,7 +67,6 @@ __all__ = [
     "CrtGlue",
     "crt_split",
     "dual_tower",
-    "dual_of_tower",
     "dual_tower_split",
 ]
 
@@ -176,7 +172,7 @@ def _torsion_violations(p: int, level: int,
     if exp == math.inf or bound % int(exp):
         wit = None
         for i in range(seq.B.generator_count):
-            o = element_order(seq.B.generator(i))
+            o = seq.B.generator(i).order()
             if o == math.inf or bound % int(o):
                 wit = seq.B.generator(i)
                 break
@@ -211,10 +207,6 @@ def _square_violations(level: int, low: ShortExactSequence,
     return out
 
 
-def _sub_lattice(ambient: FgAbGroup, cols: IntMatrix) -> IntMatrix:
-    return hermite_column_form(hstack(cols, ambient.relations)).matrix
-
-
 def _inclusion_violations(p: int, level: int,
                           gamma: Homomorphism) -> list[TowerViolation]:
     """gamma must be injective with image the p^level-torsion of its target."""
@@ -230,22 +222,21 @@ def _inclusion_violations(p: int, level: int,
                     inc(x)))
                 break
     tgt = gamma.target
-    im = _sub_lattice(tgt, gamma.matrix)
+    im = tgt.span(gamma.matrix)
     tors = preimage_lattice(
         IntMatrix.identity(tgt.generator_count).scaled(p ** level),
         tgt.relations)
-    if im != tors:
+    if im.matrix != tors:
         tors_h = hermite_column_form(tors)
         wit = None
-        im_h = hermite_column_form(im)
         for j in range(tors.cols):
-            if not im_h.contains(tors.col(j)):
+            if not im.contains(tors.col(j)):
                 wit = tgt.element(tors.col(j))
                 break
         if wit is None:
-            for j in range(im.cols):
-                if not tors_h.contains(im.col(j)):
-                    wit = tgt.element(im.col(j))
+            for j in range(im.matrix.cols):
+                if not tors_h.contains(im.matrix.col(j)):
+                    wit = tgt.element(im.matrix.col(j))
                     break
         out.append(TowerViolation(
             level, "inclusion",
@@ -270,8 +261,7 @@ def _surjection_violations(p: int, level: int,
             f"left map into level {level} is not surjective", wit))
     src = alpha.source
     ker_lat = preimage_lattice(alpha.matrix, alpha.target.relations)
-    scaled = _sub_lattice(
-        src, IntMatrix.identity(src.generator_count).scaled(p ** level))
+    scaled = src.span(IntMatrix.identity(src.generator_count).scaled(p ** level)).matrix
     if ker_lat != scaled:
         out.append(TowerViolation(
             level, "surjection",
@@ -280,52 +270,33 @@ def _surjection_violations(p: int, level: int,
     return out
 
 
-def _collect(levels: int, jobs: Optional[int],
-             job: Callable[[int], list[TowerViolation]]) -> list[TowerViolation]:
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(job, range(levels)))
-    else:
-        chunks = [job(i) for i in range(levels)]
-    return [v for chunk in chunks for v in chunk]
+def _report(t: Union[KummerTower, CoKummerTower], upward: bool) -> TowerReport:
+    violations = []
+    for i, seq in enumerate(t.seqs):
+        level = i + 1
+        violations += _torsion_violations(t.p, level, seq)
+        if level < t.n:
+            lm = t.maps[i]
+            violations += _square_violations(level, seq, t.seqs[i + 1], lm, upward)
+            violations += (_inclusion_violations(t.p, level, lm.gamma) if upward
+                           else _surjection_violations(t.p, level, lm.alpha))
+    return TowerReport(valid=not violations, violations=tuple(violations),
+                       levels=t.n)
 
 
-def validate_tower(t: KummerTower, jobs: Optional[int] = None) -> TowerReport:
+def validate_tower(t: KummerTower) -> TowerReport:
     """Report every splitting-hypothesis violation with level and witness.
 
     Exactness per level is intrinsic (sequences validate at construction);
     checked here: p^k-torsion, both commuting squares, and that each right
     map is the canonical inclusion (injective, image = p^k-torsion).
     """
-    def job(i: int) -> list[TowerViolation]:
-        level = i + 1
-        out = _torsion_violations(t.p, level, t.seqs[i])
-        if i + 1 < t.n:
-            out.extend(_square_violations(level, t.seqs[i], t.seqs[i + 1],
-                                          t.maps[i], upward=True))
-            out.extend(_inclusion_violations(t.p, level, t.maps[i].gamma))
-        return out
-
-    violations = _collect(t.n, jobs, job)
-    return TowerReport(valid=not violations, violations=tuple(violations),
-                       levels=t.n)
+    return _report(t, upward=True)
 
 
-def validate_co_tower(t: CoKummerTower,
-                      jobs: Optional[int] = None) -> TowerReport:
+def validate_co_tower(t: CoKummerTower) -> TowerReport:
     """Dual-shape validation: torsion, downward squares, surjective left maps."""
-    def job(i: int) -> list[TowerViolation]:
-        level = i + 1
-        out = _torsion_violations(t.p, level, t.seqs[i])
-        if i + 1 < t.n:
-            out.extend(_square_violations(level, t.seqs[i], t.seqs[i + 1],
-                                          t.maps[i], upward=False))
-            out.extend(_surjection_violations(t.p, level, t.maps[i].alpha))
-        return out
-
-    violations = _collect(t.n, jobs, job)
-    return TowerReport(valid=not violations, violations=tuple(violations),
-                       levels=t.n)
+    return _report(t, upward=False)
 
 
 def _require_valid(t: KummerTower) -> None:
@@ -357,13 +328,11 @@ def _purity_lifts(t: KummerTower) -> tuple[PrueferDecomposition,
                 f"C[p^{n}] has a cyclic factor of order {d}, not a power "
                 f"of {p}", report=None)
         chain = _gamma_chain(t, k, n)
-        down = solve_integer_system(chain.matrix, c.coords,
-                                    top.C.relations, mod=p ** n)
+        down = top.C.solve(chain.matrix, c.coords)
         assert down is not None, "torsion element missing from inclusion image"
         level_seq = t.seqs[k - 1]
         c_low = level_seq.C.element(down)
-        lift = solve_integer_system(level_seq.g.matrix, c_low.coords,
-                                    level_seq.C.relations, mod=p ** k)
+        lift = level_seq.C.solve(level_seq.g.matrix, c_low.coords)
         assert lift is not None, "g is surjective on every level"
         # any preimage works: B_k is killed by p^k, so the order is exactly p^k
         y = level_seq.B.element(lift)
@@ -571,24 +540,20 @@ def crt_split(m: int, towers: Mapping[int, KummerTower],
 # ---------------------------------------------------------------------------
 
 
-def dual_tower(t: KummerTower) -> CoKummerTower:
-    """Pontryagin-dualize a tower levelwise; maps flip direction and roles."""
+def dual_tower(t: Union[KummerTower, CoKummerTower]
+               ) -> Union[CoKummerTower, KummerTower]:
+    """Pontryagin-dualize a tower levelwise (finite groups only).
+
+    Maps flip direction and the A and C columns trade places, so an upward
+    tower dualizes to a downward one and a downward tower to an upward one.
+    """
     seqs = tuple(dualize_sequence(s) for s in t.seqs)
     maps = tuple(LevelMaps(alpha=pontryagin_dual(lm.gamma),
                            beta=pontryagin_dual(lm.beta),
                            gamma=pontryagin_dual(lm.alpha))
                  for lm in t.maps)
-    return CoKummerTower(t.p, seqs, maps)
-
-
-def dual_of_tower(t: CoKummerTower) -> KummerTower:
-    """Dualize a downward tower into an upward one (finite groups only)."""
-    seqs = tuple(dualize_sequence(s) for s in t.seqs)
-    maps = tuple(LevelMaps(alpha=pontryagin_dual(lm.gamma),
-                           beta=pontryagin_dual(lm.beta),
-                           gamma=pontryagin_dual(lm.alpha))
-                 for lm in t.maps)
-    return KummerTower(t.p, seqs, maps)
+    opposite = CoKummerTower if isinstance(t, KummerTower) else KummerTower
+    return opposite(t.p, seqs, maps)
 
 
 def dual_tower_split(t: CoKummerTower) -> Section:
@@ -601,7 +566,7 @@ def dual_tower_split(t: CoKummerTower) -> Section:
     if not report.valid:
         raise TowerInvalidError("co-tower violates the dual hypotheses",
                                 report=report)
-    upward = dual_of_tower(t)
+    upward = dual_tower(t)
     s_hat = tower_split(upward)
     top = t.top
     r = (double_dual_inverse(top.A) @ pontryagin_dual(s_hat.s)) \

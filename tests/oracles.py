@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from kummer.groups import FgAbGroup, GroupElement, element_order
+from kummer.groups import GroupElement
 from kummer.matrices import IntMatrix
 from kummer.sequences import ShortExactSequence
 
@@ -59,9 +59,9 @@ def minors_gcd_diagonal(mat: IntMatrix) -> list[int]:
 def brute_same_order_lift(seq: ShortExactSequence,
                           c: GroupElement) -> bool:
     """Search all of B for a preimage of c with the same order."""
-    target = element_order(c)
+    target = c.order()
     for b in seq.B.elements():
-        if seq.g(b) == c and element_order(b) == target:
+        if seq.g(b) == c and b.order() == target:
             return True
     return False
 

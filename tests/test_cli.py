@@ -90,6 +90,15 @@ def test_bad_field_reports_its_path():
     assert "$.data[1]" in out["error"]["message"]
 
 
+def test_non_ascii_digits_are_a_schema_error():
+    res = run_cli(["group"], '{"schema":1,"generators":1,'
+                  '"relations":{"rows":1,"cols":1,"data":["²"]}}')
+    assert res.returncode == 2
+    assert res.stderr == ""
+    out = json.loads(res.stdout)
+    assert "$.relations.data[0]" in out["error"]["message"]
+
+
 def test_generate_then_split_pipeline():
     gen = run_cli(["tower-generate", "--sigma", '{"p":2,"r":1,"M":[[3]]}',
                    "--n", "3"])

@@ -12,7 +12,6 @@ from kummer.cohomology import (
     equivariant_section_exists,
     is_cohomologically_trivial,
     les_multiplication_by_p,
-    norm_hom,
     reduce_mod_p,
     regular_extension_fixture,
     regular_module,
@@ -171,7 +170,7 @@ def test_les_guards():
 
 def test_norm_and_reduction_helpers():
     model = tate_model(3)
-    n = norm_hom(model)
+    n = model.norm
     assert n.same_map(model.norm)
     red = reduce_mod_p(model, 3)
     assert red.group.exponent == 3

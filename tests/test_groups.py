@@ -10,8 +10,8 @@ from kummer.groups import (
     GroupElement,
     Homomorphism,
     cokernel,
+    common_exponent,
     direct_sum,
-    element_order,
     hom_from_images,
     image,
     invert_isomorphism,
@@ -21,7 +21,7 @@ from kummer.groups import (
     primary_component,
     subgroup_generated,
 )
-from kummer.matrices import IntMatrix
+from kummer.matrices import IntMatrix, solve_integer_system
 
 from kummer.fixtures import random_finite_group
 
@@ -53,7 +53,7 @@ def test_element_order_divides_exponent(orders, data):
     coords = tuple(data.draw(st.integers(-10, 10))
                    for _ in range(g.generator_count))
     x = g.element(coords)
-    n = element_order(x)
+    n = x.order()
     assert int(g.exponent) % int(n) == 0
     assert not int(n) * x
 
@@ -159,3 +159,39 @@ def test_elements_enumeration_counts():
     assert len({x.coords for x in xs}) == 6
     with pytest.raises(Exception):
         list(FgAbGroup.free(1).elements())
+
+
+# Presentations with 1-3 generators and 0-4 random relators: full-rank ones
+# are finite, the rest have free rank.
+presented_groups = st.integers(1, 3).flatmap(
+    lambda g: st.integers(0, 4).flatmap(
+        lambda k: st.lists(st.integers(-6, 6), min_size=g * k, max_size=g * k).map(
+            lambda data: FgAbGroup(g, IntMatrix(g, k, tuple(data))))))
+finite_groups = orders_lists.map(lambda orders: FgAbGroup.of_orders(*orders))
+any_groups = st.one_of(finite_groups, presented_groups)
+
+
+@given(any_groups, st.data())
+def test_group_solve_agrees_with_exact_solve(g, data):
+    n = data.draw(st.integers(1, 3))
+    entries = st.integers(-9, 9)
+    mat = IntMatrix(g.generator_count, n, tuple(
+        data.draw(entries) for _ in range(g.generator_count * n)))
+    rhs = tuple(data.draw(entries) for _ in range(g.generator_count))
+    x = g.solve(mat, rhs)
+    exact = solve_integer_system(mat, rhs, g.relations, mod=None)
+    assert (x is None) == (exact is None)
+    if x is not None:
+        residual = [a - b for a, b in zip(mat.apply(x), rhs)]
+        assert g.hermite.contains(residual)
+
+
+@given(st.lists(any_groups, min_size=1, max_size=3))
+def test_common_exponent_kills_every_group(groups):
+    m = common_exponent(*groups)
+    if not all(g.is_finite for g in groups):
+        assert m is None
+        return
+    assert m == math.lcm(*(int(g.exponent) for g in groups))
+    for g in groups:
+        assert all(not m * x for x in g.generators())

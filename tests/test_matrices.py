@@ -156,3 +156,24 @@ def test_matrix_shape_guards():
     assert (a @ hstack(IntMatrix.column((1, 0)), IntMatrix.column((0, 1)))
             == IntMatrix.identity(2))
     assert b.transpose().shape == (3, 1)
+
+
+def test_equation_system_accepts_unknowns_after_equations():
+    # X is 1x1, Y is 1x2 and added after the first equation
+    sys = MatrixEquationSystem()
+    sys.add_unknown("X", 1, 1)
+    sys.add_equation([(IntMatrix.from_rows([[2]]), "X", None)],
+                     IntMatrix.from_rows([[4]]))
+    sys.add_unknown("Y", 1, 2)
+    sys.add_equation([(None, "X", IntMatrix.from_rows([[1, 1]])), (None, "Y", None)],
+                     IntMatrix.from_rows([[3, 5]]))
+    sol = sys.solve()
+    assert sol["X"] == IntMatrix.from_rows([[2]])
+    assert sol["Y"] == IntMatrix.from_rows([[1, 3]])
+
+
+def test_from_columns():
+    assert IntMatrix.from_columns(2, [(1, 2), (3, 4)]) == IntMatrix.from_rows([[1, 3], [2, 4]])
+    assert IntMatrix.from_columns(3, []).shape == (3, 0)
+    with pytest.raises(InputError):
+        IntMatrix.from_columns(2, [(1, 2), (3,)])

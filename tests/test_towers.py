@@ -1,7 +1,6 @@
 import pytest
 
 from kummer.errors import GlueError, InputError, TowerInvalidError
-from kummer.groups import FgAbGroup, Homomorphism, element_order
 from kummer.matrices import IntMatrix
 from kummer.sequences import check_exact, pontryagin_dual
 from kummer.towers import (
@@ -10,7 +9,6 @@ from kummer.towers import (
     LevelMaps,
     SigmaModel,
     crt_split,
-    dual_of_tower,
     dual_tower,
     dual_tower_split,
     sigma_kummer_tower,
@@ -114,7 +112,7 @@ def test_tower_purity_orders_match():
     ws = tower_purity(t)
     assert ws.witnesses
     for c, b in ws.witnesses:
-        assert element_order(b) == element_order(c)
+        assert b.order() == c.order()
 
 
 def test_invalid_tower_reports_exactly_inclusion_violations():
@@ -128,14 +126,6 @@ def test_invalid_tower_reports_exactly_inclusion_violations():
         assert v.message
     with pytest.raises(TowerInvalidError):
         tower_split(t)
-
-
-def test_report_scales_with_requested_jobs():
-    t = sigma_kummer_tower(SigmaModel(3, 1, IntMatrix.from_rows([[4]])), 3)
-    seq_report = validate_tower(t, jobs=1)
-    par_report = validate_tower(t, jobs=4)
-    assert bool(seq_report) == bool(par_report) is True
-    assert seq_report.levels == par_report.levels == 3
 
 
 def test_tower_constructor_rejects_bad_chains():
@@ -174,7 +164,7 @@ def test_dual_tower_round_trip():
         [[1, 2], [0, 1]])), 3)
     co = dual_tower(t)
     assert validate_co_tower(co)
-    back = dual_of_tower(co)
+    back = dual_tower(co)
     assert validate_tower(back)
     for orig, rt in zip(t.seqs, back.seqs):
         assert orig.A.invariant_factors == rt.A.invariant_factors
