@@ -69,7 +69,7 @@ def _cmd_snf(args) -> tuple[dict, int]:
     mat = jsonio.decode_matrix(_read_document(args), "$")
     dec = smith_normal_form(mat)
     return {
-        "diagonal": [str(d) for d in dec.diagonal],
+        "diagonal": [jsonio.encode_int(d) for d in dec.diagonal],
         "s": jsonio.encode_matrix(dec.S),
         "u": jsonio.encode_matrix(dec.U),
         "v": jsonio.encode_matrix(dec.V),
@@ -81,7 +81,8 @@ def _cmd_snf(args) -> tuple[dict, int]:
 def _cmd_group(args) -> tuple[dict, int]:
     grp = jsonio.decode_group(_read_document(args), "$")
     return {
-        "invariant_factors": [str(d) for d in grp.invariant_factors],
+        "invariant_factors": [jsonio.encode_int(d)
+                              for d in grp.invariant_factors],
         "free_rank": grp.free_rank,
         "order": jsonio.encode_int(grp.order),
         "exponent": jsonio.encode_int(grp.exponent),
@@ -248,8 +249,9 @@ def _cmd_dual(args) -> tuple[dict, int]:
 def _cmd_gmod_cohomology(args) -> tuple[dict, int]:
     module = jsonio.decode_gmodule(_read_document(args))
     tate = tate_cohomology(module)
-    minus = [str(d) for d in tate.minus_one.group.invariant_factors]
-    zero = [str(d) for d in tate.zero.group.invariant_factors]
+    minus = [jsonio.encode_int(d)
+             for d in tate.minus_one.group.invariant_factors]
+    zero = [jsonio.encode_int(d) for d in tate.zero.group.invariant_factors]
     return {
         "minus_one": minus,
         "zero": zero,

@@ -2,11 +2,11 @@
 
 Decoders track the field path so a schema violation reports exactly where
 it happened ("$.levels[0].f.matrix.data[3]: ..."). Integers are accepted
-as JSON numbers or decimal strings and always emitted as decimal strings
-inside matrix data, where entries can exceed what other JSON readers
-handle; structural counts stay plain numbers. Emitted documents carry
-"schema": 1 and serialize with sorted keys so identical runs are
-byte-identical.
+as JSON numbers or decimal strings of any length and always emitted as
+decimal strings inside matrix data, where entries can exceed what other
+JSON readers handle; structural counts stay plain numbers. Emitted
+documents carry "schema": 1 and serialize with sorted keys so identical
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -50,9 +50,40 @@ __all__ = [
 ]
 
 
+# CPython refuses int <-> str conversions past sys.get_int_max_str_digits()
+# (4300 digits by default, never below 640). Numbers of at most _CHUNK
+# digits convert directly; longer ones are split in halves at a power of
+# ten, which lifts the limit for this module alone.
+_CHUNK = 600
+_CHUNK_LIMIT = 10 ** _CHUNK
+
+
+def _int_from_decimal(text: str) -> int:
+    """int(text) for a string matching -?[0-9]+ of any length."""
+    if len(text) <= _CHUNK:
+        return int(text)
+    if text[0] == "-":
+        return -_int_from_decimal(text[1:])
+    half = len(text) // 2
+    return (_int_from_decimal(text[:-half]) * 10 ** half
+            + _int_from_decimal(text[-half:]))
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size."""
+    if -_CHUNK_LIMIT < n < _CHUNK_LIMIT:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    # 10**half <= n, since log10(2) < 0.30103 and half is below half the digits
+    half = (n.bit_length() - 1) * 30103 // 200000
+    high, low = divmod(n, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def loads_checked(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_int_from_decimal)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: "
@@ -94,7 +125,7 @@ def decode_int(doc: Any, path: str) -> int:
         return doc
     if isinstance(doc, str):
         if _DECIMAL.fullmatch(doc):
-            return int(doc)
+            return _int_from_decimal(doc)
         _fail(path, f"not a decimal integer: {doc!r}")
     _fail(path, f"expected an integer, got {type(doc).__name__}")
 
@@ -242,12 +273,12 @@ def decode_gmodule_seq(doc: Any, path: str = "$") -> GModuleSequence:
 def encode_int(n: Union[int, float]) -> str:
     if n == math.inf:
         return "infinite"
-    return str(int(n))
+    return _decimal(int(n))
 
 
 def encode_matrix(m: IntMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols,
-            "data": [str(x) for x in m.data]}
+            "data": [_decimal(x) for x in m.data]}
 
 
 def encode_group(g: FgAbGroup) -> dict:
@@ -266,7 +297,7 @@ def encode_seq(seq: ShortExactSequence) -> dict:
 
 
 def encode_element(x: GroupElement) -> dict:
-    return {"coords": [str(c) for c in x.coords]}
+    return {"coords": [_decimal(c) for c in x.coords]}
 
 
 def encode_section(s: Section) -> dict:

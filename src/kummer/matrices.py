@@ -256,131 +256,163 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal if d != 0)
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b == g == gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, rem = divmod(a, b)
+        a, b = b, rem
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+# A row step E acts on the rows of the working matrix and of a transform T,
+# and E^-T on the rows of T_inv^T, which keeps T @ T_inv == I.
+
+
+def _combine(i: int, k: int, x: int, y: int, z: int, w: int,
+             direct: tuple[list[list[int]], ...], inv_t: list[list[int]]) -> None:
+    """E = [[x, y], [z, w]] (determinant 1) on rows i and k."""
+    for rows in direct:
+        ri, rk = rows[i], rows[k]
+        rows[i] = [x * s + y * t for s, t in zip(ri, rk)]
+        rows[k] = [z * s + w * t for s, t in zip(ri, rk)]
+    ri, rk = inv_t[i], inv_t[k]
+    inv_t[i] = [w * s - z * t for s, t in zip(ri, rk)]
+    inv_t[k] = [x * t - y * s for s, t in zip(ri, rk)]
+
+
+def _sub(i: int, k: int, m: int, a: list[list[int]], tr: list[list[int]],
+         inv_t: list[list[int]]) -> None:
+    """E: row_i -= m * row_k."""
+    a[i] = [s - m * t for s, t in zip(a[i], a[k])]
+    tr[i] = [s - m * t for s, t in zip(tr[i], tr[k])]
+    inv_t[k] = [s + m * t for s, t in zip(inv_t[k], inv_t[i])]
+
+
+def _hermite_pass(a: list[list[int]], tr: list[list[int]],
+                  tr_inv_t: list[list[int]]) -> None:
+    """Row Hermite form of ``a`` in place: row echelon form, pivots positive,
+    entries above each pivot reduced into [0, pivot), zero rows last.
+
+    Rows are added one at a time to the Hermite form of the rows before
+    them, which is reduced again after each addition, so no entry grows
+    past what that leading block needs (Kannan & Bachem 1979). Every row
+    step is applied to ``tr`` too, and its inverse transpose to
+    ``tr_inv_t``. Applied to the transpose of ``a`` the pass is a column
+    pass.
+    """
+    ncols = len(a[0]) if a else 0
+    direct = (a, tr)
+    piv: list[int] = []  # pivot column of row s, increasing in s
+    for i in range(len(a)):
+        t = low = len(piv)  # low: first Hermite row this addition changes
+        s = lead = 0
+        while True:
+            row = a[i]
+            while lead < ncols and not row[lead]:
+                lead += 1
+            if lead == ncols:
+                break
+            while s < t and piv[s] < lead:
+                s += 1
+            if s == t or piv[s] != lead:
+                # a new pivot: move row i up to position s
+                flip = row[lead] < 0
+                for rows in (a, tr, tr_inv_t):
+                    rows.insert(s, rows.pop(i))
+                    if flip:
+                        rows[s] = [-x for x in rows[s]]
+                piv.insert(s, lead)
+                t += 1
+                low = min(low, s)
+                break
+            p, q = a[s][lead], row[lead]
+            m, rem = divmod(q, p)
+            if rem:
+                # [[x, y], [-q/g, p/g]] puts g = gcd(p, q) in row s, 0 in row i
+                g, x, y = _ext_gcd(p, q)
+                _combine(s, i, x, y, -q // g, p // g, direct, tr_inv_t)
+                low = min(low, s)
+            else:
+                _sub(i, s, m, a, tr, tr_inv_t)
+        # reduce each row against the changed rows below it, bottom up;
+        # subtracting a lower row never moves a pivot, so pivots are read once
+        changed = [(s, piv[s], a[s][piv[s]]) for s in range(low, t)]
+        for k in range(t - 2, -1, -1):
+            for s, j, p in changed[max(k + 1 - low, 0):]:
+                m = a[k][j] // p
+                if m:
+                    _sub(k, s, m, a, tr, tr_inv_t)
+
+
+def _is_diagonal(a: list[list[int]]) -> bool:
+    for i, row in enumerate(a):
+        nonzero = len(row) - row.count(0)
+        if nonzero and (nonzero > 1 or i >= len(row) or not row[i]):
+            return False
+    return True
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _transpose(rows: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)]
+
+
 def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
     """Smith normal form over the integers.
 
-    Pivot rule: smallest nonzero absolute value in the remaining block,
-    ties broken leftmost then topmost. Diagonal entries are nonnegative,
-    each divides the next, zeros trail.
+    Alternates a row Hermite pass and a column Hermite pass (the row pass on
+    the transpose) until the matrix is diagonal, then turns each diagonal
+    pair into (gcd, lcm) until every entry divides the next (Kannan &
+    Bachem 1979). Each pass keeps the working entries reduced, so the
+    transforms stay small. Pivot order is fixed, so the transforms are
+    deterministic. Diagonal entries are nonnegative, each divides the next,
+    zeros trail.
     """
     r, c = mat.rows, mat.cols
     a = [list(mat.row(i)) for i in range(r)]
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    uinv = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
-    vinv = [[int(i == j) for j in range(c)] for i in range(c)]
-
-    def row_sub(i: int, t: int, q: int) -> None:
-        # row_i -= q*row_t; inverse transform: column t of U_inv += q*column i
-        if not q:
-            return
-        ai, at = a[i], a[t]
-        for j in range(c):
-            ai[j] -= q * at[j]
-        ui, ut = u[i], u[t]
-        for j in range(r):
-            ui[j] -= q * ut[j]
-        for k in range(r):
-            uinv[k][t] += q * uinv[k][i]
-
-    def row_add(t: int, i: int) -> None:
-        row_sub(t, i, -1)
-
-    def row_swap(i: int, t: int) -> None:
-        a[i], a[t] = a[t], a[i]
-        u[i], u[t] = u[t], u[i]
-        for k in range(r):
-            uinv[k][i], uinv[k][t] = uinv[k][t], uinv[k][i]
-
-    def row_neg(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for k in range(r):
-            uinv[k][i] = -uinv[k][i]
-
-    def col_sub(j: int, t: int, q: int) -> None:
-        # col_j -= q*col_t; inverse transform: row t of V_inv += q*row j
-        if not q:
-            return
-        for i in range(r):
-            a[i][j] -= q * a[i][t]
-        for i in range(c):
-            v[i][j] -= q * v[i][t]
-        vt, vj = vinv[t], vinv[j]
-        for i in range(c):
-            vt[i] += q * vj[i]
-
-    def col_swap(j: int, t: int) -> None:
-        for i in range(r):
-            a[i][j], a[i][t] = a[i][t], a[i][j]
-        for i in range(c):
-            v[i][j], v[i][t] = v[i][t], v[i][j]
-        vinv[j], vinv[t] = vinv[t], vinv[j]
-
-    t = 0
-    mdim = min(r, c)
-    while t < mdim:
-        best_key = None
-        bi = bj = -1
-        for i in range(t, r):
-            arow = a[i]
-            for j in range(t, c):
-                x = arow[j]
-                if x:
-                    key = (abs(x), j, i)
-                    if best_key is None or key < best_key:
-                        best_key, bi, bj = key, i, j
-        if best_key is None:
+    u, u_inv_t = _identity_rows(r), _identity_rows(r)
+    v_t, v_inv = _identity_rows(c), _identity_rows(c)
+    while True:
+        _hermite_pass(a, u, u_inv_t)
+        if _is_diagonal(a):
             break
-        if bi != t:
-            row_swap(bi, t)
-        if bj != t:
-            col_swap(bj, t)
-        while True:
-            recheck = False
-            for i in range(t + 1, r):
-                if a[i][t]:
-                    q, rem = divmod(a[i][t], a[t][t])
-                    row_sub(i, t, q)
-                    if rem:
-                        row_swap(i, t)
-                        recheck = True
-            if recheck:
+        a = _transpose(a)
+        _hermite_pass(a, v_t, v_inv)
+        a = _transpose(a)
+        if _is_diagonal(a):
+            break
+
+    # Each pass ends in echelon form, so the nonzero diagonal is a prefix.
+    rank = sum(1 for i in range(min(r, c)) if a[i][i])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            di, dj = a[i][i], a[j][j]
+            if dj % di == 0:
                 continue
-            for j in range(t + 1, c):
-                if a[t][j]:
-                    q, rem = divmod(a[t][j], a[t][t])
-                    col_sub(j, t, q)
-                    if rem:
-                        col_swap(j, t)
-                        recheck = True
-            if recheck:
-                continue
-            # pivot clears its row and column; force it to divide the rest
-            piv = a[t][t]
-            done = True
-            for i in range(t + 1, r):
-                ai = a[i]
-                for j in range(t + 1, c):
-                    if ai[j] % piv:
-                        row_add(t, i)
-                        done = False
-                        break
-                if not done:
-                    break
-            if done:
-                break
-        if a[t][t] < 0:
-            row_neg(t)
-        t += 1
+            # U2 diag(di, dj) V2 == diag(g, lcm), both with determinant 1
+            g, x, y = _ext_gcd(di, dj)
+            a[i][i], a[j][j] = g, di // g * dj
+            _combine(i, j, x, y, -dj // g, di // g, (u,), u_inv_t)
+            # V2 == [[1, -y*dj/g], [1, x*di/g]] acts on columns: its
+            # transpose acts on the rows of V^T
+            _combine(i, j, 1, 1, -y * dj // g, x * di // g, (v_t,), v_inv)
 
     return SmithDecomposition(
         source=mat,
-        U=IntMatrix.from_rows(u, cols=r),
-        S=IntMatrix.from_rows(a, cols=c),
-        V=IntMatrix.from_rows(v, cols=c),
-        U_inv=IntMatrix.from_rows(uinv, cols=r),
-        V_inv=IntMatrix.from_rows(vinv, cols=c),
+        U=IntMatrix(r, r, tuple(x for row in u for x in row)),
+        S=IntMatrix(r, c, tuple(x for row in a for x in row)),
+        V=IntMatrix(c, c, tuple(x for col in zip(*v_t) for x in col)),
+        U_inv=IntMatrix(r, r, tuple(x for col in zip(*u_inv_t) for x in col)),
+        V_inv=IntMatrix(c, c, tuple(x for row in v_inv for x in row)),
     )
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from kummer.arith import vp
+from kummer.arith import MR_BOUND, is_prime, vp
 from kummer.errors import InputError
 
 
@@ -14,3 +14,34 @@ def test_vp_values():
 def test_vp_rejects_bases_below_two(p):
     with pytest.raises(InputError):
         vp(8, p)
+
+
+def test_is_prime_matches_a_sieve_below_100000():
+    limit = 100_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, 317):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, limit, p))
+    assert [n for n in range(-5, limit) if is_prime(n)] == [
+        n for n in range(limit) if sieve[n]]
+
+
+@pytest.mark.parametrize("n", [
+    3_215_031_751,              # strong pseudoprime to bases 2, 3, 5, 7
+    3_825_123_056_546_413_051,  # strong pseudoprime to bases 2 .. 23
+    1_000_000_000_039 * 1_000_000_007,
+])
+def test_is_prime_rejects_strong_pseudoprimes_and_composites(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [1_000_000_000_039, 10**16 + 61, 2**61 - 1])
+def test_is_prime_accepts_large_primes(n):
+    assert is_prime(n)
+
+
+def test_is_prime_refuses_numbers_past_the_proven_bound():
+    assert not is_prime(MR_BOUND - 1)
+    for n in (MR_BOUND, 2**89 - 1):
+        with pytest.raises(InputError):
+            is_prime(n)

@@ -2,6 +2,7 @@
 and byte-level stdout are what a shell user would see."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -97,6 +98,40 @@ def test_non_ascii_digits_are_a_schema_error():
     assert res.stderr == ""
     out = json.loads(res.stdout)
     assert "$.relations.data[0]" in out["error"]["message"]
+
+
+# past CPython's default 4,300-digit limit on int <-> str conversion
+_rng = random.Random(5000)
+BIG = str(_rng.randint(1, 9)) + "".join(_rng.choices("0123456789", k=4999))
+
+
+@pytest.mark.parametrize("verb, doc, key, expected", [
+    ("group", {"generators": 1, "relations": {"rows": 1, "cols": 1, "data": [BIG]}},
+     "invariant_factors", [BIG]),
+    ("snf", {"rows": 2, "cols": 2, "data": [BIG, "0", "0", "1"]},
+     "diagonal", ["1", BIG]),
+])
+def test_5000_digit_integers_round_trip(verb, doc, key, expected):
+    res = run_cli([verb], json.dumps(doc))
+    assert res.returncode == 0
+    assert res.stderr == ""
+    assert json.loads(res.stdout)[key] == expected
+
+
+def test_jsonio_converts_integers_of_any_length():
+    n = 10**5000 + 12345
+    text = "1" + "0" * 4995 + "12345"
+    assert jsonio.encode_int(-n) == "-" + text
+    assert jsonio.decode_int(text, "$") == n
+    assert jsonio.loads_checked(f"[{text}, -{text}]") == [n, -n]
+
+
+def test_primes_past_the_miller_rabin_bound_are_input_errors():
+    res = run_cli(["tower-generate", "--sigma",
+                   '{"p":3317044064679887385961981,"r":1,"M":[[3]]}'])
+    assert res.returncode == 2
+    assert res.stderr == ""
+    assert "primality" in json.loads(res.stdout)["error"]["message"]
 
 
 def test_generate_then_split_pipeline():

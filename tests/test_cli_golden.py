@@ -3,7 +3,8 @@
 Each case runs one ``python -m kummer`` call and compares the sha256 of its
 stdout and its exit code with values recorded from an earlier build. A
 refactor that is meant to keep behaviour must keep every hash; a change
-that alters output on purpose updates the affected entries here.
+that alters output on purpose updates the affected entries here, and the
+property tests at the end re-check what those entries print.
 """
 
 import hashlib
@@ -15,22 +16,31 @@ import pytest
 
 from kummer import jsonio
 from kummer.cohomology import regular_extension_fixture, tate_model
+from kummer.errors import PurityError
 from kummer.fixtures import invalid_tower, split_tower
 from kummer.groups import FgAbGroup, Homomorphism
 from kummer.matrices import IntMatrix
-from kummer.sequences import check_exact
+from kummer.sequences import check_exact, pure_witness
 from kummer.towers import dual_tower
+
+from oracles import brute_same_order_lift
 
 
 def _doc(payload) -> str:
     return jsonio.dumps(jsonio.document(payload))
 
 
-def _seq(f_rows, g_rows, a, b, c) -> dict:
+def _exact(f_rows, g_rows, a, b, c):
     a, b, c = FgAbGroup.of_orders(*a), FgAbGroup.of_orders(*b), FgAbGroup.of_orders(*c)
-    seq = check_exact(Homomorphism(a, b, IntMatrix.from_rows(f_rows)),
-                      Homomorphism(b, c, IntMatrix.from_rows(g_rows)))
-    return jsonio.encode_seq(seq)
+    return check_exact(Homomorphism(a, b, IntMatrix.from_rows(f_rows)),
+                       Homomorphism(b, c, IntMatrix.from_rows(g_rows)))
+
+
+def _seq(f_rows, g_rows, a, b, c) -> dict:
+    return jsonio.encode_seq(_exact(f_rows, g_rows, a, b, c))
+
+
+IMPURE = ([[3], [0]], [[1, 0], [0, 1]], (3,), (9, 2), (3, 2))
 
 
 def _module(m) -> dict:
@@ -57,8 +67,7 @@ CASES = {
                        lambda: _doc(_seq([[4]], [[1]], (3,), (12,), (4,)))),
     "seq-split.pure": (["seq-split"],
                        lambda: _doc(_seq([[4]], [[1]], (3,), (12,), (4,)))),
-    "seq-split.impure": (["seq-split"],
-                         lambda: _doc(_seq([[3], [0]], [[1, 0], [0, 1]], (3,), (9, 2), (3, 2)))),
+    "seq-split.impure": (["seq-split"], lambda: _doc(_seq(*IMPURE))),
     "tower-validate": (["tower-validate"],
                        lambda: _doc(jsonio.encode_tower(invalid_tower(2)))),
     "tower-split": (["tower-split"],
@@ -104,9 +113,9 @@ EXPECTED = {
     'limit-split.stabilizing': ('869e175af5ceb9ce70b2978e9338fbcb5771b99f29fc6aefed1f81922fab8082', 0),
     'seq-check.impure': ('81c5199f58a7a8f860d03e2cd37ffe09bc31225950da6f6dad3ef71ab00774d4', 1),
     'seq-check.pure': ('270dad244c1da4754abce7fa43b26f036dce95dfec5604b7c4c9ee9fb17b0092', 0),
-    'seq-split.impure': ('906ba409519374dbfff7bb3828d443665dfd1375cc87e0dc7ef42c9e7586d486', 1),
+    'seq-split.impure': ('02be32324108b9243c573420fb9186806c0a66af950cc5ea6dadf6f71423c610', 1),
     'seq-split.pure': ('a5c939b661d0cf63f6396ac78ee8a0dac643c54838356cee37307ae497971511', 0),
-    'snf': ('4a27eb2c023c90a1acd614d1fb71d4d065211f1a866584531ff5e5f892c2535f', 0),
+    'snf': ('932a2a4f7b32ab7c3aa115ed98869cd305ce3faca015fcace9ccbe332af56d71', 0),
     'snf.bad-entry': ('376355118edb2d143ae53613c9aa90b8edc7a194c8080a8f3fc4e26c32223a40', 2),
     'tower-generate': ('550e58076e96684853a14e6c22b1e79b9fe0dae99ef65463e89f27497aaf9641', 0),
     'tower-split': ('26ba214b3d36a4edff1fefb728a927b41add870c15fd65196ced2461e65395a3', 0),
@@ -115,22 +124,44 @@ EXPECTED = {
 }
 
 
-def run(name):
+def run(name) -> subprocess.CompletedProcess:
     argv, stdin = CASES[name]
-    res = subprocess.run([sys.executable, "-m", "kummer", *argv], input=stdin(),
-                         capture_output=True, text=True, timeout=120)
-    return hashlib.sha256(res.stdout.encode()).hexdigest(), res.returncode, res.stderr
+    return subprocess.run([sys.executable, "-m", "kummer", *argv], input=stdin(),
+                          capture_output=True, text=True, timeout=120)
+
+
+def digest(res) -> str:
+    return hashlib.sha256(res.stdout.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_bytes_are_pinned(name):
-    digest, code, stderr = run(name)
-    assert stderr == ""
-    assert (digest, code) == EXPECTED[name]
+    res = run(name)
+    assert res.stderr == ""
+    assert (digest(res), res.returncode) == EXPECTED[name]
+
+
+def test_pinned_snf_is_a_smith_decomposition():
+    out = json.loads(run("snf").stdout)
+    mat = jsonio.decode_matrix(json.loads(CASES["snf"][1]()), "$")
+    u, s, v, u_inv, v_inv = (jsonio.decode_matrix(out[k], k)
+                             for k in ("u", "s", "v", "u_inv", "v_inv"))
+    assert u @ mat @ v == s == IntMatrix.diagonal([2, 6, 12])
+    assert u @ u_inv == v @ v_inv == IntMatrix.identity(3)
+    assert out["diagonal"] == ["2", "6", "12"]
+
+
+def test_pinned_impure_witness_has_no_same_order_lift():
+    seq = _exact(*IMPURE)
+    coords = json.loads(run("seq-split.impure").stdout)["witness"]["coords"]
+    c = seq.C.element(tuple(int(x) for x in coords))
+    assert not brute_same_order_lift(seq, c)
+    with pytest.raises(PurityError):
+        pure_witness(seq, c)
 
 
 if __name__ == "__main__":
     # print the table for EXPECTED from the current build
     for case in sorted(CASES):
-        digest, code, _ = run(case)
-        print(f"    {case!r}: ({digest!r}, {code}),")
+        res = run(case)
+        print(f"    {case!r}: ({digest(res)!r}, {res.returncode}),")

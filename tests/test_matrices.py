@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from kummer.errors import InputError
 from kummer.matrices import (
     IntMatrix,
     MatrixEquationSystem,
+    determinant,
     hermite_column_form,
     hstack,
     kernel_lattice,
@@ -40,6 +42,48 @@ def test_smith_recomposition_and_chain(mat):
         else:
             assert b == 0
     assert all(d >= 0 for d in diag)
+
+
+def _entries(n):
+    return st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+
+
+# square, wide and tall matrices up to 16x16, and products L @ R through an
+# inner dimension k below both sides, which have rank at most k
+real_size_matrices = st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
+    lambda rc: st.one_of(
+        _entries(rc[0] * rc[1]).map(lambda d: IntMatrix(rc[0], rc[1], tuple(d))),
+        st.integers(1, min(rc)).flatmap(lambda k: st.tuples(
+            _entries(rc[0] * k), _entries(k * rc[1])).map(
+            lambda lr: IntMatrix(rc[0], k, tuple(lr[0]))
+            @ IntMatrix(k, rc[1], tuple(lr[1]))))))
+
+
+@given(real_size_matrices)
+def test_smith_properties_up_to_16x16(mat):
+    dec = smith_normal_form(mat)
+    assert dec.U @ mat @ dec.V == dec.S
+    assert dec.U @ dec.U_inv == IntMatrix.identity(mat.rows)
+    assert dec.V @ dec.V_inv == IntMatrix.identity(mat.cols)
+    assert determinant(dec.U) in (1, -1)
+    assert determinant(dec.V) in (1, -1)
+    diag = dec.diagonal
+    assert dec.S == IntMatrix.diagonal(diag, mat.rows, mat.cols)
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (b % a == 0) if a else b == 0
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (12, 14)])
+def test_smith_transforms_stay_small(shape):
+    rng = random.Random(20261018)
+    rows, cols = shape
+    mat = IntMatrix(rows, cols, tuple(rng.randint(-9, 9) for _ in range(rows * cols)))
+    dec = smith_normal_form(mat)
+    assert dec.U @ mat @ dec.V == dec.S
+    bits = max(abs(x).bit_length()
+               for m in (dec.U, dec.V, dec.U_inv, dec.V_inv) for x in m.data)
+    assert bits < 512
 
 
 @given(small_matrices)
