@@ -24,8 +24,9 @@ from .groups import (
     cokernel,
     hom_from_images,
     kernel,
+    solve_congruences,
 )
-from .matrices import IntMatrix, MatrixEquationSystem, hstack
+from .matrices import IntMatrix, hstack
 from .sequences import Section, ShortExactSequence, check_exact, section_exists
 
 __all__ = [
@@ -219,9 +220,8 @@ def equivariant_section_exists(seq: GModuleSequence,
                                p: int) -> Optional[GModuleMap]:
     """A section of g commuting with the action, for modules killed by p.
 
-    Solved as one congruence system mod p: the section condition, its
-    well-definedness, and the commuting condition. Sound because every
-    relation lattice contains p times the standard lattice.
+    Solved as one congruence system: the section condition, its
+    well-definedness, and the commuting condition.
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -233,21 +233,13 @@ def equivariant_section_exists(seq: GModuleSequence,
                 f"by {p}")
     b_grp, c_grp = seq.B.group, seq.C.group
     gb, gc = b_grp.generator_count, c_grp.generator_count
-    rb, rc = b_grp.relations, c_grp.relations
-    sys = MatrixEquationSystem()
-    sys.add_unknown("X", gb, gc)
-    sys.add_unknown("T1", rc.cols, gc)
-    sys.add_unknown("T2", rb.cols, rc.cols)
-    sys.add_unknown("T3", rb.cols, gc)
-    sys.add_equation([(seq.g.hom.matrix, "X", None), (rc, "T1", None)],
-                     IntMatrix.identity(gc))
-    sys.add_equation([(None, "X", rc), (-rb, "T2", None)],
-                     IntMatrix.zeros(gb, rc.cols))
-    sys.add_equation([(None, "X", seq.C.sigma.matrix),
-                      (-seq.B.sigma.matrix, "X", None),
-                      (rb, "T3", None)],
-                     IntMatrix.zeros(gb, gc))
-    sol = sys.solve(mod=p)
+    rc = c_grp.relations
+    sol = solve_congruences({"X": (gb, gc)}, [
+        ([(seq.g.hom.matrix, "X", None)], IntMatrix.identity(gc), c_grp),
+        ([(None, "X", rc)], IntMatrix.zeros(gb, rc.cols), b_grp),
+        ([(None, "X", seq.C.sigma.matrix), (-seq.B.sigma.matrix, "X", None)],
+         IntMatrix.zeros(gb, gc), b_grp),
+    ])
     if sol is None:
         return None
     s_hom = Homomorphism(c_grp, b_grp, sol["X"])

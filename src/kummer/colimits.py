@@ -27,14 +27,13 @@ from .groups import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
-    common_exponent,
     direct_sum,
     is_isomorphism,
     kernel,
+    solve_congruences,
 )
 from .matrices import (
     IntMatrix,
-    MatrixEquationSystem,
     block_diag,
     hstack,
     lattice_intersection,
@@ -417,29 +416,15 @@ def section_compatibility_solvable(t: ColimitTower, n: int) -> bool:
     lm = t.step(n)
     gb_lo, gc_lo = lo.B.generator_count, lo.C.generator_count
     gb_hi, gc_hi = hi.B.generator_count, hi.C.generator_count
-    rb_lo, rc_lo = lo.B.relations, lo.C.relations
-    rb_hi, rc_hi = hi.B.relations, hi.C.relations
-    sys = MatrixEquationSystem()
-    sys.add_unknown("Y", gb_lo, gc_lo)
-    sys.add_unknown("X", gb_hi, gc_hi)
-    sys.add_unknown("T1", rc_lo.cols, gc_lo)
-    sys.add_unknown("T2", rc_hi.cols, gc_hi)
-    sys.add_unknown("T3", rb_hi.cols, gc_lo)
-    sys.add_unknown("WY", rb_lo.cols, rc_lo.cols)
-    sys.add_unknown("WX", rb_hi.cols, rc_hi.cols)
-    sys.add_equation([(lo.g.matrix, "Y", None), (rc_lo, "T1", None)],
-                     IntMatrix.identity(gc_lo))
-    sys.add_equation([(hi.g.matrix, "X", None), (rc_hi, "T2", None)],
-                     IntMatrix.identity(gc_hi))
-    sys.add_equation([(None, "X", lm.gamma.matrix),
-                      (-lm.beta.matrix, "Y", None),
-                      (rb_hi, "T3", None)],
-                     IntMatrix.zeros(gb_hi, gc_lo))
-    sys.add_equation([(None, "Y", rc_lo), (-rb_lo, "WY", None)],
-                     IntMatrix.zeros(gb_lo, rc_lo.cols))
-    sys.add_equation([(None, "X", rc_hi), (-rb_hi, "WX", None)],
-                     IntMatrix.zeros(gb_hi, rc_hi.cols))
-    return sys.solve(mod=common_exponent(lo.B, lo.C, hi.B, hi.C)) is not None
+    rc_lo, rc_hi = lo.C.relations, hi.C.relations
+    return solve_congruences({"Y": (gb_lo, gc_lo), "X": (gb_hi, gc_hi)}, [
+        ([(lo.g.matrix, "Y", None)], IntMatrix.identity(gc_lo), lo.C),
+        ([(hi.g.matrix, "X", None)], IntMatrix.identity(gc_hi), hi.C),
+        ([(None, "X", lm.gamma.matrix), (-lm.beta.matrix, "Y", None)],
+         IntMatrix.zeros(gb_hi, gc_lo), hi.B),
+        ([(None, "Y", rc_lo)], IntMatrix.zeros(gb_lo, rc_lo.cols), lo.B),
+        ([(None, "X", rc_hi)], IntMatrix.zeros(gb_hi, rc_hi.cols), hi.B),
+    ]) is not None
 
 
 @dataclass(frozen=True)
@@ -677,17 +662,11 @@ def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
     pi_d = ev.pi_divisible[big_l - 1]
     pi_m = ev.pi_bounded[big_l - 1]
     gb = top_seq.B.generator_count
-    ga = top_seq.A.generator_count
-    ext = MatrixEquationSystem()
-    ext.add_unknown("X", d, gb)
-    ext.add_unknown("T", d_group.relations.cols, ga)
-    ext.add_unknown("T2", d_group.relations.cols, top_seq.B.relations.cols)
-    ext.add_equation([(None, "X", top_seq.f.matrix),
-                      (d_group.relations, "T", None)], pi_d.matrix)
-    ext.add_equation([(None, "X", top_seq.B.relations),
-                      (d_group.relations, "T2", None)],
-                     IntMatrix.zeros(d, top_seq.B.relations.cols))
-    ext_sol = ext.solve(mod=p ** prec)
+    rel_b, rel_c = top_seq.B.relations, top_seq.C.relations
+    ext_sol = solve_congruences({"X": (d, gb)}, [
+        ([(None, "X", top_seq.f.matrix)], pi_d.matrix, d_group),
+        ([(None, "X", rel_b)], IntMatrix.zeros(d, rel_b.cols), d_group),
+    ])
     if ext_sol is None:
         raise EvidenceError(
             "the divisible projection does not extend over f at this "
@@ -708,22 +687,11 @@ def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
             "the bounded pushout sequence is not pure; the decomposition "
             "evidence is false", check="bounded-split") from exc
 
-    gc = top_seq.C.generator_count
-    comb = MatrixEquationSystem()
-    comb.add_unknown("X", gb, gc)
-    comb.add_unknown("T1", s_div_seq.B.relations.cols, gc)
-    comb.add_unknown("T2", s_bnd_seq.B.relations.cols, gc)
-    comb.add_unknown("T3", top_seq.B.relations.cols, top_seq.C.relations.cols)
-    comb.add_equation([(q_div.matrix, "X", None),
-                       (s_div_seq.B.relations, "T1", None)],
-                      s_prime.s.matrix)
-    comb.add_equation([(q_bnd.matrix, "X", None),
-                       (s_bnd_seq.B.relations, "T2", None)],
-                      s_second.s.matrix)
-    comb.add_equation([(None, "X", top_seq.C.relations),
-                       (-top_seq.B.relations, "T3", None)],
-                      IntMatrix.zeros(gb, top_seq.C.relations.cols))
-    comb_sol = comb.solve(mod=p ** prec)
+    comb_sol = solve_congruences({"X": (gb, top_seq.C.generator_count)}, [
+        ([(q_div.matrix, "X", None)], s_prime.s.matrix, s_div_seq.B),
+        ([(q_bnd.matrix, "X", None)], s_second.s.matrix, s_bnd_seq.B),
+        ([(None, "X", rel_c)], IntMatrix.zeros(gb, rel_c.cols), top_seq.B),
+    ])
     if comb_sol is None:
         raise EvidenceError(
             "per-part sections do not glue over the pullback; evidence "

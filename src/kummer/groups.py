@@ -27,8 +27,8 @@ from .matrices import (
     hstack,
     preimage_lattice,
     smith_normal_form,
-    solve_integer_system,
     solve_linear_explain,
+    solve_modular,
 )
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "DirectSum",
     "Simplified",
     "common_exponent",
+    "solve_congruences",
     "kernel",
     "image",
     "cokernel",
@@ -212,8 +213,9 @@ class FgAbGroup:
         with arithmetic modulo the exponent (Cohen, GTM 138, §2.4), which
         keeps coefficients small; the answer is the same as over Z.
         """
-        return solve_integer_system(mat, rhs, self.relations,
-                                    mod=common_exponent(self))
+        big, m = hstack(mat, self.relations), common_exponent(self)
+        sol = solve_linear_explain(big, rhs)[0] if m is None else solve_modular(big, rhs, m)
+        return None if sol is None else sol[:mat.cols]
 
     def __repr__(self) -> str:
         inv = ",".join(str(d) for d in self.invariant_factors)
@@ -358,6 +360,33 @@ def common_exponent(*groups: FgAbGroup) -> Optional[int]:
     return math.lcm(*(int(g.exponent) for g in groups))
 
 
+def solve_congruences(unknowns: dict[str, tuple[int, int]],
+                      equations: Sequence[tuple[list, IntMatrix, FgAbGroup]]
+                      ) -> Optional[dict[str, IntMatrix]]:
+    """The named unknown blocks solving every congruence, or None.
+
+    ``unknowns`` maps names to (rows, cols). An equation (terms, rhs, group)
+    reads sum L @ X @ R = rhs modulo the relation lattice of ``group``, with
+    terms (L, name, R) as in ``MatrixEquationSystem.add_equation``. Each
+    equation gets a slack block after the named unknowns, in equation
+    order, as -relations @ slack; that layout fixes which solution is
+    returned. Every lattice contains common_exponent(*groups) * Z^g, so the
+    system is solved modulo that number (exactly if a group is infinite)
+    with the same feasibility as over Z.
+    """
+    system = MatrixEquationSystem()
+    for name, (rows, cols) in unknowns.items():
+        system.add_unknown(name, rows, cols)
+    for i, (terms, rhs, group) in enumerate(equations):
+        slack = f"<slack {i}>"
+        system.add_unknown(slack, group.relations.cols, rhs.cols)
+        system.add_equation([*terms, (-group.relations, slack, None)], rhs)
+    sol = system.solve(mod=common_exponent(*(group for _, _, group in equations)))
+    if sol is None:
+        return None
+    return {name: sol[name] for name in unknowns}
+
+
 # ---------------------------------------------------------------------------
 # Subgroups, kernels, images, cokernels
 # ---------------------------------------------------------------------------
@@ -423,22 +452,15 @@ def is_isomorphism(h: Homomorphism) -> bool:
 
 
 def invert_isomorphism(h: Homomorphism) -> Homomorphism:
-    """Two-sided inverse of an isomorphism, found by one congruence solve."""
-    gs, gt = h.source.generator_count, h.target.generator_count
-    rs, rt = h.source.relations, h.target.relations
-    sys = MatrixEquationSystem()
-    sys.add_unknown("X", gs, gt)
-    sys.add_unknown("Y", rs.cols, rt.cols)
-    sys.add_unknown("W1", rs.cols, gs)
-    sys.add_unknown("W2", rt.cols, gt)
-    sys.add_equation([(None, "X", rt), (-rs, "Y", None)],
-                     IntMatrix.zeros(gs, rt.cols))
-    sys.add_equation([(None, "X", h.matrix), (-rs, "W1", None)],
-                     IntMatrix.identity(gs))
-    sys.add_equation([(h.matrix, "X", None), (-rt, "W2", None)],
-                     IntMatrix.identity(gt))
-    # all equations are congruences modulo the relation lattices
-    sol = sys.solve(mod=common_exponent(h.source, h.target))
+    """Two-sided inverse of an isomorphism, found by one congruence solve:
+    X well-defined on the target's relators, X h = id and h X = id."""
+    src, tgt = h.source, h.target
+    gs, gt = src.generator_count, tgt.generator_count
+    sol = solve_congruences({"X": (gs, gt)}, [
+        ([(None, "X", tgt.relations)], IntMatrix.zeros(gs, tgt.relations.cols), src),
+        ([(None, "X", h.matrix)], IntMatrix.identity(gs), src),
+        ([(h.matrix, "X", None)], IntMatrix.identity(gt), tgt),
+    ])
     if sol is None:
         raise InputError("homomorphism is not invertible")
     inv = Homomorphism(h.target, h.source, sol["X"])

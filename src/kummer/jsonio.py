@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import contextmanager
 from typing import Any, Union
 
 from .cohomology import CyclicGroupModule, GModuleMap, GModuleSequence
@@ -25,8 +26,14 @@ from .towers import CoKummerTower, KummerTower, LevelMaps, SigmaModel
 
 SCHEMA = 1
 
+# Largest structural count a document may carry (matrix rows and cols,
+# generators, tower levels, sigma rank, module order); a group with 1,000
+# free generators takes about 0.3 s and 50 MB. Larger is an input error.
+MAX_COUNT = 1000
+
 __all__ = [
     "SCHEMA",
+    "MAX_COUNT",
     "loads_checked",
     "dumps",
     "document",
@@ -106,6 +113,15 @@ def _fail(path: str, message: str) -> None:
     raise InputError(f"{path}: {message}")
 
 
+@contextmanager
+def _at(path: str):
+    """Report an InputError raised inside the block at ``path``."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _require_dict(doc: Any, path: str, keys: tuple[str, ...]) -> dict:
     if not isinstance(doc, dict):
         _fail(path, f"expected an object, got {type(doc).__name__}")
@@ -130,6 +146,13 @@ def decode_int(doc: Any, path: str) -> int:
     _fail(path, f"expected an integer, got {type(doc).__name__}")
 
 
+def _decode_count(doc: Any, path: str) -> int:
+    n = decode_int(doc, path)
+    if not 0 <= n <= MAX_COUNT:
+        _fail(path, f"expected a count from 0 to {MAX_COUNT}")
+    return n
+
+
 def decode_matrix(doc: Any, path: str) -> IntMatrix:
     if isinstance(doc, list):
         if any(not isinstance(row, list) for row in doc):
@@ -144,8 +167,8 @@ def decode_matrix(doc: Any, path: str) -> IntMatrix:
                      for i in range(rows) for j in range(cols))
         return IntMatrix(rows, cols, data)
     doc = _require_dict(doc, path, ("rows", "cols", "data"))
-    rows = decode_int(doc["rows"], f"{path}.rows")
-    cols = decode_int(doc["cols"], f"{path}.cols")
+    rows = _decode_count(doc["rows"], f"{path}.rows")
+    cols = _decode_count(doc["cols"], f"{path}.cols")
     raw = doc["data"]
     if not isinstance(raw, list):
         _fail(f"{path}.data", "expected an array")
@@ -160,12 +183,10 @@ def decode_matrix(doc: Any, path: str) -> IntMatrix:
 
 def decode_group(doc: Any, path: str) -> FgAbGroup:
     doc = _require_dict(doc, path, ("generators", "relations"))
-    gens = decode_int(doc["generators"], f"{path}.generators")
+    gens = _decode_count(doc["generators"], f"{path}.generators")
     rel = decode_matrix(doc["relations"], f"{path}.relations")
-    try:
+    with _at(path):
         return FgAbGroup(gens, rel)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def decode_hom(doc: Any, path: str) -> Homomorphism:
@@ -173,10 +194,8 @@ def decode_hom(doc: Any, path: str) -> Homomorphism:
     src = decode_group(doc["source"], f"{path}.source")
     tgt = decode_group(doc["target"], f"{path}.target")
     mat = decode_matrix(doc["matrix"], f"{path}.matrix")
-    try:
+    with _at(path):
         return Homomorphism(src, tgt, mat)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def decode_seq(doc: Any, path: str) -> tuple[Homomorphism, Homomorphism]:
@@ -203,7 +222,7 @@ def decode_tower(doc: Any, path: str = "$"
 
     doc = _require_dict(doc, path, ("p", "n", "levels", "maps"))
     p = decode_int(doc["p"], f"{path}.p")
-    n = decode_int(doc["n"], f"{path}.n")
+    n = _decode_count(doc["n"], f"{path}.n")
     direction = doc.get("direction", "up")
     if direction not in ("up", "down"):
         _fail(f"{path}.direction", f"expected 'up' or 'down', got "
@@ -219,40 +238,32 @@ def decode_tower(doc: Any, path: str = "$"
     seqs = []
     for i, item in enumerate(levels):
         f, g = decode_seq(item, f"{path}.levels[{i}]")
-        try:
+        with _at(f"{path}.levels[{i}]"):
             seqs.append(check_exact(f, g))
-        except InputError as exc:
-            raise InputError(f"{path}.levels[{i}]: {exc}") from exc
     maps = tuple(_decode_maps(item, f"{path}.maps[{i}]")
                  for i, item in enumerate(raw_maps))
-    try:
+    with _at(path):
         if direction == "down":
             return CoKummerTower(p, tuple(seqs), maps)
         return KummerTower(p, tuple(seqs), maps)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def decode_sigma(doc: Any, path: str = "$") -> SigmaModel:
     doc = _require_dict(doc, path, ("p", "r", "M"))
     p = decode_int(doc["p"], f"{path}.p")
-    r = decode_int(doc["r"], f"{path}.r")
+    r = _decode_count(doc["r"], f"{path}.r")
     mat = decode_matrix(doc["M"], f"{path}.M")
-    try:
+    with _at(path):
         return SigmaModel(p, r, mat)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def decode_gmodule(doc: Any, path: str = "$") -> CyclicGroupModule:
     doc = _require_dict(doc, path, ("d", "group", "sigma"))
-    d = decode_int(doc["d"], f"{path}.d")
+    d = _decode_count(doc["d"], f"{path}.d")
     grp = decode_group(doc["group"], f"{path}.group")
     mat = decode_matrix(doc["sigma"], f"{path}.sigma")
-    try:
+    with _at(path):
         return CyclicGroupModule(d, grp, Homomorphism(grp, grp, mat))
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def decode_gmodule_seq(doc: Any, path: str = "$") -> GModuleSequence:
@@ -262,12 +273,10 @@ def decode_gmodule_seq(doc: Any, path: str = "$") -> GModuleSequence:
     c = decode_gmodule(doc["C"], f"{path}.C")
     f_mat = decode_matrix(doc["f"], f"{path}.f")
     g_mat = decode_matrix(doc["g"], f"{path}.g")
-    try:
+    with _at(path):
         f = GModuleMap(a, b, Homomorphism(a.group, b.group, f_mat))
         g = GModuleMap(b, c, Homomorphism(b.group, c.group, g_mat))
         return GModuleSequence(f=f, g=g)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def encode_int(n: Union[int, float]) -> str:

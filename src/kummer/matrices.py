@@ -566,33 +566,14 @@ def solve_linear_explain(mat: IntMatrix, rhs: Sequence[int]):
     return snf.V.apply(w), None
 
 
-def solve_integer_system(mat: IntMatrix, rhs: Sequence[int],
-                         modulus_relations: Optional[IntMatrix] = None,
-                         mod: Optional[int] = None) -> Optional[tuple[int, ...]]:
-    """Solve mat @ x = rhs modulo the column span of ``modulus_relations``.
+def solve_integer_system(mat: IntMatrix, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """One integer solution x of mat @ x = rhs, or None.
 
-    Returns one solution x (length mat.cols) or None. The congruence is
-    solved exactly: mat @ x - rhs must land in the relation lattice.
-
-    ``mod`` is a performance hint, not a semantic change: when the caller
-    knows the relation lattice contains mod * Z^rows (true with mod any
-    multiple of the exponent of a finite quotient), the system is solved
-    with all arithmetic reduced modulo mod, which avoids the coefficient
-    swell of integer elimination on large flattened systems.
+    Congruences modulo a relation lattice are solved by the group layer
+    (``FgAbGroup.solve``, ``groups.solve_congruences``), which chooses a
+    sound modulus itself.
     """
-    if modulus_relations is not None and modulus_relations.rows != mat.rows:
-        raise InputError("relation lattice has wrong ambient rank")
-    if mod is not None and mod < 1:
-        raise InputError("modulus hint must be positive")
-    if modulus_relations is None or modulus_relations.cols == 0:
-        big = mat
-    else:
-        big = hstack(mat, modulus_relations)
-    if mod is None:
-        sol, _ = solve_linear_explain(big, rhs)
-    else:
-        sol = solve_modular(big, rhs, mod)
-    return sol[:mat.cols] if sol is not None else None
+    return solve_linear_explain(mat, rhs)[0]
 
 
 def solve_modular(mat: IntMatrix, rhs: Sequence[int], m: int
@@ -792,7 +773,8 @@ class MatrixEquationSystem:
 
         The modular path is only equivalent to the exact one when every
         equation tolerates a slack of mod (its congruence lattice contains
-        mod times the ambient lattice); callers assert that by passing it.
+        mod times the ambient lattice); ``groups.solve_congruences`` builds
+        such systems and is the one caller in the library that passes it.
         """
         neq = len(self._rows)
         big = IntMatrix(neq, self._total, tuple(x for row in self._rows for x in row))

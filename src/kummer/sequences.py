@@ -14,20 +14,19 @@ from fractions import Fraction
 from functools import singledispatch
 from typing import Optional, Sequence
 
-from .arith import crt_idempotents, divisors, factorint, prime_power_parts
+from .arith import crt_idempotents, divisors, factorint, prime_power_parts, vp
 from .errors import InputError, NotExactError, PurityError, UnsupportedError
 from .groups import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
     cokernel,
-    common_exponent,
     direct_sum,
     kernel,
+    solve_congruences,
 )
 from .matrices import (
     IntMatrix,
-    MatrixEquationSystem,
     block_diag,
     lattice_intersection,
     preimage_lattice,
@@ -346,17 +345,11 @@ def section_exists(seq: ShortExactSequence) -> Optional[Section]:
     simp_b, simp_c = seq.B.simplified, seq.C.simplified
     g_s = (simp_c.to_simple @ seq.g) @ simp_b.from_simple
     sb, sc = simp_b.group, simp_c.group
-    rb, rc = sb.relations, sc.relations
     gb, gc = sb.generator_count, sc.generator_count
-    sys = MatrixEquationSystem()
-    sys.add_unknown("X", gb, gc)
-    sys.add_unknown("Y", rb.cols, rc.cols)
-    sys.add_unknown("W", rc.cols, gc)
-    sys.add_equation([(None, "X", rc), (-rb, "Y", None)],
-                     IntMatrix.zeros(gb, rc.cols))
-    sys.add_equation([(g_s.matrix, "X", None), (-rc, "W", None)],
-                     IntMatrix.identity(gc))
-    sol = sys.solve(mod=common_exponent(sb, sc))
+    sol = solve_congruences({"X": (gb, gc)}, [
+        ([(None, "X", sc.relations)], IntMatrix.zeros(gb, sc.relations.cols), sb),
+        ([(g_s.matrix, "X", None)], IntMatrix.identity(gc), sc),
+    ])
     if sol is None:
         return None
     s_simple = Homomorphism(sc, sb, sol["X"])
@@ -518,17 +511,5 @@ def rank_m(g: FgAbGroup, m: int) -> int:
     if not g.is_finite:
         raise UnsupportedError("rank computed for finite groups")
     facts = g.invariant_factors
-    best: Optional[int] = None
-    for p, t in factorint(m).items():
-        cnt = 0
-        for d in facts:
-            v = 0
-            dd = d
-            while dd % p == 0:
-                dd //= p
-                v += 1
-            if v >= t:
-                cnt += 1
-        best = cnt if best is None else min(best, cnt)
-    assert best is not None
-    return best
+    return min(sum(1 for d in facts if vp(d, p) >= t)
+               for p, t in factorint(m).items())

@@ -118,6 +118,20 @@ def test_5000_digit_integers_round_trip(verb, doc, key, expected):
     assert json.loads(res.stdout)[key] == expected
 
 
+@pytest.mark.parametrize("verb, doc, path", [
+    ("snf", '{"rows":1%s,"cols":1,"data":["1"]}' % ("0" * 5000), "$.rows"),
+    ("group", '{"generators":1%s,"relations":{"rows":0,"cols":0,"data":[]}}'
+     % ("0" * 5000), "$.generators"),
+], ids=["rows", "generators"])
+def test_counts_past_the_cap_are_input_errors(verb, doc, path):
+    res = run_cli([verb], doc)
+    assert res.returncode == 2
+    assert res.stderr == ""
+    message = json.loads(res.stdout)["error"]["message"]
+    assert message.startswith(f"{path}: ")
+    assert str(jsonio.MAX_COUNT) in message
+
+
 def test_jsonio_converts_integers_of_any_length():
     n = 10**5000 + 12345
     text = "1" + "0" * 4995 + "12345"

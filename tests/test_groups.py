@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kummer.errors import InputError
 from kummer.groups import (
@@ -19,9 +19,15 @@ from kummer.groups import (
     kernel,
     multiplication_hom,
     primary_component,
+    solve_congruences,
     subgroup_generated,
 )
-from kummer.matrices import IntMatrix, solve_integer_system
+from kummer.matrices import (
+    IntMatrix,
+    MatrixEquationSystem,
+    hstack,
+    solve_linear_explain,
+)
 
 from kummer.fixtures import random_finite_group
 
@@ -179,11 +185,54 @@ def test_group_solve_agrees_with_exact_solve(g, data):
         data.draw(entries) for _ in range(g.generator_count * n)))
     rhs = tuple(data.draw(entries) for _ in range(g.generator_count))
     x = g.solve(mat, rhs)
-    exact = solve_integer_system(mat, rhs, g.relations, mod=None)
+    exact, _ = solve_linear_explain(hstack(mat, g.relations), rhs)
     assert (x is None) == (exact is None)
     if x is not None:
         residual = [a - b for a, b in zip(mat.apply(x), rhs)]
         assert g.hermite.contains(residual)
+
+
+def _draw_matrix(data, rows, cols):
+    entries = st.integers(-5, 5)
+    return IntMatrix(rows, cols, tuple(data.draw(entries) for _ in range(rows * cols)))
+
+
+@settings(max_examples=100)
+@given(any_groups, any_groups, st.booleans(), st.data())
+def test_solve_congruences_matches_exact_slack_solve(g1, g2, planted, data):
+    # X is 2xk and Y is 1xk; equation 1 lives in g1, equation 2 in g2:
+    #   L1 @ X + M1 @ Y = rhs1 mod g1,   L2 @ X @ R2 = rhs2 mod g2
+    k, k2 = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    n1, n2 = g1.generator_count, g2.generator_count
+    l1, m1 = _draw_matrix(data, n1, 2), _draw_matrix(data, n1, 1)
+    l2, r2 = _draw_matrix(data, n2, 2), _draw_matrix(data, k, k2)
+    x0, y0 = _draw_matrix(data, 2, k), _draw_matrix(data, 1, k)
+    rhs1 = l1 @ x0 + m1 @ y0 + g1.relations @ _draw_matrix(data, g1.relations.cols, k)
+    rhs2 = l2 @ x0 @ r2 + g2.relations @ _draw_matrix(data, g2.relations.cols, k2)
+    if not planted:  # usually infeasible, sometimes not: both sides must agree
+        rhs1 = rhs1 + _draw_matrix(data, n1, k)
+        rhs2 = rhs2 + _draw_matrix(data, n2, k2)
+    terms1 = [(l1, "X", None), (m1, "Y", None)]
+    terms2 = [(l2, "X", r2)]
+    sol = solve_congruences({"X": (2, k), "Y": (1, k)},
+                            [(terms1, rhs1, g1), (terms2, rhs2, g2)])
+
+    exact = MatrixEquationSystem()
+    exact.add_unknown("X", 2, k)
+    exact.add_unknown("Y", 1, k)
+    exact.add_unknown("S1", g1.relations.cols, k)
+    exact.add_unknown("S2", g2.relations.cols, k2)
+    exact.add_equation(terms1 + [(g1.relations, "S1", None)], rhs1)
+    exact.add_equation(terms2 + [(g2.relations, "S2", None)], rhs2)
+    assert (sol is None) == (exact.solve(mod=None) is None)
+    if planted:
+        assert sol is not None
+    if sol is None:
+        return
+    assert set(sol) == {"X", "Y"}
+    x, y = sol["X"], sol["Y"]
+    for residual, g in ((l1 @ x + m1 @ y - rhs1, g1), (l2 @ x @ r2 - rhs2, g2)):
+        assert all(g.hermite.contains(residual.col(j)) for j in range(residual.cols))
 
 
 @given(st.lists(any_groups, min_size=1, max_size=3))

@@ -162,8 +162,8 @@ def test_solve_linear_explain_witness():
 
 
 def test_solve_integer_system_with_relations():
-    mat = IntMatrix.from_rows([[3]])
-    sol = solve_integer_system(mat, (1,), IntMatrix.from_rows([[4]]))
+    mat, rel = IntMatrix.from_rows([[3]]), IntMatrix.from_rows([[4]])
+    sol = solve_integer_system(hstack(mat, rel), (1,))
     assert sol is not None
     assert (3 * sol[0]) % 4 == 1
 
