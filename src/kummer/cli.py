@@ -163,10 +163,17 @@ def _cmd_tower_generate(args) -> tuple[dict, int]:
     levels = args.n if args.n is not None else 2
     if levels < 1:
         raise InputError("--n must be at least 1")
+    jsonio.decode_count(levels, "--n")
     return jsonio.encode_tower(sigma_kummer_tower(model, levels)), 0
 
 
+def _check_depth(args) -> None:
+    if args.depth is not None and args.depth > jsonio.MAX_DEPTH:
+        raise InputError(f"--depth: expected at most {jsonio.MAX_DEPTH}")
+
+
 def _cmd_counterexample(args) -> tuple[dict, int]:
+    _check_depth(args)
     p = args.p if args.p is not None else 2
     depth = args.depth if args.depth is not None else 4
     ok, payload = demo_counterexample(p, depth)
@@ -184,21 +191,21 @@ def _cmd_limit_split(args) -> tuple[dict, int]:
     doc = _read_document(args)
     if not isinstance(doc, dict):
         raise InputError("$: expected an object")
-    family = doc.get("family")
-    if family not in _FAMILIES:
-        raise InputError(f"$.family: expected one of "
-                         f"{sorted(_FAMILIES)}, got {family!r}")
+    family = jsonio.decode_choice(doc.get("family"), "$.family",
+                                  tuple(sorted(_FAMILIES)))
     p = jsonio.decode_int(doc.get("p", 2), "$.p")
     case = jsonio.decode_int(doc.get("case", 2), "$.case")
     level = jsonio.decode_int(doc.get("level", 2), "$.level")
-    n0 = jsonio.decode_int(doc.get("n0", 2), "$.n0")
+    if level > jsonio.MAX_LEVEL:
+        raise InputError(f"$.level: expected at most {jsonio.MAX_LEVEL}")
+    n0 = jsonio.decode_count(doc.get("n0", 2), "$.n0")
     tower = _FAMILIES[family](p, n0)
     if case == 2:
         evidence = CaseTwoEvidence(level=level)
     elif case == 1:
         precision = (args.precision if args.precision is not None
                      else doc.get("precision"))
-        precision = (jsonio.decode_int(precision, "$.precision")
+        precision = (jsonio.decode_count(precision, "$.precision")
                      if precision is not None else None)
         if family == "divisible":
             evidence = divisible_case_one_evidence(tower, level, precision)
@@ -209,7 +216,7 @@ def _cmd_limit_split(args) -> tuple[dict, int]:
                 f"$.case: no case-1 decomposition is known for the "
                 f"{family} family")
     else:
-        raise InputError(f"$.case: expected 1 or 2, got {case}")
+        raise InputError("$.case: expected 1 or 2")
     result = direct_limit_split(tower, evidence)
     return {
         "family": family,
@@ -224,7 +231,8 @@ def _cmd_dual(args) -> tuple[dict, int]:
     doc = _read_document(args)
     if not isinstance(doc, dict):
         raise InputError("$: expected an object")
-    kind = doc.get("kind")
+    kind = jsonio.decode_choice(doc.get("kind"), "$.kind",
+                                ("group", "hom", "seq", "tower"))
     if kind == "group":
         grp = jsonio.decode_group(doc.get("value"), "$.value")
         return {"kind": "group",
@@ -238,12 +246,9 @@ def _cmd_dual(args) -> tuple[dict, int]:
         seq = check_exact(f, g)
         return {"kind": "seq",
                 "value": jsonio.encode_seq(dualize_sequence(seq))}, 0
-    if kind == "tower":
-        tower = jsonio.decode_tower(doc.get("value"), "$.value")
-        return {"kind": "tower",
-                "value": jsonio.encode_tower(dual_tower(tower))}, 0
-    raise InputError(f"$.kind: expected group, hom, seq or tower, "
-                     f"got {kind!r}")
+    tower = jsonio.decode_tower(doc.get("value"), "$.value")
+    return {"kind": "tower",
+            "value": jsonio.encode_tower(dual_tower(tower))}, 0
 
 
 def _cmd_gmod_cohomology(args) -> tuple[dict, int]:
@@ -280,6 +285,10 @@ def _cmd_gmod_split(args) -> tuple[dict, int]:
 
 
 def _cmd_demo(args) -> tuple[dict, int]:
+    _check_depth(args)
+    if (args.name == "chris" and args.p is not None
+            and args.p > jsonio.MAX_CHRIS_P):
+        raise InputError(f"--p: expected at most {jsonio.MAX_CHRIS_P}")
     fn = DEMOS[args.name]
     kwargs = {}
     if args.name in ("main-lemma", "dual-lemma") and args.seed is not None:

@@ -633,16 +633,16 @@ def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
                                  d_group.relations)
         ker_m = preimage_lattice(ev.pi_bounded[k - 1].matrix,
                                  m_grp.relations)
-        joint = lattice_intersection(ker_d, ker_m)
-        for j in range(joint.cols):
-            if not a_k.hermite.contains(joint.col(j)):
-                raise EvidenceError(
-                    f"projections are not jointly injective at level {k}: "
-                    f"common kernel element {a_k.element(joint.col(j))!r}",
-                    check="V3")
+        joint = lattice_intersection(ker_d.matrix, ker_m.matrix)
+        j = a_k.hermite.outside(joint)
+        if j is not None:
+            raise EvidenceError(
+                f"projections are not jointly injective at level {k}: "
+                f"common kernel element {a_k.element(joint.col(j))!r}",
+                check="V3")
     top_seq = t.sequence(big_l)
     ker_m_top = preimage_lattice(ev.pi_bounded[big_l - 1].matrix,
-                                 m_grp.relations)
+                                 m_grp.relations).matrix
     for j in range(ker_m_top.cols):
         a = top_seq.A.element(ker_m_top.col(j))
         if not a:

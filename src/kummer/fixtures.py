@@ -194,8 +194,10 @@ def divisible_case_one_evidence(t: ColimitTower, level: int,
     pi_d, pi_m = [], []
     for k in range(1, level + 1):
         a_k = t.sequence(k).A
-        pi_d.append(Homomorphism(a_k, d_group,
-                                 IntMatrix.from_rows([[p ** (prec - k)]])))
+        # a layer above the precision has no embedding; the zero map leaves
+        # the window check (V5) to reject the evidence
+        scale = p ** (prec - k) if k <= prec else 0
+        pi_d.append(Homomorphism(a_k, d_group, IntMatrix.from_rows([[scale]])))
         pi_m.append(Homomorphism(a_k, triv,
                                  IntMatrix.zeros(0, a_k.generator_count)))
     return CaseOneEvidence(level=level, divisible_rank=1, precision=prec,

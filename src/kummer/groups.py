@@ -25,6 +25,7 @@ from .matrices import (
     block_diag,
     hermite_column_form,
     hstack,
+    int_tuple,
     preimage_lattice,
     smith_normal_form,
     solve_linear_explain,
@@ -47,6 +48,8 @@ __all__ = [
     "subgroup_generated",
     "hom_from_images",
     "multiplication_hom",
+    "kernel_witness",
+    "cokernel_witness",
     "is_injective",
     "is_surjective",
     "is_isomorphism",
@@ -173,7 +176,7 @@ class FgAbGroup:
     # -- elements ----------------------------------------------------------
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
-        return GroupElement(self, tuple(int(x) for x in coords))
+        return GroupElement(self, int_tuple(coords))
 
     @property
     def zero(self) -> "GroupElement":
@@ -295,15 +298,11 @@ class Homomorphism:
                 f"matrix is {self.matrix.rows}x{self.matrix.cols}, expected "
                 f"{self.target.generator_count}x{self.source.generator_count}"
             )
-        rel = self.source.relations
-        herm = self.target.hermite
-        for j in range(rel.cols):
-            img = self.matrix.apply(rel.col(j))
-            if not herm.contains(img):
-                raise InputError(
-                    f"not a homomorphism: relator {j} maps to {list(img)}, "
-                    "which is nonzero in the target"
-                )
+        j = self.target.hermite.outside(self.matrix @ self.source.relations)
+        if j is not None:
+            raise InputError(
+                f"not a homomorphism: relator {j} maps to a nonzero element "
+                "of the target")
 
     @classmethod
     def identity(cls, g: FgAbGroup) -> "Homomorphism":
@@ -329,9 +328,7 @@ class Homomorphism:
         """Equality as maps (matrices may differ by relations)."""
         if self.source != other.source or self.target != other.target:
             raise InputError("comparing maps between different groups")
-        diff = self.matrix - other.matrix
-        herm = self.target.hermite
-        return all(herm.contains(diff.col(j)) for j in range(diff.cols))
+        return self.target.hermite.outside(self.matrix - other.matrix) is None
 
     def is_identity(self) -> bool:
         return self.source == self.target and self.same_map(Homomorphism.identity(self.source))
@@ -392,40 +389,38 @@ def solve_congruences(unknowns: dict[str, tuple[int, int]],
 # ---------------------------------------------------------------------------
 
 
-def _lattice_subgroup(ambient: FgAbGroup, lattice: IntMatrix
+def _lattice_subgroup(ambient: FgAbGroup, lattice: HermiteColumnForm
                       ) -> tuple[FgAbGroup, Homomorphism]:
     """Subgroup P/L of ambient Z^g/L for a sublattice P containing L.
 
-    ``lattice`` must be a Hermite basis whose span contains the ambient
-    relation lattice; its columns become the subgroup generators.
+    ``lattice`` must span a lattice containing the ambient relation
+    lattice; its basis columns become the subgroup generators, and the
+    subgroup relations are the coordinates of the ambient relations.
     """
     rel = ambient.relations
-    qcols = []
-    for j in range(rel.cols):
-        sol, _ = solve_linear_explain(lattice, rel.col(j))
-        if sol is None:
-            raise InputError("sublattice does not contain the relation lattice")
-        qcols.append(sol)
-    sub = FgAbGroup(lattice.cols, IntMatrix.from_columns(lattice.cols, qcols))
-    return sub, Homomorphism(sub, ambient, lattice)
+    qcols = [lattice.coordinates(rel.col(j)) for j in range(rel.cols)]
+    if None in qcols:
+        raise InputError("sublattice does not contain the relation lattice")
+    basis = lattice.matrix
+    sub = FgAbGroup(basis.cols, IntMatrix.from_columns(basis.cols, qcols))
+    return sub, Homomorphism(sub, ambient, basis)
 
 
 def subgroup_generated(ambient: FgAbGroup, elements: Iterable[GroupElement]
                        ) -> tuple[FgAbGroup, Homomorphism]:
     """Subgroup generated by the given elements, with its inclusion."""
     cols = IntMatrix.from_columns(ambient.generator_count, [x.coords for x in elements])
-    return _lattice_subgroup(ambient, ambient.span(cols).matrix)
+    return _lattice_subgroup(ambient, ambient.span(cols))
 
 
 def kernel(h: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
     """Kernel subgroup with its inclusion into the source."""
-    lat = preimage_lattice(h.matrix, h.target.relations)
-    return _lattice_subgroup(h.source, lat)
+    return _lattice_subgroup(h.source, preimage_lattice(h.matrix, h.target.relations))
 
 
 def image(h: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
     """Image subgroup with its inclusion into the target."""
-    return _lattice_subgroup(h.target, h.target.span(h.matrix).matrix)
+    return _lattice_subgroup(h.target, h.target.span(h.matrix))
 
 
 def cokernel(h: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
@@ -437,14 +432,29 @@ def cokernel(h: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
     return coker, proj
 
 
+def kernel_witness(h: Homomorphism) -> Optional[GroupElement]:
+    """A nonzero element of the kernel of h, or None if h is injective: the
+    first Hermite basis column of the kernel lattice that is nonzero in the
+    source, i.e. the image of the first nonzero generator of ``kernel(h)``."""
+    basis = preimage_lattice(h.matrix, h.target.relations).matrix
+    j = h.source.hermite.outside(basis)
+    return None if j is None else h.source.element(basis.col(j))
+
+
+def cokernel_witness(h: Homomorphism) -> Optional[GroupElement]:
+    """The first target generator outside the image of h, or None if h is
+    surjective: the first generator that ``cokernel(h)`` does not kill."""
+    gens = IntMatrix.identity(h.target.generator_count)
+    j = h.target.span(h.matrix).outside(gens)
+    return None if j is None else h.target.generator(j)
+
+
 def is_injective(h: Homomorphism) -> bool:
-    k, _ = kernel(h)
-    return k.is_trivial
+    return kernel_witness(h) is None
 
 
 def is_surjective(h: Homomorphism) -> bool:
-    c, _ = cokernel(h)
-    return c.is_trivial
+    return cokernel_witness(h) is None
 
 
 def is_isomorphism(h: Homomorphism) -> bool:

@@ -31,13 +31,25 @@ SCHEMA = 1
 # free generators takes about 0.3 s and 50 MB. Larger is an input error.
 MAX_COUNT = 1000
 
+# Caps on the parameters that size a construction, measured to stay within
+# tens of seconds at the cap: limit-certificate --depth, limit-split level
+# and the prime of `demo chris`. Larger is an input error.
+MAX_DEPTH = 32
+MAX_LEVEL = 32
+MAX_CHRIS_P = 61
+
 __all__ = [
     "SCHEMA",
     "MAX_COUNT",
+    "MAX_DEPTH",
+    "MAX_LEVEL",
+    "MAX_CHRIS_P",
     "loads_checked",
     "dumps",
     "document",
     "decode_int",
+    "decode_count",
+    "decode_choice",
     "decode_matrix",
     "decode_group",
     "decode_hom",
@@ -146,11 +158,21 @@ def decode_int(doc: Any, path: str) -> int:
     _fail(path, f"expected an integer, got {type(doc).__name__}")
 
 
-def _decode_count(doc: Any, path: str) -> int:
+def decode_count(doc: Any, path: str) -> int:
     n = decode_int(doc, path)
     if not 0 <= n <= MAX_COUNT:
         _fail(path, f"expected a count from 0 to {MAX_COUNT}")
     return n
+
+
+def decode_choice(doc: Any, path: str, choices: tuple[str, ...]) -> str:
+    """One of the strings ``choices``. A value of another type is named
+    only by its type, so no huge number is ever formatted."""
+    if not isinstance(doc, str):
+        _fail(path, f"expected one of {list(choices)}, got {type(doc).__name__}")
+    if doc not in choices:
+        _fail(path, f"expected one of {list(choices)}, got {doc!r}")
+    return doc
 
 
 def decode_matrix(doc: Any, path: str) -> IntMatrix:
@@ -167,8 +189,8 @@ def decode_matrix(doc: Any, path: str) -> IntMatrix:
                      for i in range(rows) for j in range(cols))
         return IntMatrix(rows, cols, data)
     doc = _require_dict(doc, path, ("rows", "cols", "data"))
-    rows = _decode_count(doc["rows"], f"{path}.rows")
-    cols = _decode_count(doc["cols"], f"{path}.cols")
+    rows = decode_count(doc["rows"], f"{path}.rows")
+    cols = decode_count(doc["cols"], f"{path}.cols")
     raw = doc["data"]
     if not isinstance(raw, list):
         _fail(f"{path}.data", "expected an array")
@@ -183,7 +205,7 @@ def decode_matrix(doc: Any, path: str) -> IntMatrix:
 
 def decode_group(doc: Any, path: str) -> FgAbGroup:
     doc = _require_dict(doc, path, ("generators", "relations"))
-    gens = _decode_count(doc["generators"], f"{path}.generators")
+    gens = decode_count(doc["generators"], f"{path}.generators")
     rel = decode_matrix(doc["relations"], f"{path}.relations")
     with _at(path):
         return FgAbGroup(gens, rel)
@@ -222,11 +244,9 @@ def decode_tower(doc: Any, path: str = "$"
 
     doc = _require_dict(doc, path, ("p", "n", "levels", "maps"))
     p = decode_int(doc["p"], f"{path}.p")
-    n = _decode_count(doc["n"], f"{path}.n")
-    direction = doc.get("direction", "up")
-    if direction not in ("up", "down"):
-        _fail(f"{path}.direction", f"expected 'up' or 'down', got "
-              f"{direction!r}")
+    n = decode_count(doc["n"], f"{path}.n")
+    direction = decode_choice(doc.get("direction", "up"), f"{path}.direction",
+                              ("up", "down"))
     levels = doc["levels"]
     if not isinstance(levels, list):
         _fail(f"{path}.levels", "expected an array")
@@ -251,7 +271,7 @@ def decode_tower(doc: Any, path: str = "$"
 def decode_sigma(doc: Any, path: str = "$") -> SigmaModel:
     doc = _require_dict(doc, path, ("p", "r", "M"))
     p = decode_int(doc["p"], f"{path}.p")
-    r = _decode_count(doc["r"], f"{path}.r")
+    r = decode_count(doc["r"], f"{path}.r")
     mat = decode_matrix(doc["M"], f"{path}.M")
     with _at(path):
         return SigmaModel(p, r, mat)
@@ -259,7 +279,7 @@ def decode_sigma(doc: Any, path: str = "$") -> SigmaModel:
 
 def decode_gmodule(doc: Any, path: str = "$") -> CyclicGroupModule:
     doc = _require_dict(doc, path, ("d", "group", "sigma"))
-    d = _decode_count(doc["d"], f"{path}.d")
+    d = decode_count(doc["d"], f"{path}.d")
     grp = decode_group(doc["group"], f"{path}.group")
     mat = decode_matrix(doc["sigma"], f"{path}.sigma")
     with _at(path):

@@ -8,6 +8,7 @@ Matrices are immutable; all operations return fresh values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -35,6 +36,15 @@ __all__ = [
 ]
 
 
+def int_tuple(values: Iterable) -> tuple[int, ...]:
+    """The values as plain ints by ``operator.index``, so bool and other int
+    subclasses convert; anything else, such as 1.5, is an InputError."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise InputError("matrix and element entries must be integers") from None
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major storage."""
@@ -51,7 +61,7 @@ class IntMatrix:
                 f"matrix data has {len(self.data)} entries, expected {self.rows * self.cols}"
             )
         if any(type(x) is not int for x in self.data):
-            object.__setattr__(self, "data", tuple(int(x) for x in self.data))
+            object.__setattr__(self, "data", int_tuple(self.data))
 
     # -- constructors ------------------------------------------------------
 
@@ -67,7 +77,7 @@ class IntMatrix:
             raise InputError("explicit column count disagrees with row data")
         if any(len(row) != c for row in rows):
             raise InputError("ragged rows")
-        return cls(r, c, tuple(int(x) for row in rows for x in row))
+        return cls(r, c, tuple(x for row in rows for x in row))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -87,12 +97,12 @@ class IntMatrix:
             raise InputError("too many diagonal entries for requested shape")
         data = [0] * (r * c)
         for i, d in enumerate(entries):
-            data[i * c + i] = int(d)
+            data[i * c + i] = d
         return cls(r, c, tuple(data))
 
     @classmethod
     def column(cls, vec: Sequence[int]) -> "IntMatrix":
-        return cls(len(vec), 1, tuple(int(x) for x in vec))
+        return cls(len(vec), 1, tuple(vec))
 
     @classmethod
     def from_columns(cls, rows: int, cols: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -435,21 +445,41 @@ class HermiteColumnForm:
     matrix: IntMatrix
     pivots: tuple[tuple[int, int], ...]  # (row, col) pairs
 
-    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Canonical representative of vec modulo the column lattice."""
+    def _divide(self, vec: Sequence[int]) -> tuple[list[int], list[int]]:
+        """Remainder of vec modulo the lattice and the quotient at each
+        pivot, in column order."""
         if len(vec) != self.matrix.rows:
             raise InputError("vector length does not match lattice ambient rank")
         v = [int(x) for x in vec]
         h = self.matrix
+        quotients = []
         for prow, pcol in self.pivots:
             q = v[prow] // h[prow, pcol]
+            quotients.append(q)
             if q:
                 for i in range(prow, h.rows):
                     v[i] -= q * h[i, pcol]
-        return tuple(v)
+        return v, quotients
+
+    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """Canonical representative of vec modulo the column lattice."""
+        return tuple(self._divide(vec)[0])
 
     def contains(self, vec: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self._divide(vec)[0])
+
+    def coordinates(self, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """The unique x with matrix @ x == vec, by back-substitution through
+        the pivots (Cohen, GTM 138, §2.4), or None if vec is outside."""
+        rem, quotients = self._divide(vec)
+        return None if any(rem) else tuple(quotients)
+
+    def outside(self, mat: IntMatrix) -> Optional[int]:
+        """Index of the first column of mat not in the lattice, or None."""
+        for j in range(mat.cols):
+            if not self.contains(mat.col(j)):
+                return j
+        return None
 
 
 def hermite_column_form(mat: IntMatrix) -> HermiteColumnForm:
@@ -506,13 +536,14 @@ def kernel_lattice(mat: IntMatrix) -> IntMatrix:
     return snf.V.select(range(mat.cols), range(snf.rank, mat.cols))
 
 
-def preimage_lattice(mat: IntMatrix, target_relations: IntMatrix) -> IntMatrix:
-    """Hermite basis of {x : mat @ x lies in colspan(target_relations)}."""
+def preimage_lattice(mat: IntMatrix, target_relations: IntMatrix
+                     ) -> HermiteColumnForm:
+    """Hermite form of {x : mat @ x lies in colspan(target_relations)}."""
     if mat.rows != target_relations.rows:
         raise InputError("relation lattice has wrong ambient rank")
     ker = kernel_lattice(hstack(mat, target_relations))
     top = ker.select(range(mat.cols), range(ker.cols))
-    return hermite_column_form(top).matrix
+    return hermite_column_form(top)
 
 
 def lattice_intersection(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:

@@ -20,9 +20,9 @@ from .groups import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
-    cokernel,
+    cokernel_witness,
     direct_sum,
-    kernel,
+    kernel_witness,
     solve_congruences,
 )
 from .matrices import (
@@ -70,35 +70,25 @@ class ShortExactSequence:
         if f.target != g.source:
             raise InputError("maps do not compose: f.target differs from g.source")
         checks = []
-        k, k_inc = kernel(f)
-        if not k.is_trivial:
-            wit = k_inc(_nontrivial_element(k))
+        wit = kernel_witness(f)
+        if wit is not None:
             raise NotExactError("mono", "f has nontrivial kernel", witness=wit)
         checks.append("mono")
-        cok, proj = cokernel(g)
-        if not cok.is_trivial:
-            for i in range(g.target.generator_count):
-                if proj(g.target.generator(i)):
-                    raise NotExactError(
-                        "epi", "g is not surjective",
-                        witness=g.target.generator(i))
-            raise NotExactError("epi", "g is not surjective")
+        wit = cokernel_witness(g)
+        if wit is not None:
+            raise NotExactError("epi", "g is not surjective", witness=wit)
         checks.append("epi")
-        comp = g @ f
-        for j in range(comp.matrix.cols):
-            if not g.target.hermite.contains(comp.matrix.col(j)):
-                raise NotExactError(
-                    "complex", "g∘f is nonzero",
-                    witness=g.target.element(comp.matrix.col(j)))
+        comp = (g @ f).matrix
+        j = g.target.hermite.outside(comp)
+        if j is not None:
+            raise NotExactError("complex", "g∘f is nonzero",
+                                witness=g.target.element(comp.col(j)))
         checks.append("complex")
-        ker_lat = preimage_lattice(g.matrix, g.target.relations)
-        im_f = f.target.span(f.matrix)
-        for j in range(ker_lat.cols):
-            vec = ker_lat.col(j)
-            if not im_f.contains(vec):
-                raise NotExactError(
-                    "middle", "kernel of g is larger than image of f",
-                    witness=f.target.element(vec))
+        ker_g = preimage_lattice(g.matrix, g.target.relations).matrix
+        j = f.target.span(f.matrix).outside(ker_g)
+        if j is not None:
+            raise NotExactError("middle", "kernel of g is larger than image of f",
+                                witness=f.target.element(ker_g.col(j)))
         checks.append("middle")
         object.__setattr__(self, "certificate", tuple(checks))
 
@@ -116,14 +106,6 @@ class ShortExactSequence:
 
     def __repr__(self) -> str:
         return f"SES<{self.A!r} -> {self.B!r} -> {self.C!r}>"
-
-
-def _nontrivial_element(g: FgAbGroup) -> GroupElement:
-    for i in range(g.generator_count):
-        x = g.generator(i)
-        if x:
-            return x
-    raise InputError("group is trivial")
 
 
 def check_exact(f: Homomorphism, g: Homomorphism) -> ShortExactSequence:
@@ -256,7 +238,7 @@ def pure_witness(seq: ShortExactSequence, c: GroupElement) -> GroupElement:
     b0 = seq.C.solve(seq.g.matrix, c.coords)
     if b0 is None:
         raise InputError("g is not surjective onto c")  # cannot happen: g epi
-    ker_g = preimage_lattice(seq.g.matrix, seq.C.relations)
+    ker_g = preimage_lattice(seq.g.matrix, seq.C.relations).matrix
     target = tuple(-m * x for x in b0)
     t = seq.B.solve(ker_g.scaled(m), target)
     if t is None:

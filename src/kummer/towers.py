@@ -22,17 +22,16 @@ from .groups import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
-    cokernel,
+    cokernel_witness,
     direct_sum,
     invert_isomorphism,
-    kernel,
+    kernel_witness,
 )
 from .matrices import (
     IntMatrix,
     SmithDecomposition,
     block_diag,
     determinant,
-    hermite_column_form,
     hstack,
     preimage_lattice,
     smith_normal_form,
@@ -192,18 +191,13 @@ def _square_violations(level: int, low: ShortExactSequence,
         right = (low.g @ lm.beta, lm.gamma @ high.g)
     out = []
     for name, (one, two) in (("left square", left), ("right square", right)):
-        if not one.same_map(two):
-            wit = None
-            for j in range(one.source.generator_count):
-                x = one(one.source.generator(j))
-                y = two(two.source.generator(j))
-                if x != y:
-                    wit = x - y
-                    break
+        diff = one.matrix - two.matrix
+        j = one.target.hermite.outside(diff)
+        if j is not None:
             out.append(TowerViolation(
                 level, "square",
                 f"{name} between levels {level} and {level + 1} does not "
-                "commute", wit))
+                "commute", one.target.element(diff.col(j))))
     return out
 
 
@@ -211,33 +205,21 @@ def _inclusion_violations(p: int, level: int,
                           gamma: Homomorphism) -> list[TowerViolation]:
     """gamma must be injective with image the p^level-torsion of its target."""
     out = []
-    ker, inc = kernel(gamma)
-    if not ker.is_trivial:
-        for i in range(ker.generator_count):
-            x = ker.generator(i)
-            if x:
-                out.append(TowerViolation(
-                    level, "inclusion",
-                    f"right map out of level {level} is not injective",
-                    inc(x)))
-                break
+    wit = kernel_witness(gamma)
+    if wit is not None:
+        out.append(TowerViolation(
+            level, "inclusion",
+            f"right map out of level {level} is not injective", wit))
     tgt = gamma.target
     im = tgt.span(gamma.matrix)
     tors = preimage_lattice(
         IntMatrix.identity(tgt.generator_count).scaled(p ** level),
         tgt.relations)
-    if im.matrix != tors:
-        tors_h = hermite_column_form(tors)
-        wit = None
-        for j in range(tors.cols):
-            if not im.contains(tors.col(j)):
-                wit = tgt.element(tors.col(j))
-                break
-        if wit is None:
-            for j in range(im.matrix.cols):
-                if not tors_h.contains(im.matrix.col(j)):
-                    wit = tgt.element(im.matrix.col(j))
-                    break
+    if im.matrix != tors.matrix:
+        # distinct Hermite forms: one lattice has a column outside the other
+        j = im.outside(tors.matrix)
+        wit = (tgt.element(tors.matrix.col(j)) if j is not None
+               else tgt.element(im.matrix.col(tors.outside(im.matrix))))
         out.append(TowerViolation(
             level, "inclusion",
             f"right map out of level {level} does not have the "
@@ -249,18 +231,13 @@ def _surjection_violations(p: int, level: int,
                            alpha: Homomorphism) -> list[TowerViolation]:
     """alpha: A_{level+1} -> A_level must be onto with kernel p^level A_{level+1}."""
     out = []
-    cok, proj = cokernel(alpha)
-    if not cok.is_trivial:
-        wit = None
-        for i in range(alpha.target.generator_count):
-            if proj(alpha.target.generator(i)):
-                wit = alpha.target.generator(i)
-                break
+    wit = cokernel_witness(alpha)
+    if wit is not None:
         out.append(TowerViolation(
             level, "surjection",
             f"left map into level {level} is not surjective", wit))
     src = alpha.source
-    ker_lat = preimage_lattice(alpha.matrix, alpha.target.relations)
+    ker_lat = preimage_lattice(alpha.matrix, alpha.target.relations).matrix
     scaled = src.span(IntMatrix.identity(src.generator_count).scaled(p ** level)).matrix
     if ker_lat != scaled:
         out.append(TowerViolation(

@@ -1,14 +1,19 @@
 """End-to-end CLI tests, all through subprocess so the exit-code contract
 and byte-level stdout are what a shell user would see."""
 
+import contextlib
+import io
 import json
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kummer import jsonio
+from kummer.cli import main
 from kummer.groups import FgAbGroup, Homomorphism
 from kummer.matrices import IntMatrix
 from kummer.sequences import check_exact
@@ -266,3 +271,123 @@ def test_unknown_verb_is_a_usage_error():
     res = run_cli(["frobnicate"])
     assert res.returncode == 2
     assert res.stdout == ""
+
+
+# A 5,000-digit number that is odd and 1 mod 4, written out by hand because
+# json.dumps refuses ints past 4,300 digits.
+HUGE = "1" + "0" * 4998 + "1"
+
+
+def _error(res) -> dict:
+    assert res.returncode == 2
+    assert res.stderr == ""
+    return json.loads(res.stdout)["error"]
+
+
+def _not_a_hom_doc() -> str:
+    # f: Z/HUGE -> Z/4 sends the relator HUGE to 1 != 0 in Z/4
+    z4 = jsonio.dumps(jsonio.encode_group(FgAbGroup.cyclic(4)))
+    big = '{"generators":1,"relations":{"rows":1,"cols":1,"data":[%s]}}' % HUGE
+    one = '{"rows":1,"cols":1,"data":["1"]}'
+    return ('{"f":{"source":%s,"target":%s,"matrix":%s},'
+            '"g":{"source":%s,"target":%s,"matrix":%s}}' % (big, z4, one, z4, z4, one))
+
+
+def _tower_doc_with_direction(direction: str) -> str:
+    from kummer.fixtures import split_tower
+
+    doc = jsonio.dumps(jsonio.encode_tower(split_tower(2, 2)))
+    return doc.replace('"direction":"up"', f'"direction":{direction}')
+
+
+@pytest.mark.parametrize("verb, doc, path", [
+    ("seq-check", _not_a_hom_doc(), "$.f"),
+    ("limit-split", '{"family":["stabilizing"]}', "$.family"),
+    ("limit-split", '{"family":%s}' % HUGE, "$.family"),
+    ("limit-split", '{"family":"stabilizing","case":%s}' % HUGE, "$.case"),
+    ("dual", '{"kind":%s,"value":{}}' % HUGE, "$.kind"),
+    ("tower-validate", _tower_doc_with_direction(HUGE), "$.direction"),
+], ids=["relator-image", "family-list", "family-huge", "case-huge", "kind-huge",
+        "direction-huge"])
+def test_hostile_values_are_input_errors_with_a_path(verb, doc, path):
+    assert _error(run_cli([verb], doc))["message"].startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("argv, doc, path", [
+    (["counterexample", "--depth", "64"], "", "--depth"),
+    (["demo", "counterexample", "--depth", "64"], "", "--depth"),
+    (["demo", "chris", "--p", "101"], "", "--p"),
+    (["tower-generate", "--sigma", '{"p":2,"r":1,"M":[[3]]}', "--n", "100000"], "", "--n"),
+    (["limit-split"], '{"family":"counterexample","case":1,"level":1000}', "$.level"),
+    (["limit-split"], '{"family":"divisible","case":1,"precision":1%s}' % ("0" * 5000),
+     "$.precision"),
+    (["limit-split"], '{"family":"stabilizing","n0":1%s}' % ("0" * 5000), "$.n0"),
+], ids=["depth", "demo-depth", "chris-p", "tower-n", "level", "precision", "n0"])
+def test_structural_parameters_past_their_cap_fail_fast(argv, doc, path):
+    res = subprocess.run([sys.executable, "-m", "kummer", *argv], input=doc,
+                         capture_output=True, text=True, timeout=20)
+    assert _error(res)["message"].startswith(f"{path}: ")
+
+
+HOSTILE = (HUGE, '"%s"' % HUGE, "-1", "0", "true", "null", "1.5", '"x"', "[]", "{}",
+           str(10 ** 12), "[[1]]")
+
+
+def _paths(node, path=()):
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _fuzz_targets():
+    """(name, argv, index of the document in argv or None for stdin, doc)."""
+    from test_cli_golden import CASES
+
+    out = []
+    for name, (argv, stdin) in sorted(CASES.items()):
+        text = stdin()
+        if text:
+            out.append((name, argv, None, json.loads(text)))
+        elif "--sigma" in argv:
+            i = argv.index("--sigma") + 1
+            out.append((name, argv, i, json.loads(argv[i])))
+    return out
+
+
+FUZZ_TARGETS = _fuzz_targets()
+_SLOT = "\x00hostile\x00"
+
+
+def _replace(node, path, value):
+    if not path:
+        return value
+    node = dict(node) if isinstance(node, dict) else list(node)
+    node[path[0]] = _replace(node[path[0]], path[1:], value)
+    return node
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(st.data())
+def test_hostile_documents_keep_the_exit_code_contract(data):
+    """One node of a pinned document replaced by a hostile value: main()
+    must print one schema-1 document and exit 0, 1 or 2, never raise."""
+    name, argv, slot, doc = data.draw(st.sampled_from(FUZZ_TARGETS))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(st.sampled_from(HOSTILE))
+    text = json.dumps(_replace(doc, path, _SLOT)).replace(json.dumps(_SLOT), value)
+    argv = list(argv)
+    stdin = ""
+    if slot is None:
+        stdin = text
+    else:
+        argv[slot] = text
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (name, path, value)
+    assert err.getvalue() == ""
+    assert jsonio.loads_checked(out.getvalue())["schema"] == 1

@@ -9,14 +9,19 @@ from kummer.groups import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
+    _lattice_subgroup,
     cokernel,
+    cokernel_witness,
     common_exponent,
     direct_sum,
     hom_from_images,
     image,
     invert_isomorphism,
+    is_injective,
     is_isomorphism,
+    is_surjective,
     kernel,
+    kernel_witness,
     multiplication_hom,
     primary_component,
     solve_congruences,
@@ -25,7 +30,10 @@ from kummer.groups import (
 from kummer.matrices import (
     IntMatrix,
     MatrixEquationSystem,
+    block_diag,
+    hermite_column_form,
     hstack,
+    preimage_lattice,
     solve_linear_explain,
 )
 
@@ -244,3 +252,65 @@ def test_common_exponent_kills_every_group(groups):
     assert m == math.lcm(*(int(g.exponent) for g in groups))
     for g in groups:
         assert all(not m * x for x in g.generators())
+
+
+def _random_hom(data, src: FgAbGroup, tgt: FgAbGroup) -> Homomorphism:
+    """A random well-defined map: an integer combination of a basis of the
+    lattice of matrices M with M @ src.relations inside tgt's lattice."""
+    gs, gt, rel = src.generator_count, tgt.generator_count, src.relations
+    # row (j, a) of the constraint picks (M @ rel)[a, j] out of M's entries
+    rows = [[rel[b, j] if a == a2 else 0 for a2 in range(gt) for b in range(gs)]
+            for j in range(rel.cols) for a in range(gt)]
+    cons = IntMatrix.from_rows(rows, cols=gt * gs)
+    maps = preimage_lattice(cons, block_diag(*[tgt.relations] * rel.cols)).matrix
+    coeffs = [data.draw(st.integers(-3, 3)) for _ in range(maps.cols)]
+    return Homomorphism(src, tgt, IntMatrix(gt, gs, maps.apply(coeffs)))
+
+
+@given(any_groups, any_groups, st.data())
+def test_kernel_and_cokernel_witnesses_match_the_groups(src, tgt, data):
+    h = _random_hom(data, src, tgt)
+    k, inc = kernel(h)
+    wit = kernel_witness(h)
+    assert (wit is None) == k.is_trivial
+    if wit is not None:
+        assert wit == inc(next(x for x in k.generators() if x))
+        assert not h(wit)
+    c, proj = cokernel(h)
+    wit = cokernel_witness(h)
+    assert (wit is None) == c.is_trivial
+    if wit is not None:
+        assert wit == next(x for x in tgt.generators() if proj(x))
+    assert is_injective(h) == k.is_trivial and is_surjective(h) == c.is_trivial
+
+
+@given(st.integers(1, 4), st.integers(0, 4), st.booleans(), st.data())
+def test_coordinates_and_outside_agree_with_contains(rows, cols, planted, data):
+    form = hermite_column_form(_draw_matrix(data, rows, cols))
+    basis = form.matrix
+    vecs = _draw_matrix(data, rows, 3)
+    if planted:
+        vecs = basis @ _draw_matrix(data, basis.cols, 3)
+    for j in range(vecs.cols):
+        v = vecs.col(j)
+        x = form.coordinates(v)
+        assert (x is not None) == form.contains(v)
+        if x is not None:
+            assert basis.apply(x) == v
+    scan = [j for j in range(vecs.cols) if not form.contains(vecs.col(j))]
+    assert form.outside(vecs) == (scan[0] if scan else None)
+
+
+@given(any_groups, any_groups, st.data())
+def test_lattice_subgroup_relations_match_a_per_column_solve(src, tgt, data):
+    h = _random_hom(data, src, tgt)
+    cols = _draw_matrix(data, tgt.generator_count, data.draw(st.integers(0, 2)))
+    for ambient, form in ((src, preimage_lattice(h.matrix, tgt.relations)),
+                          (tgt, tgt.span(h.matrix)),
+                          (tgt, tgt.span(cols))):
+        sub, inc = _lattice_subgroup(ambient, form)
+        rel = ambient.relations
+        oracle = [solve_linear_explain(form.matrix, rel.col(j))[0]
+                  for j in range(rel.cols)]
+        assert sub.relations == IntMatrix.from_columns(form.matrix.cols, oracle)
+        assert inc.matrix == form.matrix

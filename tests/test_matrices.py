@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kummer.errors import InputError
+from kummer.groups import FgAbGroup
 from kummer.matrices import (
     IntMatrix,
     MatrixEquationSystem,
@@ -125,7 +126,7 @@ def test_kernel_lattice_annihilates(mat):
 def test_preimage_lattice_is_congruence_kernel():
     mat = IntMatrix.from_rows([[1, 1]])
     rel = IntMatrix.from_rows([[4]])
-    lat = preimage_lattice(mat, rel)
+    lat = preimage_lattice(mat, rel).matrix
     for j in range(lat.cols):
         assert mat.apply(lat.col(j))[0] % 4 == 0
 
@@ -221,3 +222,22 @@ def test_from_columns():
     assert IntMatrix.from_columns(3, []).shape == (3, 0)
     with pytest.raises(InputError):
         IntMatrix.from_columns(2, [(1, 2), (3,)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IntMatrix(1, 2, (1.5, 2.9)),
+    lambda: IntMatrix(1, 1, ("3",)),
+    lambda: IntMatrix.from_rows([[1, 2.0]]),
+    lambda: IntMatrix.column([0.5]),
+    lambda: IntMatrix.diagonal([2, 1e3]),
+    lambda: FgAbGroup.cyclic(4).element([1.5]),
+], ids=["init", "string", "from_rows", "column", "diagonal", "element"])
+def test_non_integer_entries_are_rejected(build):
+    with pytest.raises(InputError):
+        build()
+
+
+def test_int_subclasses_convert_to_plain_ints():
+    m = IntMatrix.from_rows([[True, False, 7]])
+    assert m.data == (1, 0, 7)
+    assert all(type(x) is int for x in m.data)
