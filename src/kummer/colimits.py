@@ -11,6 +11,7 @@ divisibility search.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence, Union
@@ -471,13 +472,23 @@ def limit_no_section_certificate(t: ColimitTower,
     sol = grp.solve(IntMatrix.identity(grp.generator_count).scaled(p ** depth),
                     pushed.value.coords)
     divisible = sol is not None
+    # The cross-check is exhaustive over the orbits of the diagonal unit
+    # group: (x_i) -> (u_i x_i) with each u_i a unit. It commutes with the
+    # B-column maps, which append a zero coordinate, so at every level it is
+    # an automorphism commuting with multiplication by p^h and preserves
+    # p^h-divisibility; it also preserves each v_p(x_i). Both heights are
+    # therefore constant on an orbit, and x_i = unit * p^v with
+    # v = v_p(x_i) <= i picks the representative with coordinates
+    # p^v mod p^i: prod (i + 1) elements at level n, whatever p is.
     cross = []
     for n in range(1, min(depth, 2) + 1):
         seq = t.sequence(n)
         bad = 0
         probe_depth = min(depth, 3)
-        for x in seq.B.elements():
-            e = ColimitElement(t, n, "B", x)
+        for coords in itertools.product(*(
+                [p ** v % p ** i for v in range(i + 1)]
+                for i in range(1, n + 1))):
+            e = ColimitElement(t, n, "B", seq.B.element(coords))
             closed = _closed_form_height_b(e, probe_depth)
             probe = _probe_height(e, probe_depth)
             if closed.height >= probe_depth:

@@ -124,18 +124,16 @@ def demo_dual_lemma(seed: int = 0, count: int = 6) -> tuple[bool, dict]:
 
 
 def demo_direct_limit(p: int = 2) -> tuple[bool, dict]:
-    """The two splitting hypotheses in action, and the family they miss."""
+    """The two splitting hypotheses in action, and the family they miss.
+
+    Each result carries a ``Section``, which checks g∘s = id when it is
+    built, so both cases split once ``direct_limit_split`` returns.
+    """
     stab = stabilizing_tower(p, 2)
     result2 = direct_limit_split(stab, CaseTwoEvidence(level=2))
-    seq2 = stab.sequence(2)
-    case2_ok = all(seq2.g(result2.section.s(c)) == c
-                   for c in seq2.C.elements())
 
     div = divisible_tower(p)
     result1 = direct_limit_split(div, divisible_case_one_evidence(div, 3))
-    seq1 = div.sequence(3)
-    case1_ok = all(seq1.g(result1.section.s(c)) == c
-                   for c in seq1.C.elements())
 
     ce = counterexample_tower(p)
     rejections = {}
@@ -153,15 +151,14 @@ def demo_direct_limit(p: int = 2) -> tuple[bool, dict]:
             rejections[name] = exc.check
     rejected = all(check is not None for check in rejections.values())
 
-    ok = case2_ok and case1_ok and rejected
-    return ok, {
+    return rejected, {
         "p": p,
         "case_two": {"family": "stabilizing", "level": result2.level,
-                     "split": case2_ok,
+                     "split": True,
                      "section": jsonio.encode_matrix(result2.section.s.matrix)},
         "case_one": {"family": "divisible", "level": result1.level,
-                     "split": case1_ok,
-                     "verified_on": int(seq1.C.order),
+                     "split": True,
+                     "verified_on": int(result1.section.seq.C.order),
                      "notes": list(result1.notes)},
         "counterexample_rejections": rejections,
     }

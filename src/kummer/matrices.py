@@ -277,44 +277,49 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-# A row step E acts on the rows of the working matrix and of a transform T,
-# and E^-T on the rows of T_inv^T, which keeps T @ T_inv == I.
+# A row step E acts on the rows of the working matrix and of each transform
+# T, and E^-T on the rows of each T_inv^T, which keeps T @ T_inv == I.
 
 
 def _combine(i: int, k: int, x: int, y: int, z: int, w: int,
-             direct: tuple[list[list[int]], ...], inv_t: list[list[int]]) -> None:
+             direct: tuple[list[list[int]], ...],
+             inv_t: tuple[list[list[int]], ...]) -> None:
     """E = [[x, y], [z, w]] (determinant 1) on rows i and k."""
     for rows in direct:
         ri, rk = rows[i], rows[k]
         rows[i] = [x * s + y * t for s, t in zip(ri, rk)]
         rows[k] = [z * s + w * t for s, t in zip(ri, rk)]
-    ri, rk = inv_t[i], inv_t[k]
-    inv_t[i] = [w * s - z * t for s, t in zip(ri, rk)]
-    inv_t[k] = [x * t - y * s for s, t in zip(ri, rk)]
+    for rows in inv_t:
+        ri, rk = rows[i], rows[k]
+        rows[i] = [w * s - z * t for s, t in zip(ri, rk)]
+        rows[k] = [x * t - y * s for s, t in zip(ri, rk)]
 
 
-def _sub(i: int, k: int, m: int, a: list[list[int]], tr: list[list[int]],
-         inv_t: list[list[int]]) -> None:
+def _sub(i: int, k: int, m: int, direct: tuple[list[list[int]], ...],
+         inv_t: tuple[list[list[int]], ...]) -> None:
     """E: row_i -= m * row_k."""
-    a[i] = [s - m * t for s, t in zip(a[i], a[k])]
-    tr[i] = [s - m * t for s, t in zip(tr[i], tr[k])]
-    inv_t[k] = [s + m * t for s, t in zip(inv_t[k], inv_t[i])]
+    for rows in direct:
+        rows[i] = [s - m * t for s, t in zip(rows[i], rows[k])]
+    for rows in inv_t:
+        rows[k] = [s + m * t for s, t in zip(rows[k], rows[i])]
 
 
-def _hermite_pass(a: list[list[int]], tr: list[list[int]],
-                  tr_inv_t: list[list[int]]) -> None:
+def _hermite_pass(a: list[list[int]], tr: tuple[list[list[int]], ...] = (),
+                  tr_inv_t: tuple[list[list[int]], ...] = ()) -> list[int]:
     """Row Hermite form of ``a`` in place: row echelon form, pivots positive,
     entries above each pivot reduced into [0, pivot), zero rows last.
+    Returns the pivot column of each nonzero row.
 
     Rows are added one at a time to the Hermite form of the rows before
     them, which is reduced again after each addition, so no entry grows
     past what that leading block needs (Kannan & Bachem 1979). Every row
-    step is applied to ``tr`` too, and its inverse transpose to
-    ``tr_inv_t``. Applied to the transpose of ``a`` the pass is a column
-    pass.
+    step is applied to each matrix in ``tr`` too, and its inverse transpose
+    to each matrix in ``tr_inv_t``. Applied to the transpose of ``a`` the
+    pass is a column pass.
     """
     ncols = len(a[0]) if a else 0
-    direct = (a, tr)
+    direct = (a, *tr)
+    every = (a, *tr, *tr_inv_t)
     piv: list[int] = []  # pivot column of row s, increasing in s
     for i in range(len(a)):
         t = low = len(piv)  # low: first Hermite row this addition changes
@@ -330,7 +335,7 @@ def _hermite_pass(a: list[list[int]], tr: list[list[int]],
             if s == t or piv[s] != lead:
                 # a new pivot: move row i up to position s
                 flip = row[lead] < 0
-                for rows in (a, tr, tr_inv_t):
+                for rows in every:
                     rows.insert(s, rows.pop(i))
                     if flip:
                         rows[s] = [-x for x in rows[s]]
@@ -346,7 +351,7 @@ def _hermite_pass(a: list[list[int]], tr: list[list[int]],
                 _combine(s, i, x, y, -q // g, p // g, direct, tr_inv_t)
                 low = min(low, s)
             else:
-                _sub(i, s, m, a, tr, tr_inv_t)
+                _sub(i, s, m, direct, tr_inv_t)
         # reduce each row against the changed rows below it, bottom up;
         # subtracting a lower row never moves a pivot, so pivots are read once
         changed = [(s, piv[s], a[s][piv[s]]) for s in range(low, t)]
@@ -354,7 +359,8 @@ def _hermite_pass(a: list[list[int]], tr: list[list[int]],
             for s, j, p in changed[max(k + 1 - low, 0):]:
                 m = a[k][j] // p
                 if m:
-                    _sub(k, s, m, a, tr, tr_inv_t)
+                    _sub(k, s, m, direct, tr_inv_t)
+    return piv
 
 
 def _is_diagonal(a: list[list[int]]) -> bool:
@@ -392,11 +398,11 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
     u, u_inv_t = _identity_rows(r), _identity_rows(r)
     v_t, v_inv = _identity_rows(c), _identity_rows(c)
     while True:
-        _hermite_pass(a, u, u_inv_t)
+        _hermite_pass(a, (u,), (u_inv_t,))
         if _is_diagonal(a):
             break
         a = _transpose(a)
-        _hermite_pass(a, v_t, v_inv)
+        _hermite_pass(a, (v_t,), (v_inv,))
         a = _transpose(a)
         if _is_diagonal(a):
             break
@@ -411,10 +417,10 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
             # U2 diag(di, dj) V2 == diag(g, lcm), both with determinant 1
             g, x, y = _ext_gcd(di, dj)
             a[i][i], a[j][j] = g, di // g * dj
-            _combine(i, j, x, y, -dj // g, di // g, (u,), u_inv_t)
+            _combine(i, j, x, y, -dj // g, di // g, (u,), (u_inv_t,))
             # V2 == [[1, -y*dj/g], [1, x*di/g]] acts on columns: its
             # transpose acts on the rows of V^T
-            _combine(i, j, 1, 1, -y * dj // g, x * di // g, (v_t,), v_inv)
+            _combine(i, j, 1, 1, -y * dj // g, x * di // g, (v_t,), (v_inv,))
 
     return SmithDecomposition(
         source=mat,
@@ -483,57 +489,25 @@ class HermiteColumnForm:
 
 
 def hermite_column_form(mat: IntMatrix) -> HermiteColumnForm:
-    g = mat.rows
+    """Hermite form of the column lattice: the row pass on the columns."""
     cols = [list(mat.col(j)) for j in range(mat.cols)]
-    pivots: list[tuple[int, int]] = []
-    cidx = 0
-    for row in range(g):
-        while True:
-            best_key = None
-            bj = -1
-            for j in range(cidx, len(cols)):
-                x = cols[j][row]
-                if x:
-                    key = (abs(x), j)
-                    if best_key is None or key < best_key:
-                        best_key, bj = key, j
-            if best_key is None:
-                break
-            if bj != cidx:
-                cols[bj], cols[cidx] = cols[cidx], cols[bj]
-            piv_col = cols[cidx]
-            clean = True
-            for j in range(cidx + 1, len(cols)):
-                x = cols[j][row]
-                if x:
-                    q = x // piv_col[row]
-                    cj = cols[j]
-                    for i in range(g):
-                        cj[i] -= q * piv_col[i]
-                    if cj[row]:
-                        clean = False
-            if clean:
-                break
-        if cidx < len(cols) and cols[cidx][row]:
-            if cols[cidx][row] < 0:
-                cols[cidx] = [-x for x in cols[cidx]]
-            piv = cols[cidx][row]
-            for j in range(cidx):
-                q = cols[j][row] // piv
-                if q:
-                    cj, pc = cols[j], cols[cidx]
-                    for i in range(g):
-                        cj[i] -= q * pc[i]
-            pivots.append((row, cidx))
-            cidx += 1
-    h = IntMatrix.from_columns(g, cols[:cidx])
-    return HermiteColumnForm(source=mat, matrix=h, pivots=tuple(pivots))
+    piv = _hermite_pass(cols)
+    return HermiteColumnForm(
+        source=mat, matrix=IntMatrix.from_columns(mat.rows, cols[:len(piv)]),
+        pivots=tuple((row, j) for j, row in enumerate(piv)))
 
 
 def kernel_lattice(mat: IntMatrix) -> IntMatrix:
-    """Basis (as columns) of the integer kernel {x : mat @ x = 0}."""
-    snf = smith_normal_form(mat)
-    return snf.V.select(range(mat.cols), range(snf.rank, mat.cols))
+    """Basis (as columns) of the integer kernel {x : mat @ x = 0}.
+
+    The row pass on the columns of mat, tracked by an identity companion T,
+    gives T @ mat^T == H with H echelon; the rows of T past the rank of H
+    are a basis of the vectors whose combination of columns vanishes.
+    """
+    cols = [list(mat.col(j)) for j in range(mat.cols)]
+    t = _identity_rows(mat.cols)
+    rank = len(_hermite_pass(cols, (t,)))
+    return IntMatrix.from_columns(mat.cols, t[rank:])
 
 
 def preimage_lattice(mat: IntMatrix, target_relations: IntMatrix

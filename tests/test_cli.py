@@ -19,10 +19,13 @@ from kummer.matrices import IntMatrix
 from kummer.sequences import check_exact
 
 
-def run_cli(argv, stdin=""):
+def run_cli(argv, stdin="", timeout=120):
     return subprocess.run([sys.executable, "-m", "kummer", *argv],
                           input=stdin, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=timeout)
+
+
+BIG_P = 1_000_000_007  # costs must grow with log p, not with p
 
 
 def impure_doc() -> str:
@@ -186,6 +189,10 @@ def test_counterexample_verb_certificate():
     assert out["valid"] is True
     assert out["p"] == 2
     assert all(bad == 0 for _, bad in out["heights_cross_checked"])
+    big = run_cli(["counterexample", "--p", str(BIG_P), "--depth", "32"], timeout=20)
+    assert big.returncode == 0, big.stderr
+    out = json.loads(big.stdout)
+    assert out["valid"] is True and out["heights_cross_checked"] == [[1, 0], [2, 0]]
 
 
 def test_limit_split_families():
@@ -202,6 +209,10 @@ def test_limit_split_families():
     err = json.loads(ce.stdout)["error"]
     assert err["kind"] == "EvidenceError"
     assert err["check"] == "V4"
+    big = run_cli(["limit-split"], json.dumps(
+        {"family": "counterexample", "p": BIG_P, "case": 1, "level": 32}), timeout=20)
+    assert big.returncode == 2
+    assert json.loads(big.stdout)["error"]["check"] == "V4"
 
 
 def test_dual_verb_on_a_group():
@@ -246,6 +257,9 @@ def test_demos_are_deterministic():
         assert first.returncode == 0, (name, first.stdout, first.stderr)
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)
+    big = run_cli(["demo", "direct-limit", "--p", str(BIG_P)], timeout=20)
+    assert big.returncode == 0, big.stderr
+    assert json.loads(big.stdout)["case_one"]["verified_on"] == BIG_P
 
 
 def test_demo_chris_small_prime():

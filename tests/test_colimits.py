@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from kummer.arith import vp
 from kummer.colimits import (
+    _probe_height,
     CaseOneEvidence,
     CaseTwoEvidence,
     ColimitElement,
@@ -114,6 +116,19 @@ def test_closed_form_agrees_with_generic_probe_exhaustively():
                 assert generic.saturated
             else:
                 assert generic.height == closed.height
+    # the certificate probes one element per orbit of the diagonal unit
+    # group, with coordinates p^v mod p^i; each element's heights must equal
+    # those of its representative
+    for p in (2, 3, 5):
+        t = counterexample_tower(p)
+        for level in (1, 2):
+            grp = t.sequence(level).B
+            for x in grp.elements():
+                rep = grp.element([p ** (vp(c, p) if c else i) % p ** i
+                                   for i, c in enumerate(x.coords, 1)])
+                e, r = (ColimitElement(t, level, "B", y) for y in (x, rep))
+                assert colimit_height(e, 3) == colimit_height(r, 3)
+                assert _probe_height(e, 3) == _probe_height(r, 3)
 
 
 def test_compatibility_congruences():

@@ -107,6 +107,14 @@ def test_hermite_membership_and_idempotence(mat):
     assert again.matrix == hnf.matrix
     for j in range(mat.cols):
         assert hnf.contains(mat.col(j))
+    h = hnf.matrix
+    assert [c for _, c in hnf.pivots] == list(range(h.cols))
+    prows = [r for r, _ in hnf.pivots]
+    assert all(a < b for a, b in zip(prows, prows[1:]))
+    for j, r in enumerate(prows):
+        assert h.col(j)[:r] == (0,) * r and h[r, j] > 0
+        assert all(0 <= h[r, k] < h[r, j] for k in range(j))
+        assert solve_linear_explain(mat, h.col(j))[0] is not None
 
 
 def test_hermite_detects_non_membership():
@@ -121,6 +129,9 @@ def test_kernel_lattice_annihilates(mat):
     ker = kernel_lattice(mat)
     for j in range(ker.cols):
         assert mat.apply(ker.col(j)) == (0,) * mat.rows
+    assert ker.cols == mat.cols - smith_normal_form(mat).rank
+    # saturated: Z^n / ker is torsion-free, so ker is the whole kernel
+    assert all(d == 1 for d in smith_normal_form(ker).diagonal)
 
 
 def test_preimage_lattice_is_congruence_kernel():
