@@ -28,7 +28,7 @@ from .matrices import (
     int_tuple,
     preimage_lattice,
     smith_normal_form,
-    solve_linear_explain,
+    solve_integer_system,
     solve_modular,
 )
 
@@ -217,7 +217,7 @@ class FgAbGroup:
         keeps coefficients small; the answer is the same as over Z.
         """
         big, m = hstack(mat, self.relations), common_exponent(self)
-        sol = solve_linear_explain(big, rhs)[0] if m is None else solve_modular(big, rhs, m)
+        sol = solve_integer_system(big, rhs) if m is None else solve_modular(big, rhs, m)
         return None if sol is None else sol[:mat.cols]
 
     def __repr__(self) -> str:

@@ -24,7 +24,6 @@ __all__ = [
     "kernel_lattice",
     "preimage_lattice",
     "lattice_intersection",
-    "solve_linear_explain",
     "solve_integer_system",
     "solve_modular",
     "determinant",
@@ -32,7 +31,6 @@ __all__ = [
     "vstack",
     "block_diag",
     "MatrixEquationSystem",
-    "InfeasibleRow",
 ]
 
 
@@ -456,7 +454,7 @@ class HermiteColumnForm:
         pivot, in column order."""
         if len(vec) != self.matrix.rows:
             raise InputError("vector length does not match lattice ambient rank")
-        v = [int(x) for x in vec]
+        v = list(int_tuple(vec))
         h = self.matrix
         quotients = []
         for prow, pcol in self.pivots:
@@ -497,6 +495,20 @@ def hermite_column_form(mat: IntMatrix) -> HermiteColumnForm:
         pivots=tuple((row, j) for j, row in enumerate(piv)))
 
 
+def _tracked_form(mat: IntMatrix) -> tuple[HermiteColumnForm, list[list[int]]]:
+    """The Hermite form H of the column lattice of mat and the transform T
+    that makes it: the row pass on the columns with one identity companion.
+    Row s of T combines the columns of mat into column s of H for s below
+    the rank, and into zero past it."""
+    cols = [list(mat.col(j)) for j in range(mat.cols)]
+    t = _identity_rows(mat.cols)
+    piv = _hermite_pass(cols, (t,))
+    form = HermiteColumnForm(
+        source=mat, matrix=IntMatrix.from_columns(mat.rows, cols[:len(piv)]),
+        pivots=tuple((row, j) for j, row in enumerate(piv)))
+    return form, t
+
+
 def kernel_lattice(mat: IntMatrix) -> IntMatrix:
     """Basis (as columns) of the integer kernel {x : mat @ x = 0}.
 
@@ -534,51 +546,23 @@ def lattice_intersection(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InfeasibleRow:
-    """Witness that a linear system has no integer solution.
-
-    After the unimodular change of rows, constraint ``row`` reads
-    ``divisor * y = value`` with divisor not dividing value (divisor 0 means
-    the equation demands a nonzero constant to vanish).
-    """
-
-    row: int
-    divisor: int
-    value: int
-
-
-def solve_linear_explain(mat: IntMatrix, rhs: Sequence[int]):
-    """Solve mat @ x = rhs over the integers.
-
-    Returns (solution, None) or (None, InfeasibleRow witness).
-    """
-    if len(rhs) != mat.rows:
-        raise InputError("right-hand side length does not match row count")
-    snf = smith_normal_form(mat)
-    target = snf.U.apply(rhs)
-    w = [0] * mat.cols
-    mdim = min(mat.rows, mat.cols)
-    for i in range(mat.rows):
-        d = snf.S[i, i] if i < mdim else 0
-        if d:
-            q, rem = divmod(target[i], d)
-            if rem:
-                return None, InfeasibleRow(row=i, divisor=d, value=target[i])
-            w[i] = q
-        elif target[i]:
-            return None, InfeasibleRow(row=i, divisor=0, value=target[i])
-    return snf.V.apply(w), None
-
-
 def solve_integer_system(mat: IntMatrix, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
     """One integer solution x of mat @ x = rhs, or None.
 
-    Congruences modulo a relation lattice are solved by the group layer
-    (``FgAbGroup.solve``, ``groups.solve_congruences``), which chooses a
-    sound modulus itself.
+    Back-substitution through the Hermite form H of the column lattice
+    gives the coordinates y of rhs in H, or shows that rhs is outside it;
+    the transform T of the same pass turns y into x = sum of y_s times row
+    s of T (Cohen, GTM 138, §2.4). Congruences modulo a relation lattice
+    are solved by the group layer (``FgAbGroup.solve``,
+    ``groups.solve_congruences``), which chooses a sound modulus itself.
     """
-    return solve_linear_explain(mat, rhs)[0]
+    if len(rhs) != mat.rows:
+        raise InputError("right-hand side length does not match row count")
+    form, t = _tracked_form(mat)
+    y = form.coordinates(rhs)
+    if y is None:
+        return None
+    return tuple(sum(ys * ts[j] for ys, ts in zip(y, t)) for j in range(mat.cols))
 
 
 def solve_modular(mat: IntMatrix, rhs: Sequence[int], m: int
@@ -603,7 +587,7 @@ def solve_modular(mat: IntMatrix, rhs: Sequence[int], m: int
         return x - m if x > half else x
 
     a = [[red(mat[i, j]) for j in range(c)] for i in range(r)]
-    b = [red(x) for x in rhs]
+    b = [red(x) for x in int_tuple(rhs)]
     v = [[int(i == j) for j in range(c)] for i in range(c)]
 
     t = 0
@@ -710,8 +694,8 @@ class MatrixEquationSystem:
 
     Equations have the shape  sum_t  L_t @ X_{b_t} @ R_t  =  RHS  where each
     term names an unknown block and optional left/right coefficient matrices.
-    ``solve`` flattens everything into one integer system; a None result is
-    a proof of infeasibility (see ``last_witness``).
+    ``solve`` flattens everything into one integer system; a None result
+    means that system has no solution.
     """
 
     def __init__(self) -> None:
@@ -720,7 +704,6 @@ class MatrixEquationSystem:
         self._total = 0
         self._rows: list[list[int]] = []
         self._rhs: list[int] = []
-        self.last_witness: Optional[InfeasibleRow] = None
 
     def add_unknown(self, name: str, rows: int, cols: int) -> None:
         if name in self._shapes:
@@ -784,11 +767,9 @@ class MatrixEquationSystem:
         neq = len(self._rows)
         big = IntMatrix(neq, self._total, tuple(x for row in self._rows for x in row))
         if mod is None:
-            sol, witness = solve_linear_explain(big, self._rhs)
-            self.last_witness = witness
+            sol = solve_integer_system(big, self._rhs)
         else:
             sol = solve_modular(big, self._rhs, mod)
-            self.last_witness = None
         if sol is None:
             return None
         out = {}

@@ -119,10 +119,6 @@ class KummerTower:
     def top(self) -> ShortExactSequence:
         return self.seqs[-1]
 
-    @property
-    def shared_c(self) -> FgAbGroup:
-        return self.seqs[-1].C
-
 
 @dataclass(frozen=True)
 class CoKummerTower:

@@ -11,7 +11,7 @@ import math
 from itertools import combinations, product
 
 from kummer.groups import GroupElement
-from kummer.matrices import IntMatrix
+from kummer.matrices import IntMatrix, smith_normal_form
 from kummer.sequences import ShortExactSequence
 
 
@@ -81,3 +81,18 @@ def brute_solve_mod(mat: IntMatrix, rhs: tuple[int, ...], m: int,
                for i in range(mat.rows)):
             return True
     return False
+
+
+def snf_solve(mat: IntMatrix, rhs: tuple[int, ...]):
+    """Some integer x with mat @ x == rhs, or None, through the Smith form
+    (itself checked against ``minors_gcd_diagonal``): U @ mat @ V == S is
+    diagonal, so S @ w == U @ rhs is solved entry by entry and x = V @ w."""
+    dec = smith_normal_form(mat)
+    w = [0] * mat.cols
+    for i, t in enumerate(dec.U.apply(rhs)):
+        d = dec.S[i, i] if i < mat.cols else 0
+        if (t % d if d else t):
+            return None
+        if d:
+            w[i] = t // d
+    return dec.V.apply(w)

@@ -344,7 +344,7 @@ def test_structural_parameters_past_their_cap_fail_fast(argv, doc, path):
 
 
 HOSTILE = (HUGE, '"%s"' % HUGE, "-1", "0", "true", "null", "1.5", '"x"', "[]", "{}",
-           str(10 ** 12), "[[1]]")
+           str(10 ** 12), "[[1]]", str(2 ** 61 - 1))
 
 
 def _paths(node, path=()):

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kummer.errors import InputError
 from kummer.groups import FgAbGroup
@@ -17,11 +17,10 @@ from kummer.matrices import (
     preimage_lattice,
     smith_normal_form,
     solve_integer_system,
-    solve_linear_explain,
     solve_modular,
 )
 
-from oracles import brute_solve_mod, minors_gcd_diagonal, naive_det
+from oracles import brute_solve_mod, minors_gcd_diagonal, naive_det, snf_solve
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -114,7 +113,8 @@ def test_hermite_membership_and_idempotence(mat):
     for j, r in enumerate(prows):
         assert h.col(j)[:r] == (0,) * r and h[r, j] > 0
         assert all(0 <= h[r, k] < h[r, j] for k in range(j))
-        assert solve_linear_explain(mat, h.col(j))[0] is not None
+        x = solve_integer_system(mat, h.col(j))
+        assert x is not None and mat.apply(x) == h.col(j)
 
 
 def test_hermite_detects_non_membership():
@@ -166,11 +166,31 @@ def test_solve_modular_agrees_with_brute_force(m, data):
             assert lhs % m == rhs[i] % m
 
 
-def test_solve_linear_explain_witness():
-    mat = IntMatrix.from_rows([[2, 0], [0, 2]])
-    sol, witness = solve_linear_explain(mat, (1, 0))
-    assert sol is None and witness is not None
-    assert witness.divisor % 2 == 0 or witness.divisor == 2
+@st.composite
+def integer_systems(draw):
+    """(mat, rhs) with mat up to 6x8 of any shape, of rank at most k as a
+    product of r x k and k x c factors, and rhs in the column lattice of mat
+    or, when perturbed, usually outside it."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    k = draw(st.integers(0, min(r, c)))
+    entries = st.integers(-4, 4)
+    left = IntMatrix(r, k, tuple(draw(entries) for _ in range(r * k)))
+    right = IntMatrix(k, c, tuple(draw(entries) for _ in range(k * c)))
+    mat = left @ right
+    rhs = mat.apply(tuple(draw(entries) for _ in range(c)))
+    if draw(st.booleans()):
+        rhs = tuple(x + draw(st.integers(-2, 2)) for x in rhs)
+    return mat, rhs
+
+
+@given(integer_systems())
+@example((IntMatrix.from_rows([[2, 0], [0, 2]]), (1, 0)))
+def test_integer_solve_matches_the_snf_oracle(system):
+    mat, rhs = system
+    x = solve_integer_system(mat, rhs)
+    assert (x is None) == (snf_solve(mat, rhs) is None)
+    if x is not None:
+        assert mat.apply(x) == rhs
 
 
 def test_solve_integer_system_with_relations():
@@ -199,7 +219,6 @@ def test_equation_system_two_sided():
                        IntMatrix.from_rows([[3]]))],
                      IntMatrix.identity(1))
     assert sys.solve() is None
-    assert sys.last_witness is not None
 
 
 def test_matrix_shape_guards():
@@ -246,6 +265,18 @@ def test_from_columns():
 def test_non_integer_entries_are_rejected(build):
     with pytest.raises(InputError):
         build()
+
+
+# 2.5 would truncate to 2, which lies in the lattice 2Z
+@pytest.mark.parametrize("call", [
+    lambda m: hermite_column_form(m).contains((2.5,)),
+    lambda m: hermite_column_form(m).coordinates((2.5,)),
+    lambda m: solve_integer_system(m, (2.5,)),
+    lambda m: solve_modular(m, (2.5,), 5),
+], ids=["contains", "coordinates", "exact-solve", "modular-solve"])
+def test_non_integer_vectors_are_rejected(call):
+    with pytest.raises(InputError):
+        call(IntMatrix.from_rows([[2]]))
 
 
 def test_int_subclasses_convert_to_plain_ints():
