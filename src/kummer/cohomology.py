@@ -165,7 +165,8 @@ class Subquotient:
         if q.group != self.group:
             raise InputError("class does not live in this subquotient")
         sol = self.group.solve(self.project.matrix, q.coords)
-        assert sol is not None, "projections are onto"
+        if sol is None:
+            raise AssertionError("projections are onto")
         return self.include(self.project.source.element(sol))
 
 
@@ -339,9 +340,11 @@ def les_multiplication_by_p(module: CyclicGroupModule,
         norm_of_lift = module.norm(module.group.element(rep.coords))
         g = module.group.generator_count
         sol = module.group.solve(IntMatrix.identity(g).scaled(p), norm_of_lift.coords)
-        assert sol is not None, "norm of a mod-p cocycle is divisible by p"
+        if sol is None:
+            raise AssertionError("norm of a mod-p cocycle is divisible by p")
         y = module.group.element(sol)
-        assert not module.difference(y), "divided norm lies in ker T"
+        if module.difference(y):
+            raise AssertionError("divided norm lies in ker T")
         delta_images.append(h2.class_of(y))
     delta = hom_from_images(h1_bar.group, h2.group, delta_images)
 

@@ -391,7 +391,8 @@ def limit_purity_witness(t: ColimitTower, c: ColimitElement) -> ColimitElement:
                           element=c.value)
     low_seq = t.sequence(k)
     lift = low_seq.C.solve(low_seq.g.matrix, low_seq.C.element(down).coords)
-    assert lift is not None, "level maps are epimorphisms"
+    if lift is None:
+        raise AssertionError("level maps are epimorphisms")
     y = ColimitElement(t, k, "B", low_seq.B.element(lift)).push(c.level)
     if y.value.order() != order:
         raise PurityError("level lift does not have the expected order",
@@ -683,7 +684,8 @@ def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
             "the divisible projection does not extend over f at this "
             "precision", check="extension")
     r_div = Homomorphism(top_seq.B, d_group, ext_sol["X"])
-    assert (r_div @ top_seq.f).same_map(pi_d)
+    if not (r_div @ top_seq.f).same_map(pi_d):
+        raise AssertionError("r_div∘f differs from the divisible projection")
 
     s_div_seq, i_div, q_div = _pushout(top_seq, pi_d)
     retraction = Homomorphism(s_div_seq.B, d_group,

@@ -302,11 +302,14 @@ def _purity_lifts(t: KummerTower) -> tuple[PrueferDecomposition,
                 f"of {p}", report=None)
         chain = _gamma_chain(t, k, n)
         down = top.C.solve(chain.matrix, c.coords)
-        assert down is not None, "torsion element missing from inclusion image"
+        if down is None:
+            raise AssertionError(
+                "torsion element missing from inclusion image")
         level_seq = t.seqs[k - 1]
         c_low = level_seq.C.element(down)
         lift = level_seq.C.solve(level_seq.g.matrix, c_low.coords)
-        assert lift is not None, "g is surjective on every level"
+        if lift is None:
+            raise AssertionError("g is surjective on every level")
         # any preimage works: B_k is killed by p^k, so the order is exactly p^k
         y = level_seq.B.element(lift)
         for j in range(k - 1, n - 1):

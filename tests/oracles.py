@@ -11,7 +11,7 @@ import math
 from itertools import combinations, product
 
 from kummer.groups import GroupElement
-from kummer.matrices import IntMatrix, smith_normal_form
+from kummer.matrices import IntMatrix, lattice_intersection, smith_normal_form
 from kummer.sequences import ShortExactSequence
 
 
@@ -96,3 +96,24 @@ def snf_solve(mat: IntMatrix, rhs: tuple[int, ...]):
         if d:
             w[i] = t // d
     return dec.V.apply(w)
+
+
+def lattice_purity_comparisons(seq: ShortExactSequence,
+                               ns) -> tuple[tuple[int, bool], ...]:
+    """(n, nA == A ∩ nB) for each n, by comparing the Hermite forms of the
+    preimages in Z^g of nA and of A ∩ nB (the lattices are taken together
+    with B's relations, so equal forms mean equal subgroups of B)."""
+    b_group = seq.B
+    fa = seq.f.matrix
+    a_lat = b_group.span(fa).matrix
+    n_b_gens = IntMatrix.identity(b_group.generator_count)
+    out = []
+    for n in ns:
+        if n == 0:
+            out.append((0, True))
+            continue
+        n_a = b_group.span(fa.scaled(n)).matrix
+        n_b = b_group.span(n_b_gens.scaled(n)).matrix
+        out.append((n, n_a == b_group.span(
+            lattice_intersection(a_lat, n_b)).matrix))
+    return tuple(out)

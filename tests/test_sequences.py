@@ -1,14 +1,21 @@
+import ast
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import kummer
+from kummer.arith import divisors
 from kummer.errors import InputError, NotExactError, PurityError, UnsupportedError
 from kummer.groups import (
     FgAbGroup,
     Homomorphism,
+    cokernel,
     direct_sum,
+    subgroup_generated,
 )
 from kummer.matrices import IntMatrix
 from kummer.sequences import (
@@ -30,8 +37,12 @@ from kummer.sequences import (
     split_sequence,
 )
 
-from kummer.fixtures import random_subgroup_sequence
-from oracles import brute_same_order_lift, verify_section_on_all
+from kummer.fixtures import random_finite_group, random_subgroup_sequence
+from oracles import (
+    brute_same_order_lift,
+    lattice_purity_comparisons,
+    verify_section_on_all,
+)
 
 
 def impure_sequence():
@@ -228,6 +239,54 @@ def test_purity_with_moduli_for_infinite_middle():
     cert = is_pure(seq, moduli=[2, 4])
     assert not cert
     assert "moduli" in cert.scope
+
+
+def multiples_sequence(rng: random.Random, b: FgAbGroup):
+    """0 -> A -> B -> B/A -> 0 for A generated by up to two random multiples
+    k·x (k <= 4), so that many of these sequences are impure."""
+    picks = []
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randint(1, 4)
+        picks.append(b.element(tuple(k * rng.randint(-6, 6)
+                                     for _ in range(b.generator_count))))
+    _, inc = subgroup_generated(b, picks)
+    _, proj = cokernel(inc)
+    return check_exact(inc, proj)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10_000), st.booleans(),
+       st.lists(st.integers(2, 40), max_size=5))
+def test_purity_comparisons_match_the_lattice_oracle(seed, finite, extra):
+    """Every per-n verdict, with the default divisors of exp(B) and with
+    explicit moduli (always 0, 1 and some n not dividing exp(B)); the
+    middle group is a mixed finite presentation or Z^r ⊕ Z/k_1 ⊕ ..."""
+    rng = random.Random(seed)
+    if finite:
+        seq = multiples_sequence(rng, random_finite_group(rng, 64))
+        exp_b = int(seq.B.exponent)
+        ns = divisors(exp_b)
+        assert is_pure(seq).comparisons == lattice_purity_comparisons(seq, ns)
+        extra = extra + [exp_b + 1]
+    else:
+        orders = [0] * rng.randint(1, 2) + [rng.randint(1, 12)
+                                            for _ in range(rng.randint(0, 2))]
+        seq = multiples_sequence(rng, FgAbGroup.of_orders(*orders))
+    ns = sorted(set([0, 1] + extra))
+    cert = is_pure(seq, moduli=ns)
+    assert cert.comparisons == lattice_purity_comparisons(seq, ns)
+    assert cert.pure == all(ok for _, ok in cert.comparisons)
+
+
+def test_no_assert_statements_in_the_library():
+    """Checks that guard returned results raise, so ``python -O`` keeps
+    them."""
+    src = Path(kummer.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_section_constructor_verifies():
