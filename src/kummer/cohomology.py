@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .arith import is_prime
 from .errors import InputError, UnsupportedError
@@ -143,9 +143,9 @@ class GModuleSequence:
 class Subquotient:
     """A group of the form (subgroup of ambient) / (image inside it).
 
-    class_of sends an ambient element lying in the subgroup to its class;
-    representative picks an ambient element for a class. Round trips agree
-    up to the divided-out image.
+    classes_of sends ambient elements lying in the subgroup to their
+    classes; representatives picks an ambient element for each class.
+    Round trips agree up to the divided-out image.
     """
 
     group: FgAbGroup
@@ -153,32 +153,29 @@ class Subquotient:
     include: Homomorphism
     project: Homomorphism
 
-    def class_of(self, x: GroupElement) -> GroupElement:
-        if x.group != self.ambient:
+    def classes_of(self, xs: Sequence[GroupElement]) -> list[GroupElement]:
+        if any(x.group != self.ambient for x in xs):
             raise InputError("element does not live in the ambient group")
-        sol = self.ambient.solve(self.include.matrix, x.coords)
-        if sol is None:
+        sols = self.ambient.solve_columns(self.include.matrix, [x.coords for x in xs])
+        if sols is None:
             raise InputError("element does not lie in the numerator subgroup")
-        return self.project(self.include.source.element(sol))
+        return [self.project(self.include.source.element(sol)) for sol in sols]
 
-    def representative(self, q: GroupElement) -> GroupElement:
-        if q.group != self.group:
+    def representatives(self, qs: Sequence[GroupElement]) -> list[GroupElement]:
+        if any(q.group != self.group for q in qs):
             raise InputError("class does not live in this subquotient")
-        sol = self.group.solve(self.project.matrix, q.coords)
-        if sol is None:
+        sols = self.group.solve_columns(self.project.matrix, [q.coords for q in qs])
+        if sols is None:
             raise AssertionError("projections are onto")
-        return self.include(self.project.source.element(sol))
+        return [self.include(self.project.source.element(sol)) for sol in sols]
 
 
 def _corestrict(h: Homomorphism, inc: Homomorphism) -> Homomorphism:
     """Factor h through a subgroup inclusion containing its image."""
-    images = []
-    for gen in h.source.generators():
-        sol = inc.target.solve(inc.matrix, h(gen).coords)
-        if sol is None:
-            raise InputError("map does not land in the subgroup")
-        images.append(inc.source.element(sol))
-    return hom_from_images(h.source, inc.source, images)
+    sols = inc.target.solve_columns(inc.matrix, [h(x).coords for x in h.source.generators()])
+    if sols is None:
+        raise InputError("map does not land in the subgroup")
+    return hom_from_images(h.source, inc.source, [inc.source.element(sol) for sol in sols])
 
 
 def _tate_subquotient(module: CyclicGroupModule, num: Homomorphism,
@@ -328,25 +325,21 @@ def les_multiplication_by_p(module: CyclicGroupModule,
     tate_bar = tate_cohomology(reduced)
     h1, h1_bar, h2 = tate.minus_one, tate_bar.minus_one, tate.zero
 
-    j_images = []
-    for gen in h1.group.generators():
-        rep = h1.representative(gen)
-        j_images.append(h1_bar.class_of(reduced.group.element(rep.coords)))
-    j = hom_from_images(h1.group, h1_bar.group, j_images)
+    reps = h1.representatives(h1.group.generators())
+    j = hom_from_images(h1.group, h1_bar.group, h1_bar.classes_of(
+        [reduced.group.element(rep.coords) for rep in reps]))
 
-    delta_images = []
-    for gen in h1_bar.group.generators():
-        rep = h1_bar.representative(gen)
-        norm_of_lift = module.norm(module.group.element(rep.coords))
-        g = module.group.generator_count
-        sol = module.group.solve(IntMatrix.identity(g).scaled(p), norm_of_lift.coords)
-        if sol is None:
-            raise AssertionError("norm of a mod-p cocycle is divisible by p")
-        y = module.group.element(sol)
-        if module.difference(y):
-            raise AssertionError("divided norm lies in ker T")
-        delta_images.append(h2.class_of(y))
-    delta = hom_from_images(h1_bar.group, h2.group, delta_images)
+    g = module.group.generator_count
+    norms = [module.norm(module.group.element(rep.coords))
+             for rep in h1_bar.representatives(h1_bar.group.generators())]
+    sols = module.group.solve_columns(IntMatrix.identity(g).scaled(p),
+                                      [norm.coords for norm in norms])
+    if sols is None:
+        raise AssertionError("norm of a mod-p cocycle is divisible by p")
+    ys = [module.group.element(sol) for sol in sols]
+    if any(module.difference(y) for y in ys):
+        raise AssertionError("divided norm lies in ker T")
+    delta = hom_from_images(h1_bar.group, h2.group, h2.classes_of(ys))
 
     return ConnectingSequence(sequence=check_exact(j, delta),
                               left=h1, middle=h1_bar, right=h2)

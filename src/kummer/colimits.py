@@ -223,12 +223,10 @@ def counterexample_tower(p: int) -> ColimitTower:
             IntMatrix.identity(k), IntMatrix.zeros(1, k)))
         eta = Homomorphism(lo.C, hi.C, IntMatrix.from_rows([[p]]))
         # phi is the restriction of psi to the kernels, solved columnwise
-        cols = []
-        for j in range(lo.A.generator_count):
-            sol = hi.B.solve(hi.f.matrix, psi.matrix.apply(lo.f.matrix.col(j)))
-            if sol is None:
-                raise InputError("psi does not preserve the kernel")
-            cols.append(sol)
+        cols = hi.B.solve_columns(hi.f.matrix, [psi.matrix.apply(lo.f.matrix.col(j))
+                                                for j in range(lo.A.generator_count)])
+        if cols is None:
+            raise InputError("psi does not preserve the kernel")
         phi = Homomorphism(lo.A, hi.A, IntMatrix.from_columns(hi.A.generator_count, cols))
         if not (hi.f @ phi).same_map(psi @ lo.f):
             raise InputError("kernel restriction failed to commute")

@@ -28,8 +28,8 @@ from .matrices import (
     int_tuple,
     preimage_lattice,
     smith_normal_form,
-    solve_integer_system,
-    solve_modular,
+    solve_integer_columns,
+    solve_modular_columns,
 )
 
 __all__ = [
@@ -209,19 +209,28 @@ class FgAbGroup:
         return hermite_column_form(hstack(cols, self.relations))
 
     def solve(self, mat: IntMatrix, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """Some integer x with mat @ x = rhs in this group, or None.
+        """Some integer x with mat @ x = rhs in this group, or None: the
+        one-column case of ``solve_columns``."""
+        sols = self.solve_columns(mat, [rhs])
+        return None if sols is None else sols[0]
+
+    def solve_columns(self, mat: IntMatrix, rhss: Sequence[Sequence[int]]
+                      ) -> Optional[list[tuple[int, ...]]]:
+        """For each rhs, some integer x with mat @ x = rhs in this group; or
+        None if some rhs has none.
 
         That is, mat @ x - rhs lies in the relation lattice. A finite group's
         lattice contains exponent * Z^g, so there the congruence is solved
         with arithmetic modulo the exponent (Cohen, GTM 138, §2.4), which
-        keeps coefficients small; the answer is the same as over Z.
+        keeps coefficients small; the answer is the same as over Z. One
+        elimination of [mat | relations] serves every rhs.
         """
         big, m = hstack(mat, self.relations), common_exponent(self)
-        sol = solve_integer_system(big, rhs) if m is None else solve_modular(big, rhs, m)
-        return None if sol is None else sol[:mat.cols]
+        sols = (solve_integer_columns(big, rhss) if m is None
+                else solve_modular_columns(big, rhss, m))
+        return None if None in sols else [sol[:mat.cols] for sol in sols]
 
     def __repr__(self) -> str:
-        inv = ",".join(str(d) for d in self.invariant_factors)
         parts = [f"Z/{d}" for d in self.invariant_factors]
         parts += ["Z"] * self.free_rank
         name = " + ".join(parts) if parts else "0"

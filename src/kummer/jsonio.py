@@ -180,8 +180,12 @@ def decode_matrix(doc: Any, path: str) -> IntMatrix:
         if any(not isinstance(row, list) for row in doc):
             _fail(path, "matrix rows must be arrays")
         rows = len(doc)
+        if rows > MAX_COUNT:
+            _fail(path, f"expected at most {MAX_COUNT} rows")
         cols = len(doc[0]) if doc else 0
         for i, row in enumerate(doc):
+            if len(row) > MAX_COUNT:
+                _fail(f"{path}[{i}]", f"expected at most {MAX_COUNT} entries")
             if len(row) != cols:
                 _fail(f"{path}[{i}]", f"expected {cols} entries, got "
                       f"{len(row)}")

@@ -25,7 +25,9 @@ __all__ = [
     "preimage_lattice",
     "lattice_intersection",
     "solve_integer_system",
+    "solve_integer_columns",
     "solve_modular",
+    "solve_modular_columns",
     "determinant",
     "hstack",
     "vstack",
@@ -547,47 +549,62 @@ def lattice_intersection(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
 
 
 def solve_integer_system(mat: IntMatrix, rhs: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """One integer solution x of mat @ x = rhs, or None.
+    """One integer solution x of mat @ x = rhs, or None (one column)."""
+    return solve_integer_columns(mat, [rhs])[0]
+
+
+def solve_integer_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]]
+                          ) -> list[Optional[tuple[int, ...]]]:
+    """One integer solution x of mat @ x = rhs, or None, for each rhs.
 
     Back-substitution through the Hermite form H of the column lattice
     gives the coordinates y of rhs in H, or shows that rhs is outside it;
     the transform T of the same pass turns y into x = sum of y_s times row
-    s of T (Cohen, GTM 138, §2.4). Congruences modulo a relation lattice
-    are solved by the group layer (``FgAbGroup.solve``,
-    ``groups.solve_congruences``), which chooses a sound modulus itself.
+    s of T (Cohen, GTM 138, §2.4). H and T are built once for every rhs.
+    Congruences modulo a relation lattice are solved by the group layer
+    (``FgAbGroup.solve_columns``, ``groups.solve_congruences``), which
+    chooses a sound modulus itself.
     """
-    if len(rhs) != mat.rows:
+    if any(len(rhs) != mat.rows for rhs in rhss):
         raise InputError("right-hand side length does not match row count")
     form, t = _tracked_form(mat)
-    y = form.coordinates(rhs)
-    if y is None:
-        return None
-    return tuple(sum(ys * ts[j] for ys, ts in zip(y, t)) for j in range(mat.cols))
+    ys = [form.coordinates(rhs) for rhs in rhss]
+    return [None if y is None else
+            tuple(sum(yi * ti[j] for yi, ti in zip(y, t)) for j in range(mat.cols)) for y in ys]
 
 
 def solve_modular(mat: IntMatrix, rhs: Sequence[int], m: int
                   ) -> Optional[tuple[int, ...]]:
-    """Solve mat @ x = rhs over Z/m (any m >= 1), or None.
+    """Solve mat @ x = rhs over Z/m (any m >= 1), or None (one column)."""
+    return solve_modular_columns(mat, [rhs], m)[0]
+
+
+def solve_modular_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]], m: int
+                          ) -> list[Optional[tuple[int, ...]]]:
+    """Solve mat @ x = rhs over Z/m (any m >= 1), or None, for each rhs.
 
     Diagonalizes by row/column operations with every entry kept reduced to
-    the symmetric range, so entries never exceed m in size. Deterministic:
+    the symmetric range, so entries never exceed m in size. The right-hand
+    sides ride along as extra columns that take every row operation and
+    no column operation; pivots are chosen among the columns of mat only,
+    so each answer is the one a single-column solve gives. Deterministic:
     pivot is the smallest nonzero absolute value, leftmost-topmost ties.
     """
-    if len(rhs) != mat.rows:
+    if any(len(rhs) != mat.rows for rhs in rhss):
         raise InputError("right-hand side length does not match row count")
     if m < 1:
         raise InputError("modulus must be positive")
     r, c = mat.rows, mat.cols
     if m == 1:
-        return (0,) * c
+        return [(0,) * c for _ in rhss]
     half = m // 2
 
     def red(x: int) -> int:
         x %= m
         return x - m if x > half else x
 
-    a = [[red(mat[i, j]) for j in range(c)] for i in range(r)]
-    b = [red(x) for x in int_tuple(rhs)]
+    rhss = [int_tuple(rhs) for rhs in rhss]
+    a = [[red(x) for x in (*mat.row(i), *(rhs[i] for rhs in rhss))] for i in range(r)]
     v = [[int(i == j) for j in range(c)] for i in range(c)]
 
     t = 0
@@ -605,7 +622,6 @@ def solve_modular(mat: IntMatrix, rhs: Sequence[int], m: int
         if best is None:
             break
         a[bi], a[t] = a[t], a[bi]
-        b[bi], b[t] = b[t], b[bi]
         if bj != t:
             for i in range(r):
                 a[i][bj], a[i][t] = a[i][t], a[i][bj]
@@ -614,14 +630,12 @@ def solve_modular(mat: IntMatrix, rhs: Sequence[int], m: int
             recheck = False
             for i in range(t + 1, r):
                 if a[i][t]:
-                    q, rem = divmod(a[i][t], a[t][t])
+                    q = a[i][t] // a[t][t]
                     ai, at = a[i], a[t]
-                    for j in range(c):
+                    for j in range(len(ai)):
                         ai[j] = red(ai[j] - q * at[j])
-                    b[i] = red(b[i] - q * b[t])
                     if ai[t]:
                         a[i], a[t] = a[t], a[i]
-                        b[i], b[t] = b[t], b[i]
                         recheck = True
             if recheck:
                 continue
@@ -642,20 +656,23 @@ def solve_modular(mat: IntMatrix, rhs: Sequence[int], m: int
                 break
         t += 1
 
-    w = [0] * c
-    for i in range(r):
-        rhs_i = b[i] % m
-        d = a[i][i] % m if i < mdim else 0
-        if d:
-            g = math.gcd(d, m)
-            if rhs_i % g:
+    def back(col: int) -> Optional[tuple[int, ...]]:
+        w = [0] * c
+        for i in range(r):
+            rhs_i = a[i][col] % m
+            d = a[i][i] % m if i < mdim else 0
+            if d:
+                g = math.gcd(d, m)
+                if rhs_i % g:
+                    return None
+                mg = m // g
+                if mg > 1:
+                    w[i] = ((rhs_i // g) * pow((d // g) % mg, -1, mg)) % mg
+            elif rhs_i:
                 return None
-            mg = m // g
-            if mg > 1:
-                w[i] = ((rhs_i // g) * pow((d // g) % mg, -1, mg)) % mg
-        elif rhs_i:
-            return None
-    return tuple(sum(v[j][i] * w[j] for j in range(c)) % m for i in range(c))
+        return tuple(sum(v[j][i] * w[j] for j in range(c)) % m for i in range(c))
+
+    return [back(col) for col in range(c, c + len(rhss))]
 
 
 def determinant(mat: IntMatrix) -> int:

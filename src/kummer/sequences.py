@@ -371,12 +371,9 @@ def retraction_from_section(seq: ShortExactSequence, s: Section) -> Homomorphism
     """r: B -> A with r∘f = id, via r(b) = f⁻¹(b - s(g(b)))."""
     gb = seq.B.generator_count
     proj = IntMatrix.identity(gb) - s.s.matrix @ seq.g.matrix
-    cols = []
-    for j in range(gb):
-        sol = seq.B.solve(seq.f.matrix, proj.col(j))
-        if sol is None:
-            raise InputError("b - s(g(b)) left the image of f")  # impossible
-        cols.append(sol)
+    cols = seq.B.solve_columns(seq.f.matrix, [proj.col(j) for j in range(gb)])
+    if cols is None:
+        raise InputError("b - s(g(b)) left the image of f")  # impossible
     r = Homomorphism(seq.B, seq.A, IntMatrix.from_columns(seq.A.generator_count, cols))
     if not (r @ seq.f).is_identity():
         raise InputError("retraction verification failed")
@@ -390,13 +387,11 @@ def section_from_retraction(seq: ShortExactSequence, r: Homomorphism) -> Section
     if not (r @ seq.f).is_identity():
         raise InputError("not a retraction: r∘f is not the identity")
     fr = seq.f.matrix @ r.matrix
-    cols = []
-    for c in seq.C.generators():
-        b = seq.C.solve(seq.g.matrix, c.coords)
-        if b is None:
-            raise InputError("g is not surjective")  # impossible for a SES
-        cols.append(tuple(x - y for x, y in zip(b, fr.apply(b))))
-    mat = IntMatrix.from_columns(seq.B.generator_count, cols)
+    bs = seq.C.solve_columns(seq.g.matrix, [c.coords for c in seq.C.generators()])
+    if bs is None:
+        raise InputError("g is not surjective")  # impossible for a SES
+    mat = IntMatrix.from_columns(seq.B.generator_count,
+                                 [tuple(x - y for x, y in zip(b, fr.apply(b))) for b in bs])
     return Section(seq, Homomorphism(seq.C, seq.B, mat))
 
 

@@ -130,7 +130,12 @@ def test_5000_digit_integers_round_trip(verb, doc, key, expected):
     ("snf", '{"rows":1%s,"cols":1,"data":["1"]}' % ("0" * 5000), "$.rows"),
     ("group", '{"generators":1%s,"relations":{"rows":0,"cols":0,"data":[]}}'
      % ("0" * 5000), "$.generators"),
-], ids=["rows", "generators"])
+    ("snf", json.dumps([[1]] * 1001), "$"),
+    ("snf", json.dumps([[1] * 3000]), "$[0]"),
+    ("snf", json.dumps([[1, 2], [1] * 1001]), "$[1]"),
+    ("group", json.dumps({"generators": 1, "relations": [[1] * 1001]}), "$.relations[0]"),
+], ids=["rows", "generators", "list-rows", "list-entries", "list-later-row",
+        "list-relations"])
 def test_counts_past_the_cap_are_input_errors(verb, doc, path):
     res = run_cli([verb], doc)
     assert res.returncode == 2

@@ -102,14 +102,16 @@ def test_subquotient_round_trip_and_membership_guard():
     model = tate_model(3)
     tate = tate_cohomology(model)
     sq = tate.minus_one
-    for q in sq.group.elements():
-        rep = sq.representative(q)
-        assert sq.class_of(rep) == q
-        assert model.norm(rep) == model.group.zero
+    classes = list(sq.group.elements())
+    reps = sq.representatives(classes)
+    assert sq.classes_of(reps) == classes
+    assert all(model.norm(rep) == model.group.zero for rep in reps)
     outside = model.group.generator(0)
     if model.norm(outside) != model.group.zero:
         with pytest.raises(InputError):
-            sq.class_of(outside)
+            sq.classes_of([outside])
+        with pytest.raises(InputError):
+            sq.classes_of([*reps, outside])
 
 
 def test_augmentation_fixture_splits_plainly_but_not_equivariantly():

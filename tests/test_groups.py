@@ -206,6 +206,38 @@ def _draw_matrix(data, rows, cols):
     return IntMatrix(rows, cols, tuple(data.draw(entries) for _ in range(rows * cols)))
 
 
+# finite groups take the modular path, presented ones with free rank the
+# exact path, and the trivial groups the m = 1 shortcut
+solve_groups = st.one_of(finite_groups, presented_groups,
+                         st.integers(1, 3).map(lambda g: FgAbGroup.of_orders(*[1] * g)))
+
+
+@settings(max_examples=150)
+@given(solve_groups, st.data())
+def test_solve_columns_is_solve_on_each_column(g, data):
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+    mat = _draw_matrix(data, g.generator_count, n)
+    rhss = []
+    for _ in range(k):
+        kind = data.draw(st.sampled_from(["planted", "random", "outside"]))
+        if kind == "planted":
+            x = _draw_matrix(data, n, 1)
+            y = _draw_matrix(data, g.relations.cols, 1)
+            rhss.append((mat @ x + g.relations @ y).col(0))
+        elif kind == "random":
+            rhss.append(_draw_matrix(data, g.generator_count, 1).col(0))
+        else:  # the first generator outside the span, when there is one
+            j = g.span(mat).outside(IntMatrix.identity(g.generator_count))
+            if j is not None:
+                rhss.append(g.generator(j).coords)
+                assert g.solve(mat, rhss[-1]) is None
+    singles = [g.solve(mat, rhs) for rhs in rhss]
+    batched = g.solve_columns(mat, rhss)
+    assert (batched is None) == (None in singles)
+    if batched is not None:
+        assert batched == singles
+
+
 @settings(max_examples=100)
 @given(any_groups, any_groups, st.booleans(), st.data())
 def test_solve_congruences_matches_exact_slack_solve(g1, g2, planted, data):
