@@ -203,9 +203,9 @@ def _cmd_limit_split(args) -> tuple[dict, int]:
     if case == 2:
         evidence = CaseTwoEvidence(level=level)
     elif case == 1:
-        precision = (args.precision if args.precision is not None
-                     else doc.get("precision"))
-        precision = (jsonio.decode_count(precision, "$.precision")
+        precision, path = ((args.precision, "--precision") if args.precision is not None
+                           else (doc.get("precision"), "$.precision"))
+        precision = (jsonio.decode_count(precision, path)
                      if precision is not None else None)
         if family == "divisible":
             evidence = divisible_case_one_evidence(tower, level, precision)
@@ -268,14 +268,8 @@ def _cmd_gmod_cohomology(args) -> tuple[dict, int]:
 
 
 def _cmd_gmod_split(args) -> tuple[dict, int]:
-    doc = _read_document(args)
-    if not isinstance(doc, dict):
-        raise InputError("$: expected an object")
-    if "p" not in doc:
-        raise InputError("$: missing field 'p'")
-    p = jsonio.decode_int(doc["p"], "$.p")
-    seq = jsonio.decode_gmodule_seq(doc)
-    section = equivariant_section_exists(seq, p)
+    seq = jsonio.decode_gmodule_seq(_read_document(args))
+    section = equivariant_section_exists(seq)
     plain = section_exists(seq.sequence)
     payload = {"equivariant": section is not None,
                "plain": plain is not None}

@@ -10,13 +10,12 @@ whole story.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .arith import is_prime
-from .errors import InputError, UnsupportedError
+from .errors import InputError
 from .groups import (
     FgAbGroup,
     GroupElement,
@@ -66,10 +65,10 @@ class CyclicGroupModule:
             raise InputError(f"sigma does not have order dividing {self.d}")
 
     def power(self, i: int) -> Homomorphism:
-        out = Homomorphism.identity(self.group)
+        mat = IntMatrix.identity(self.group.generator_count)
         for _ in range(i):
-            out = self.sigma @ out
-        return out
+            mat = self.sigma.matrix @ mat
+        return Homomorphism(self.group, self.group, mat)
 
     @cached_property
     def norm(self) -> Homomorphism:
@@ -214,21 +213,13 @@ def is_cohomologically_trivial(module: CyclicGroupModule) -> bool:
     return tate.minus_one.group.is_trivial and tate.zero.group.is_trivial
 
 
-def equivariant_section_exists(seq: GModuleSequence,
-                               p: int) -> Optional[GModuleMap]:
-    """A section of g commuting with the action, for modules killed by p.
+def equivariant_section_exists(seq: GModuleSequence) -> Optional[GModuleMap]:
+    """A section of g commuting with the action, or None.
 
-    Solved as one congruence system: the section condition, its
-    well-definedness, and the commuting condition.
+    Decided for any finitely generated modules, finite or not, as one
+    congruence system: the section condition, its well-definedness, and
+    the commuting condition.
     """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    for module in (seq.B, seq.C):
-        exp = module.group.exponent
-        if exp == math.inf or int(exp) not in (1, p):
-            raise UnsupportedError(
-                "equivariant splitting is only decided for modules killed "
-                f"by {p}")
     b_grp, c_grp = seq.B.group, seq.C.group
     gb, gc = b_grp.generator_count, c_grp.generator_count
     rc = c_grp.relations
@@ -410,7 +401,7 @@ def chris_verify(p: int) -> ChrisReport:
     les = les_multiplication_by_p(model, p)
     middle_inv = les.middle.group.invariant_factors
     fixture = regular_extension_fixture(p)
-    equivariant = equivariant_section_exists(fixture, p)
+    equivariant = equivariant_section_exists(fixture)
     plain = section_exists(fixture.sequence)
     inference = [
         f"both Tate groups of the divided-norm module are cyclic of "

@@ -290,14 +290,8 @@ def divisible_tower(p: int) -> ColimitTower:
 
 
 def level_sections(t: ColimitTower, n: int) -> Optional[Section]:
-    """A section of g_n. Explicit for the counterexample family
-    (the last coordinate maps onto the generator), solved generically
-    otherwise."""
-    seq = t.sequence(n)
-    if t.family == "counterexample":
-        col = IntMatrix(n, 1, (0,) * (n - 1) + (1,))
-        return Section(seq, Homomorphism(seq.C, seq.B, col))
-    return section_exists(seq)
+    """A verified section of g_n, or None."""
+    return section_exists(t.sequence(n))
 
 
 @dataclass(frozen=True)

@@ -457,14 +457,14 @@ class HermiteColumnForm:
         if len(vec) != self.matrix.rows:
             raise InputError("vector length does not match lattice ambient rank")
         v = list(int_tuple(vec))
-        h = self.matrix
+        h, stride = self.matrix.data, self.matrix.cols
         quotients = []
         for prow, pcol in self.pivots:
-            q = v[prow] // h[prow, pcol]
+            q = v[prow] // h[prow * stride + pcol]
             quotients.append(q)
             if q:
-                for i in range(prow, h.rows):
-                    v[i] -= q * h[i, pcol]
+                for i, x in enumerate(h[prow * stride + pcol::stride], prow):
+                    v[i] -= q * x
         return v, quotients
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:

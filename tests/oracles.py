@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
+from typing import Optional
+
 from kummer.groups import GroupElement
 from kummer.matrices import IntMatrix, lattice_intersection, smith_normal_form
 from kummer.sequences import ShortExactSequence
@@ -64,6 +66,28 @@ def brute_same_order_lift(seq: ShortExactSequence,
         if seq.g(b) == c and b.order() == target:
             return True
     return False
+
+
+def brute_equivariant_section(seq) -> Optional[list[GroupElement]]:
+    """Images of C's generators under some equivariant section of g, or
+    None. Searches every assignment of elements of B to the generators of
+    C for one that kills C's relators, lifts each generator through g and
+    commutes with the two actions on every generator. Finite B only."""
+    b, c = seq.B.group, seq.C.group
+
+    def image(images, coords) -> GroupElement:
+        return b.element([sum(x * y.coords[i] for x, y in zip(coords, images))
+                          for i in range(b.generator_count)])
+
+    gens = c.generators()
+    lifts = [[y for y in b.elements() if seq.g(y) == x] for x in gens]
+    rel = c.relations
+    for images in product(*lifts):
+        if (not any(image(images, rel.col(j)) for j in range(rel.cols))
+                and all(seq.B.sigma(y) == image(images, seq.C.sigma(x).coords)
+                        for x, y in zip(gens, images))):
+            return list(images)
+    return None
 
 
 def verify_section_on_all(seq: ShortExactSequence, s) -> bool:

@@ -287,7 +287,7 @@ def test_criterion_10_mod_p_obstruction_reproduction():
         tate = tate_cohomology(tate_model(p))
         assert not tate.minus_one.group.is_trivial
         fixture = regular_extension_fixture(p)
-        assert equivariant_section_exists(fixture, p) is None
+        assert equivariant_section_exists(fixture) is None
         assert section_exists(fixture.sequence) is not None
         assert elapsed < 5.0, (p, elapsed)
     _passed(10, "p in {3,5,7}: H1 of the mod-p reduction is (p, p), "

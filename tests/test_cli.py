@@ -254,6 +254,48 @@ def test_gmod_split_verbs():
     assert coh.returncode == 0
 
 
+def _gmod_doc(seq, **extra) -> str:
+    from test_cli_golden import _module
+
+    return json.dumps({"schema": 1, **extra, "A": _module(seq.A), "B": _module(seq.B),
+                       "C": _module(seq.C), "f": jsonio.encode_matrix(seq.f.hom.matrix),
+                       "g": jsonio.encode_matrix(seq.g.hom.matrix)})
+
+
+def test_gmod_split_reads_no_p():
+    from test_cli_golden import CASES
+
+    doc = json.loads(CASES["gmod-split"][1]())
+    expected = run_cli(["gmod-split"], json.dumps(doc))
+    assert expected.returncode == 1
+    for p in (None, 4, "x", [], HUGE):
+        variant = {key: value for key, value in doc.items() if key != "p"}
+        if p is not None:
+            variant["p"] = p
+        res = run_cli(["gmod-split"], json.dumps(variant))
+        assert (res.stdout, res.stderr, res.returncode) == (
+            expected.stdout, expected.stderr, expected.returncode), p
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 6])
+def test_gmod_split_decides_modules_not_killed_by_p(seed):
+    """Exit 0 with a checked section, or 1, as the brute-force search says."""
+    from oracles import brute_equivariant_section
+    from test_cohomology import regular_plus_trivial_sequence
+
+    seq = regular_plus_trivial_sequence(random.Random(seed))
+    res = run_cli(["gmod-split"], _gmod_doc(seq, p=2))
+    brute = brute_equivariant_section(seq)
+    assert res.returncode == (1 if brute is None else 0), res.stdout
+    out = json.loads(res.stdout)
+    assert out["equivariant"] is (brute is not None)
+    if brute is not None:
+        s = Homomorphism(seq.C.group, seq.B.group,
+                         jsonio.decode_matrix(out["section"], "$.section"))
+        assert (seq.g.hom @ s).is_identity()
+        assert (s @ seq.C.sigma).same_map(seq.B.sigma @ s)
+
+
 def test_demos_are_deterministic():
     for name in ("main-lemma", "counterexample", "dual-lemma",
                  "direct-limit", "chris"):
@@ -340,8 +382,11 @@ def test_hostile_values_are_input_errors_with_a_path(verb, doc, path):
     (["limit-split"], '{"family":"counterexample","case":1,"level":1000}', "$.level"),
     (["limit-split"], '{"family":"divisible","case":1,"precision":1%s}' % ("0" * 5000),
      "$.precision"),
+    (["limit-split", "--precision", "100000"], '{"family":"divisible","case":1,"level":2}',
+     "--precision"),
     (["limit-split"], '{"family":"stabilizing","n0":1%s}' % ("0" * 5000), "$.n0"),
-], ids=["depth", "demo-depth", "chris-p", "tower-n", "level", "precision", "n0"])
+], ids=["depth", "demo-depth", "chris-p", "tower-n", "level", "precision", "precision-flag",
+        "n0"])
 def test_structural_parameters_past_their_cap_fail_fast(argv, doc, path):
     res = subprocess.run([sys.executable, "-m", "kummer", *argv], input=doc,
                          capture_output=True, text=True, timeout=20)

@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -18,10 +19,13 @@ from kummer.cohomology import (
     tate_cohomology,
     tate_model,
 )
-from kummer.errors import InputError, UnsupportedError
-from kummer.groups import FgAbGroup, Homomorphism, direct_sum
+from kummer.arith import is_prime
+from kummer.errors import InputError
+from kummer.groups import FgAbGroup, Homomorphism, direct_sum, hom_from_images, kernel
 from kummer.matrices import IntMatrix
 from kummer.sequences import section_exists
+
+from oracles import brute_equivariant_section
 
 
 def test_negation_action_on_z():
@@ -118,7 +122,7 @@ def test_augmentation_fixture_splits_plainly_but_not_equivariantly():
     for p in (2, 3, 5):
         seq = regular_extension_fixture(p)
         assert section_exists(seq.sequence) is not None
-        assert equivariant_section_exists(seq, p) is None
+        assert equivariant_section_exists(seq) is None
 
 
 def test_trivial_action_direct_sum_splits_equivariantly():
@@ -130,14 +134,14 @@ def test_trivial_action_direct_sum_splits_equivariantly():
     mod_a = CyclicGroupModule(1, zp, Homomorphism.identity(zp))
     seq = GModuleSequence(GModuleMap(mod_a, mod_b, ds.injections[0]),
                           GModuleMap(mod_b, mod_a, ds.projections[1]))
-    s = equivariant_section_exists(seq, p)
+    s = equivariant_section_exists(seq)
     assert s is not None
     for c in zp.elements():
         assert seq.g(s(c)) == c
 
 
-def test_equivariant_check_requires_p_bounded_modules():
-    p = 2
+def test_equivariant_check_decides_modules_not_killed_by_a_prime():
+    """0 -> Z/2 -> Z/4 -> Z/2 -> 0 with the trivial action does not split."""
     z4 = FgAbGroup.cyclic(4)
     mod = CyclicGroupModule(1, z4, Homomorphism.identity(z4))
     sub = CyclicGroupModule(1, FgAbGroup.cyclic(2),
@@ -147,8 +151,130 @@ def test_equivariant_check_requires_p_bounded_modules():
                                           IntMatrix.from_rows([[2]]))),
         GModuleMap(mod, sub, Homomorphism(z4, sub.group,
                                           IntMatrix.from_rows([[1]]))))
-    with pytest.raises(UnsupportedError):
-        equivariant_section_exists(seq, p)
+    assert equivariant_section_exists(seq) is None
+    assert brute_equivariant_section(seq) is None
+
+
+def _perm(d: int) -> list[list[int]]:
+    return [[int(i == (j + 1) % d) for j in range(d)] for i in range(d)]
+
+
+def _with_kernel(b_mod: CyclicGroupModule, c_mod: CyclicGroupModule,
+                 g_rows) -> GModuleSequence:
+    """0 -> ker g -> B -> C -> 0 with the action restricted to ker g."""
+    g = Homomorphism(b_mod.group, c_mod.group, IntMatrix.from_rows(g_rows))
+    a_grp, inc = kernel(g)
+    sols = b_mod.group.solve_columns(
+        inc.matrix, [b_mod.sigma(inc(x)).coords for x in a_grp.generators()])
+    sigma_a = hom_from_images(a_grp, a_grp, [a_grp.element(x) for x in sols])
+    a_mod = CyclicGroupModule(b_mod.d, a_grp, sigma_a)
+    return GModuleSequence(GModuleMap(a_mod, b_mod, inc),
+                           GModuleMap(b_mod, c_mod, g))
+
+
+def regular_plus_trivial_sequence(rng) -> GModuleSequence:
+    """B = (Z/m)[C_d] (+ Z/k with the trivial action), C = Z/n with the
+    trivial action, g equivariant and onto, A its kernel; B's exponent is
+    never prime."""
+    while True:
+        d, m = rng.choice([2, 3, 4]), rng.choice([2, 3, 4, 6, 8, 9, 12])
+        k = rng.choice([0, 0, 2, 3, 4, 6])
+        exp = math.lcm(m, k or 1)
+        if m ** d * (k or 1) > 5000 or is_prime(exp):
+            continue
+        n = rng.choice([x for x in range(2, exp + 1) if exp % x == 0])
+        a = rng.randrange(0, n, n // math.gcd(n, m))
+        b = rng.randrange(0, n, n // math.gcd(n, k)) if k else 0
+        if math.gcd(a, b, n) == 1:
+            break
+    size = d + (1 if k else 0)
+    b_grp = FgAbGroup.of_orders(*[m] * d, *[k] * (size - d))
+    sigma = [row + [0] * (size - d) for row in _perm(d)]
+    sigma += [[0] * d + [1]] * (size - d)
+    b_mod = CyclicGroupModule(d, b_grp, Homomorphism(
+        b_grp, b_grp, IntMatrix.from_rows(sigma)))
+    c_grp = FgAbGroup.cyclic(n)
+    c_mod = CyclicGroupModule(d, c_grp, Homomorphism.identity(c_grp))
+    return _with_kernel(b_mod, c_mod, [[a] * d + [b] * (size - d)])
+
+
+def induced_extension(rng, k: int) -> GModuleSequence:
+    """0 -> X[C_d] -> B -> Z/n -> 0 with X = Z/k (X = Z when k = 0) and
+    the trivial action on Z/n. B has generators e_0..e_(d-1), t with
+    n t = n y + c N and sigma t = t + (sigma - 1) y, where N is the sum of
+    the e_i; it splits plainly exactly when c N lies in n X[C_d]."""
+    d, n = rng.choice([2, 3]), rng.choice([2, 3, 4, 6])
+    y = [rng.randint(-3, 3) for _ in range(d)]
+    c = rng.randint(-6, 6)
+    perm, eye = _perm(d), [[int(i == j) for j in range(d)] for i in range(d)]
+    x_rel = [[k * x for x in row] for row in eye] if k else [[] for _ in range(d)]
+    a_grp = FgAbGroup.of_orders(*[k] * d) if k else FgAbGroup.free(d)
+    b_grp = FgAbGroup(d + 1, IntMatrix.from_rows(
+        [row + [-n * y[i] - c] for i, row in enumerate(x_rel)]
+        + [[0] * len(x_rel[0]) + [n]]))
+    b_sigma = [row + [y[i - 1] - y[i]] for i, row in enumerate(perm)] + [[0] * d + [1]]
+    a_mod = CyclicGroupModule(d, a_grp, Homomorphism(a_grp, a_grp, IntMatrix.from_rows(perm)))
+    b_mod = CyclicGroupModule(d, b_grp, Homomorphism(b_grp, b_grp,
+                                                     IntMatrix.from_rows(b_sigma)))
+    c_grp = FgAbGroup.cyclic(n)
+    c_mod = CyclicGroupModule(d, c_grp, Homomorphism.identity(c_grp))
+    f = Homomorphism(a_grp, b_grp, IntMatrix.from_rows(eye + [[0] * d]))
+    g = Homomorphism(b_grp, c_grp, IntMatrix.from_rows([[0] * d + [1]]))
+    return GModuleSequence(GModuleMap(a_mod, b_mod, f), GModuleMap(b_mod, c_mod, g))
+
+
+def _assert_equivariant_section(seq: GModuleSequence, s) -> None:
+    assert isinstance(s, GModuleMap)
+    assert (s.source, s.target) == (seq.C, seq.B)
+    assert (seq.g.hom @ s.hom).is_identity()
+    assert (s.hom @ seq.C.sigma).same_map(seq.B.sigma @ s.hom)
+
+
+def test_equivariant_sections_match_the_brute_force_oracle():
+    import random
+
+    found = []
+    for seed in range(44):
+        seq = regular_plus_trivial_sequence(random.Random(seed))
+        s = equivariant_section_exists(seq)
+        assert (s is None) == (brute_equivariant_section(seq) is None), seed
+        if s is not None:
+            _assert_equivariant_section(seq, s)
+        found.append(s is not None)
+    assert any(found) and not all(found)
+
+
+def test_equivariant_splitting_of_infinite_modules():
+    z = FgAbGroup.free(1)
+    aug = _with_kernel(regular_module(2),
+                       CyclicGroupModule(2, z, Homomorphism.identity(z)), [[1, 1]])
+    assert equivariant_section_exists(aug) is None
+    assert section_exists(aug.sequence) is not None
+    z2 = FgAbGroup.free(2)
+    proj = _with_kernel(CyclicGroupModule(3, z2, Homomorphism.identity(z2)),
+                        CyclicGroupModule(3, z, Homomorphism.identity(z)), [[0, 1]])
+    _assert_equivariant_section(proj, equivariant_section_exists(proj))
+
+
+@pytest.mark.parametrize("k", [0, 2, 3, 4, 6])
+def test_induced_kernel_splits_equivariantly_iff_plainly(k):
+    """With A induced, Hom(C, A) has no cohomology (Brown, Cohomology of
+    Groups, III.5), so the cocycle by which a plain section fails to
+    commute with sigma is a coboundary, and correcting the section by it
+    gives an equivariant one."""
+    import random
+
+    found = []
+    for seed in range(12):
+        seq = induced_extension(random.Random(seed), k)
+        s = equivariant_section_exists(seq)
+        assert (s is None) == (section_exists(seq.sequence) is None), seed
+        if s is not None:
+            _assert_equivariant_section(seq, s)
+        if k:
+            assert (s is None) == (brute_equivariant_section(seq) is None), seed
+        found.append(s is not None)
+    assert any(found) and not all(found)
 
 
 def test_les_shapes_for_the_divided_norm_module():
