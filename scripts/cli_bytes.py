@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Print one line per CLI document: argv, the sha256 of stdin, stdout and
+stderr, and the exit code.
+
+The CLI promises byte-identical output for the same input, so a change that
+should not alter output is checked by running this on two source trees and
+comparing the two listings:
+
+    python scripts/cli_bytes.py > head.txt
+    python scripts/cli_bytes.py --src ../base/src > base.txt
+    diff base.txt head.txt
+
+Every document is run as ``python -m kummer`` in a child process whose
+PYTHONPATH is the given source tree. The documents are generated here, so
+both trees see the same inputs:
+
+- the benchmark's ``cli`` workload documents for seeds 1-8 (both variants
+  of each) and seed 1's two 5,000-digit documents;
+- every demo with its --seed, --p and --depth variants;
+- ``limit-split`` for 3 families x 2 cases x p in {2, 3, 5} x level in
+  {1, 2, 3, 8};
+- ``counterexample`` for p in {2, 3, 5, 7} x depth in {2, 4, 8}.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench import workloads  # noqa: E402
+
+
+def documents() -> list[tuple[list[str], str]]:
+    """(argv, stdin) pairs in a fixed order, with repeats dropped."""
+    docs = []
+    for seed in range(1, 9):
+        cli = workloads.Cli(seed)
+        ops = [op for variant in cli.variants for op in variant]
+        if seed == 1:
+            ops += cli.big
+        docs += [(list(argv), text) for argv, text in (op.data for op in ops)]
+    for seed in (None, 1, 2, 3):
+        for name in ("main-lemma", "dual-lemma"):
+            docs.append((["demo", name] + ([] if seed is None else ["--seed", str(seed)]), ""))
+    for p in (None, 2, 3, 5, 7):
+        flag = [] if p is None else ["--p", str(p)]
+        docs += [(["demo", name, *flag], "") for name in ("counterexample", "direct-limit", "chris")]
+    docs += [(["demo", "counterexample", "--depth", str(d)], "") for d in (2, 8)]
+    for family in ("stabilizing", "divisible", "counterexample"):
+        for case in (1, 2):
+            for p in (2, 3, 5):
+                for level in (1, 2, 3, 8):
+                    doc = {"family": family, "case": case, "p": p, "level": level}
+                    docs.append((["limit-split"], json.dumps(doc, sort_keys=True)))
+    docs += [(["counterexample", "--p", str(p), "--depth", str(d)], "")
+             for p in (2, 3, 5, 7) for d in (2, 4, 8)]
+    unique = dict.fromkeys((tuple(argv), stdin) for argv, stdin in docs)
+    return [(list(argv), stdin) for argv, stdin in unique]
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="source tree whose kummer package is run (default: this one)")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for cli_argv, stdin in documents():
+        proc = subprocess.run([sys.executable, "-m", "kummer", *cli_argv], input=stdin,
+                              capture_output=True, text=True, env=env, cwd=src.parent,
+                              timeout=300)
+        print(json.dumps(cli_argv), sha(stdin), sha(proc.stdout), sha(proc.stderr),
+              proc.returncode, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -188,9 +188,7 @@ _FAMILIES = {
 
 
 def _cmd_limit_split(args) -> tuple[dict, int]:
-    doc = _read_document(args)
-    if not isinstance(doc, dict):
-        raise InputError("$: expected an object")
+    doc = jsonio._require_dict(_read_document(args), "$", ())
     family = jsonio.decode_choice(doc.get("family"), "$.family",
                                   tuple(sorted(_FAMILIES)))
     p = jsonio.decode_int(doc.get("p", 2), "$.p")
@@ -228,9 +226,7 @@ def _cmd_limit_split(args) -> tuple[dict, int]:
 
 
 def _cmd_dual(args) -> tuple[dict, int]:
-    doc = _read_document(args)
-    if not isinstance(doc, dict):
-        raise InputError("$: expected an object")
+    doc = jsonio._require_dict(_read_document(args), "$", ())
     kind = jsonio.decode_choice(doc.get("kind"), "$.kind",
                                 ("group", "hom", "seq", "tower"))
     if kind == "group":

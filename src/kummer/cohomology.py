@@ -394,11 +394,9 @@ def chris_verify(p: int) -> ChrisReport:
     """Run the whole mod-p obstruction computation for one prime."""
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    model = tate_model(p)
-    tate = tate_cohomology(model)
-    h1_inv = tate.minus_one.group.invariant_factors
-    h2_inv = tate.zero.group.invariant_factors
-    les = les_multiplication_by_p(model, p)
+    les = les_multiplication_by_p(tate_model(p), p)
+    h1_inv = les.left.group.invariant_factors
+    h2_inv = les.right.group.invariant_factors
     middle_inv = les.middle.group.invariant_factors
     fixture = regular_extension_fixture(p)
     equivariant = equivariant_section_exists(fixture)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -22,6 +23,7 @@ from .matrices import (
     HermiteColumnForm,
     IntMatrix,
     MatrixEquationSystem,
+    SmithDecomposition,
     block_diag,
     hermite_column_form,
     hstack,
@@ -59,6 +61,12 @@ __all__ = [
 
 # Additive order / group order of something with a free part.
 INFINITE = math.inf
+
+# The Smith and Hermite forms of every live group, by relation matrix, so
+# that equal groups built separately share one of each. An entry lives as
+# long as some group holds it.
+_SNF: weakref.WeakValueDictionary[IntMatrix, SmithDecomposition] = weakref.WeakValueDictionary()
+_HERMITE: weakref.WeakValueDictionary[IntMatrix, HermiteColumnForm] = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -108,12 +116,18 @@ class FgAbGroup:
     # -- structure ---------------------------------------------------------
 
     @cached_property
-    def snf(self):
-        return smith_normal_form(self.relations)
+    def snf(self) -> SmithDecomposition:
+        dec = _SNF.get(self.relations)
+        if dec is None:
+            dec = _SNF[self.relations] = smith_normal_form(self.relations)
+        return dec
 
     @cached_property
-    def hermite(self):
-        return hermite_column_form(self.relations)
+    def hermite(self) -> HermiteColumnForm:
+        form = _HERMITE.get(self.relations)
+        if form is None:
+            form = _HERMITE[self.relations] = hermite_column_form(self.relations)
+        return form
 
     def _full_diagonal(self) -> tuple[int, ...]:
         """SNF diagonal padded with zeros up to generator_count."""

@@ -45,6 +45,9 @@ def int_tuple(values: Iterable) -> tuple[int, ...]:
         raise InputError("matrix and element entries must be integers") from None
 
 
+_INT_ONLY = frozenset((int,))
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major storage."""
@@ -60,7 +63,7 @@ class IntMatrix:
             raise InputError(
                 f"matrix data has {len(self.data)} entries, expected {self.rows * self.cols}"
             )
-        if any(type(x) is not int for x in self.data):
+        if not _INT_ONLY.issuperset(map(type, self.data)):
             object.__setattr__(self, "data", int_tuple(self.data))
 
     # -- constructors ------------------------------------------------------
@@ -141,19 +144,11 @@ class IntMatrix:
             raise InputError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        r, k, c = self.rows, self.cols, other.cols
-        a, b = self.data, other.data
-        out = [0] * (r * c)
-        for i in range(r):
-            arow = a[i * k:(i + 1) * k]
-            base = i * c
-            for t in range(k):
-                x = arow[t]
-                if x:
-                    brow = b[t * c:(t + 1) * c]
-                    for j in range(c):
-                        out[base + j] += x * brow[j]
-        return IntMatrix(r, c, tuple(out))
+        k = self.cols
+        rows = [self.data[i * k:(i + 1) * k] for i in range(self.rows)]
+        cols = [other.col(j) for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols,
+                         tuple(sum(map(operator.mul, row, col)) for row in rows for col in cols))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
@@ -382,6 +377,25 @@ def _transpose(rows: list[list[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*rows)]
 
 
+def _diagonal_of(mat: IntMatrix) -> Optional[tuple[int, ...]]:
+    """The diagonal of mat if every entry off it is zero, else None."""
+    n = min(mat.rows, mat.cols)
+    diag = mat.data[::mat.cols + 1][:n]
+    if len(mat.data) - mat.data.count(0) != n - diag.count(0):
+        return None
+    return diag
+
+
+def _is_smith_chain(diag: tuple[int, ...]) -> bool:
+    """Nonnegative entries, each dividing the next (so zeros trail)."""
+    prev = 1
+    for d in diag:
+        if d < 0 or (d % prev if prev else d):
+            return False
+        prev = d
+    return True
+
+
 def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
     """Smith normal form over the integers.
 
@@ -392,8 +406,15 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
     transforms stay small. Pivot order is fixed, so the transforms are
     deterministic. Diagonal entries are nonnegative, each divides the next,
     zeros trail.
+
+    An input already in that form makes no step of the passes, so it is
+    returned with identity transforms without running them.
     """
     r, c = mat.rows, mat.cols
+    diag = _diagonal_of(mat)
+    if diag is not None and _is_smith_chain(diag):
+        u, v = IntMatrix.identity(r), IntMatrix.identity(c)
+        return SmithDecomposition(source=mat, U=u, S=mat, V=v, U_inv=u, V_inv=v)
     a = [list(mat.row(i)) for i in range(r)]
     u, u_inv_t = _identity_rows(r), _identity_rows(r)
     v_t, v_inv = _identity_rows(c), _identity_rows(c)
@@ -489,7 +510,17 @@ class HermiteColumnForm:
 
 
 def hermite_column_form(mat: IntMatrix) -> HermiteColumnForm:
-    """Hermite form of the column lattice: the row pass on the columns."""
+    """Hermite form of the column lattice: the row pass on the columns.
+
+    The pass only drops the zero columns of a nonnegative diagonal input,
+    so such an input skips it.
+    """
+    diag = _diagonal_of(mat)
+    if diag is not None and min(diag, default=0) >= 0:
+        piv = [i for i, d in enumerate(diag) if d]
+        return HermiteColumnForm(
+            source=mat, matrix=IntMatrix.from_columns(mat.rows, [mat.col(i) for i in piv]),
+            pivots=tuple((i, j) for j, i in enumerate(piv)))
     cols = [list(mat.col(j)) for j in range(mat.cols)]
     piv = _hermite_pass(cols)
     return HermiteColumnForm(
@@ -597,44 +628,44 @@ def solve_modular_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]], m: int
     r, c = mat.rows, mat.cols
     if m == 1:
         return [(0,) * c for _ in rhss]
-    half = m // 2
-
-    def red(x: int) -> int:
-        x %= m
-        return x - m if x > half else x
+    # (x + k) % m - k is the representative of x in [-k, m - 1 - k], the
+    # symmetric range (-m/2, m/2]
+    k = m - m // 2 - 1
 
     rhss = [int_tuple(rhs) for rhs in rhss]
-    a = [[red(x) for x in (*mat.row(i), *(rhs[i] for rhs in rhss))] for i in range(r)]
+    a = [[(x + k) % m - k for x in (*mat.row(i), *(rhs[i] for rhs in rhss))]
+         for i in range(r)]
     v = [[int(i == j) for j in range(c)] for i in range(c)]
 
     t = 0
     mdim = min(r, c)
     while t < mdim:
-        best = None
-        bi = bj = -1
-        for i in range(t, r):
-            for j in range(t, c):
+        # column-major scan: the first entry of least absolute value is the
+        # least (|x|, j, i), and no entry beats a unit
+        least = bi = bj = 0
+        for j in range(t, c):
+            for i in range(t, r):
                 x = a[i][j]
-                if x:
-                    key = (abs(x), j, i)
-                    if best is None or key < best:
-                        best, bi, bj = key, i, j
-        if best is None:
+                if x and (not least or abs(x) < least):
+                    least, bi, bj = abs(x), i, j
+                    if least == 1:
+                        break
+            if least == 1:
+                break
+        if not least:
             break
         a[bi], a[t] = a[t], a[bi]
         if bj != t:
-            for i in range(r):
-                a[i][bj], a[i][t] = a[i][t], a[i][bj]
+            for row in a:
+                row[bj], row[t] = row[t], row[bj]
             v[bj], v[t] = v[t], v[bj]
         while True:
             recheck = False
             for i in range(t + 1, r):
                 if a[i][t]:
                     q = a[i][t] // a[t][t]
-                    ai, at = a[i], a[t]
-                    for j in range(len(ai)):
-                        ai[j] = red(ai[j] - q * at[j])
-                    if ai[t]:
+                    a[i] = [(x - q * y + k) % m - k for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
                         a[i], a[t] = a[t], a[i]
                         recheck = True
             if recheck:
@@ -642,14 +673,12 @@ def solve_modular_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]], m: int
             for j in range(t + 1, c):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    for i in range(r):
-                        a[i][j] = red(a[i][j] - q * a[i][t])
-                    vj, vt = v[j], v[t]
-                    for i in range(c):
-                        vj[i] = red(vj[i] - q * vt[i])
+                    for row in a:
+                        row[j] = (row[j] - q * row[t] + k) % m - k
+                    v[j] = [(x - q * y + k) % m - k for x, y in zip(v[j], v[t])]
                     if a[t][j]:
-                        for i in range(r):
-                            a[i][j], a[i][t] = a[i][t], a[i][j]
+                        for row in a:
+                            row[j], row[t] = row[t], row[j]
                         v[j], v[t] = v[t], v[j]
                         recheck = True
             if not recheck:
@@ -657,7 +686,7 @@ def solve_modular_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]], m: int
         t += 1
 
     def back(col: int) -> Optional[tuple[int, ...]]:
-        w = [0] * c
+        x = [0] * c
         for i in range(r):
             rhs_i = a[i][col] % m
             d = a[i][i] % m if i < mdim else 0
@@ -666,11 +695,12 @@ def solve_modular_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]], m: int
                 if rhs_i % g:
                     return None
                 mg = m // g
-                if mg > 1:
-                    w[i] = ((rhs_i // g) * pow((d // g) % mg, -1, mg)) % mg
+                w = ((rhs_i // g) * pow((d // g) % mg, -1, mg)) % mg if mg > 1 else 0
+                if w:
+                    x = [xi + w * vi for xi, vi in zip(x, v[i])]
             elif rhs_i:
                 return None
-        return tuple(sum(v[j][i] * w[j] for j in range(c)) % m for i in range(c))
+        return tuple(xi % m for xi in x)
 
     return [back(col) for col in range(c, c + len(rhss))]
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from typing import Optional
+from typing import Optional, Sequence
 
+from kummer.errors import InputError
 from kummer.groups import GroupElement
-from kummer.matrices import IntMatrix, lattice_intersection, smith_normal_form
+from kummer.matrices import IntMatrix, int_tuple, lattice_intersection, smith_normal_form
 from kummer.sequences import ShortExactSequence
 
 
@@ -141,3 +142,103 @@ def lattice_purity_comparisons(seq: ShortExactSequence,
         out.append((n, n_a == b_group.span(
             lattice_intersection(a_lat, n_b)).matrix))
     return tuple(out)
+
+
+def reference_solve_modular_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]], m: int
+                                    ) -> list[Optional[tuple[int, ...]]]:
+    """Solve mat @ x = rhs over Z/m (any m >= 1), or None, for each rhs.
+
+    The library's solver before its loops were rewritten, kept as written
+    (one closure call per reduced entry, a full pivot scan, a dense
+    back-substitution); the library must return exactly what it returns.
+
+    Diagonalizes by row/column operations with every entry kept reduced to
+    the symmetric range, so entries never exceed m in size. The right-hand
+    sides ride along as extra columns that take every row operation and
+    no column operation; pivots are chosen among the columns of mat only,
+    so each answer is the one a single-column solve gives. Deterministic:
+    pivot is the smallest nonzero absolute value, leftmost-topmost ties.
+    """
+    if any(len(rhs) != mat.rows for rhs in rhss):
+        raise InputError("right-hand side length does not match row count")
+    if m < 1:
+        raise InputError("modulus must be positive")
+    r, c = mat.rows, mat.cols
+    if m == 1:
+        return [(0,) * c for _ in rhss]
+    half = m // 2
+
+    def red(x: int) -> int:
+        x %= m
+        return x - m if x > half else x
+
+    rhss = [int_tuple(rhs) for rhs in rhss]
+    a = [[red(x) for x in (*mat.row(i), *(rhs[i] for rhs in rhss))] for i in range(r)]
+    v = [[int(i == j) for j in range(c)] for i in range(c)]
+
+    t = 0
+    mdim = min(r, c)
+    while t < mdim:
+        best = None
+        bi = bj = -1
+        for i in range(t, r):
+            for j in range(t, c):
+                x = a[i][j]
+                if x:
+                    key = (abs(x), j, i)
+                    if best is None or key < best:
+                        best, bi, bj = key, i, j
+        if best is None:
+            break
+        a[bi], a[t] = a[t], a[bi]
+        if bj != t:
+            for i in range(r):
+                a[i][bj], a[i][t] = a[i][t], a[i][bj]
+            v[bj], v[t] = v[t], v[bj]
+        while True:
+            recheck = False
+            for i in range(t + 1, r):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    ai, at = a[i], a[t]
+                    for j in range(len(ai)):
+                        ai[j] = red(ai[j] - q * at[j])
+                    if ai[t]:
+                        a[i], a[t] = a[t], a[i]
+                        recheck = True
+            if recheck:
+                continue
+            for j in range(t + 1, c):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    for i in range(r):
+                        a[i][j] = red(a[i][j] - q * a[i][t])
+                    vj, vt = v[j], v[t]
+                    for i in range(c):
+                        vj[i] = red(vj[i] - q * vt[i])
+                    if a[t][j]:
+                        for i in range(r):
+                            a[i][j], a[i][t] = a[i][t], a[i][j]
+                        v[j], v[t] = v[t], v[j]
+                        recheck = True
+            if not recheck:
+                break
+        t += 1
+
+    def back(col: int) -> Optional[tuple[int, ...]]:
+        w = [0] * c
+        for i in range(r):
+            rhs_i = a[i][col] % m
+            d = a[i][i] % m if i < mdim else 0
+            if d:
+                g = math.gcd(d, m)
+                if rhs_i % g:
+                    return None
+                mg = m // g
+                if mg > 1:
+                    w[i] = ((rhs_i // g) * pow((d // g) % mg, -1, mg)) % mg
+            elif rhs_i:
+                return None
+        return tuple(sum(v[j][i] * w[j] for j in range(c)) % m for i in range(c))
+
+    return [back(col) for col in range(c, c + len(rhss))]

@@ -374,6 +374,13 @@ def test_hostile_values_are_input_errors_with_a_path(verb, doc, path):
     assert _error(run_cli([verb], doc))["message"].startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("verb", ["limit-split", "dual"])
+@pytest.mark.parametrize("doc, kind", [("[]", "list"), ("1", "int"), ('"x"', "str")],
+                         ids=["list", "int", "str"])
+def test_non_object_documents_name_their_type(verb, doc, kind):
+    assert _error(run_cli([verb], doc))["message"] == f"$: expected an object, got {kind}"
+
+
 @pytest.mark.parametrize("argv, doc, path", [
     (["counterexample", "--depth", "64"], "", "--depth"),
     (["demo", "counterexample", "--depth", "64"], "", "--depth"),

@@ -1,8 +1,10 @@
+import gc
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kummer import groups
 from kummer.errors import InputError
 from kummer.groups import (
     INFINITE,
@@ -82,6 +84,20 @@ def test_element_arithmetic_and_canonicalization():
     assert (x - x) == g.zero
     assert (-x + x) == g.zero
     assert x.order() == 12
+
+
+def test_equal_groups_share_one_smith_and_hermite_form():
+    a = FgAbGroup(2, IntMatrix.from_rows([[4, 2], [6, 8]]))
+    b = FgAbGroup(2, IntMatrix.from_rows([[4, 2], [6, 8]]))
+    assert a.snf is b.snf and a.hermite is b.hermite
+    z2, z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
+    assert z2.snf is not z4.snf and z2.hermite is not z4.hermite
+    f0, f1 = FgAbGroup.free(0), FgAbGroup.free(1)
+    assert f0.snf is not f1.snf and f0.hermite is not f1.hermite
+    assert f0.snf.U.shape == (0, 0) and f1.snf.U.shape == (1, 1)
+    del a, b, z2, z4, f0, f1
+    gc.collect()
+    assert len(groups._SNF) == 0 and len(groups._HERMITE) == 0
 
 
 def test_hom_well_definedness_guard():

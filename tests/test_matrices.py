@@ -2,13 +2,14 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kummer.errors import InputError
 from kummer.groups import FgAbGroup
 from kummer.matrices import (
     IntMatrix,
     MatrixEquationSystem,
+    _hermite_pass,
     determinant,
     hermite_column_form,
     hstack,
@@ -18,9 +19,16 @@ from kummer.matrices import (
     smith_normal_form,
     solve_integer_system,
     solve_modular,
+    solve_modular_columns,
 )
 
-from oracles import brute_solve_mod, minors_gcd_diagonal, naive_det, snf_solve
+from oracles import (
+    brute_solve_mod,
+    minors_gcd_diagonal,
+    naive_det,
+    reference_solve_modular_columns,
+    snf_solve,
+)
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -164,6 +172,103 @@ def test_solve_modular_agrees_with_brute_force(m, data):
         for i in range(rows):
             lhs = sum(mat[i, j] * got[j] for j in range(cols))
             assert lhs % m == rhs[i] % m
+
+
+@st.composite
+def modular_systems(draw):
+    """(mat, rhss, m): a system with 0 to 5 rows and columns and entries of
+    any size, or near zero so that pivots tie; each rhs is random, mat @ x
+    (feasible), or mat @ x plus a unit in an inserted zero row (planted
+    infeasible)."""
+    m = draw(st.sampled_from([1, 2, 36, 360, 2 ** 61 - 1]))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-2 * m, 2 * m))
+    data = list(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)))
+    dead = draw(st.one_of(st.none(), st.integers(0, rows)))
+    if dead is not None:
+        data[dead * cols:dead * cols] = [0] * cols
+        rows += 1
+    mat = IntMatrix(rows, cols, tuple(data))
+    rhss, kinds = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["random", "feasible", "infeasible"]))
+        if kind == "random":
+            rhs = draw(st.lists(entries, min_size=rows, max_size=rows))
+        else:
+            rhs = list(mat.apply(draw(st.lists(entries, min_size=cols, max_size=cols))))
+            if kind == "infeasible" and dead is not None:
+                rhs[dead] += draw(st.integers(1, m - 1)) if m > 1 else 1
+            elif kind == "infeasible":
+                kind = "feasible"
+        rhss.append(tuple(rhs))
+        kinds.append(kind)
+    return mat, rhss, m, kinds
+
+
+@settings(max_examples=300)
+@given(modular_systems())
+def test_modular_solver_matches_the_reference(system):
+    mat, rhss, m, kinds = system
+    got = solve_modular_columns(mat, rhss, m)
+    assert got == reference_solve_modular_columns(mat, rhss, m)
+    for rhs, kind, x in zip(rhss, kinds, got):
+        if kind != "random":
+            assert (x is None) == (kind == "infeasible" and m > 1)
+        if x is not None:
+            assert all((y - b) % m == 0 for y, b in zip(mat.apply(x), rhs))
+
+
+@st.composite
+def diagonal_matrices(draw, chain):
+    """A diagonal matrix of any shape up to 5x5 with nonnegative entries,
+    or, with ``chain``, a Smith form: each entry divides the next."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    diag = draw(st.lists(st.integers(0, 40), min_size=min(rows, cols),
+                         max_size=min(rows, cols)))
+    if chain:
+        prev, out = 1, []
+        for d in diag:
+            prev *= d % 4
+            out.append(prev)
+        diag = out
+    return IntMatrix.diagonal(diag, rows=rows, cols=cols)
+
+
+@given(diagonal_matrices(chain=True))
+def test_smith_form_inputs_come_back_with_identity_transforms(mat):
+    dec = smith_normal_form(mat)
+    u, v = IntMatrix.identity(mat.rows), IntMatrix.identity(mat.cols)
+    assert (dec.U, dec.S, dec.V, dec.U_inv, dec.V_inv) == (u, mat, v, u, v)
+
+
+@given(diagonal_matrices(chain=False))
+def test_hermite_form_of_a_diagonal_input_is_the_pass_result(mat):
+    cols = [list(mat.col(j)) for j in range(mat.cols)]
+    piv = _hermite_pass(cols)
+    form = hermite_column_form(mat)
+    assert form.matrix == IntMatrix.from_columns(mat.rows, cols[:len(piv)])
+    assert form.pivots == tuple((row, j) for j, row in enumerate(piv))
+
+
+def test_diagonal_inputs_off_the_pass_through_still_eliminate():
+    # a broken chain, a negative entry and a nonzero off the diagonal
+    assert smith_normal_form(IntMatrix.diagonal([2, 3])).diagonal == (1, 6)
+    assert smith_normal_form(IntMatrix.diagonal([-4])).diagonal == (4,)
+    assert hermite_column_form(IntMatrix.diagonal([-4])).matrix == IntMatrix.diagonal([4])
+    assert hermite_column_form(IntMatrix.from_rows([[2, 1], [0, 2]])).matrix \
+        == IntMatrix.from_rows([[1, 0], [2, 4]])
+
+
+@settings(max_examples=200)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda rkc: st.tuples(_entries(rkc[0] * rkc[1]), _entries(rkc[1] * rkc[2])).map(
+        lambda ab: (IntMatrix(rkc[0], rkc[1], tuple(ab[0])),
+                    IntMatrix(rkc[1], rkc[2], tuple(ab[1]))))))
+def test_product_matches_the_entry_sum(pair):
+    a, b = pair
+    assert (a @ b).data == tuple(
+        sum(a[i, t] * b[t, j] for t in range(a.cols))
+        for i in range(a.rows) for j in range(b.cols))
 
 
 @st.composite
