@@ -16,6 +16,8 @@ both trees see the same inputs:
 
 - the benchmark's ``cli`` workload documents for seeds 1-8 (both variants
   of each) and seed 1's two 5,000-digit documents;
+- the Pontryagin dual of each upward tower among them, a downward tower,
+  for ``tower-validate`` and ``tower-split``;
 - every demo with its --seed, --p and --depth variants;
 - ``limit-split`` for 3 families x 2 cases x p in {2, 3, 5} x level in
   {1, 2, 3, 8};
@@ -34,8 +36,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
+sys.path.insert(0, str(ROOT / "src"))
 
+from kummer import jsonio  # noqa: E402
+from kummer.towers import dual_tower  # noqa: E402
 from perfbench import workloads  # noqa: E402
+
+
+def downward(text: str) -> str:
+    """The dual of an upward tower document, as a document. It is built by
+    this tree's library, so every source tree is run on the same input."""
+    tower = dual_tower(jsonio.decode_tower(json.loads(text)))
+    return jsonio.dumps(jsonio.document(jsonio.encode_tower(tower)))
 
 
 def documents() -> list[tuple[list[str], str]]:
@@ -47,6 +59,9 @@ def documents() -> list[tuple[list[str], str]]:
         if seed == 1:
             ops += cli.big
         docs += [(list(argv), text) for argv, text in (op.data for op in ops)]
+        towers = [text for argv, text in (op.data for op in ops) if argv == ["tower-split"]]
+        docs += [([verb], downward(text)) for text in towers
+                 for verb in ("tower-validate", "tower-split")]
     for seed in (None, 1, 2, 3):
         for name in ("main-lemma", "dual-lemma"):
             docs.append((["demo", name] + ([] if seed is None else ["--seed", str(seed)]), ""))

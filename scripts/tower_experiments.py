@@ -14,9 +14,17 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 
 from kummer.fixtures import random_sigma_model
 from kummer.towers import sigma_kummer_tower, tower_split, validate_tower
+
+
+def elements(g):
+    """Every element of a finite group: the canonical coordinates are the
+    residues below the pivots of the relations' Hermite form."""
+    h = g.hermite
+    return (g.element(x) for x in product(*(range(h.matrix[r, c]) for r, c in h.pivots)))
 
 
 @dataclass
@@ -59,7 +67,7 @@ def run(config: ExperimentConfig) -> dict[int, ExperimentStats]:
         section = tower_split(tower)
         top = tower.top
         if top.C.order <= config.enumerate_limit:
-            ok = all(top.g(section(c)) == c for c in top.C.elements())
+            ok = all(top.g(section(c)) == c for c in elements(top.C))
             st.enumerated += 1
         else:
             ok = (top.g @ section.s).is_identity()

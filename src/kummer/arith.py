@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import InputError
 
 __all__ = [
@@ -12,8 +10,6 @@ __all__ = [
     "factorint",
     "divisors",
     "vp",
-    "crt_idempotents",
-    "prime_power_parts",
 ]
 
 
@@ -94,24 +90,3 @@ def vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def prime_power_parts(m: int) -> list[int]:
-    """m >= 2 split into its prime-power components, primes ascending."""
-    return [p**a for p, a in factorint(m).items()]
-
-
-def crt_idempotents(moduli: list[int]) -> list[int]:
-    """For pairwise coprime moduli q_1..q_k with product m, return e_1..e_k
-    where e_j = 1 mod q_j and e_j = 0 mod q_i for i != j (taken mod m)."""
-    m = 1
-    for q in moduli:
-        m *= q
-    out = []
-    for q in moduli:
-        rest = m // q
-        if gcd(rest, q) != 1:
-            raise InputError("moduli are not pairwise coprime")
-        # rest * inv(rest mod q) is 1 mod q and 0 mod every other modulus
-        out.append(rest * pow(rest, -1, q) % m)
-    return out

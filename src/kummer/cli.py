@@ -36,12 +36,10 @@ from .sequences import (
     section_exists,
 )
 from .towers import (
-    CoKummerTower,
     dual_tower,
     dual_tower_split,
     sigma_kummer_tower,
     tower_split,
-    validate_co_tower,
     validate_tower,
 )
 
@@ -128,10 +126,7 @@ def _cmd_seq_split(args) -> tuple[dict, int]:
 
 def _cmd_tower_validate(args) -> tuple[dict, int]:
     tower = jsonio.decode_tower(_read_document(args))
-    if isinstance(tower, CoKummerTower):
-        report = validate_co_tower(tower)
-    else:
-        report = validate_tower(tower)
+    report = validate_tower(tower)
     payload = {
         "valid": report.valid,
         "levels": report.levels,
@@ -146,10 +141,7 @@ def _cmd_tower_validate(args) -> tuple[dict, int]:
 
 def _cmd_tower_split(args) -> tuple[dict, int]:
     tower = jsonio.decode_tower(_read_document(args))
-    if isinstance(tower, CoKummerTower):
-        section = dual_tower_split(tower)
-    else:
-        section = tower_split(tower)
+    section = tower_split(tower) if tower.upward else dual_tower_split(tower)
     return {"split": True, "level": tower.n,
             "section": jsonio.encode_section(section)}, 0
 
@@ -258,8 +250,7 @@ def _cmd_gmod_cohomology(args) -> tuple[dict, int]:
         "zero": zero,
         "one": minus,
         "two": zero,
-        "trivial": tate.minus_one.group.is_trivial
-        and tate.zero.group.is_trivial,
+        "trivial": tate.trivial,
     }, 0
 
 

@@ -21,6 +21,7 @@ from .groups import (
     GroupElement,
     Homomorphism,
     cokernel,
+    factor_through,
     hom_from_images,
     kernel,
     solve_congruences,
@@ -169,18 +170,10 @@ class Subquotient:
         return [self.include(self.project.source.element(sol)) for sol in sols]
 
 
-def _corestrict(h: Homomorphism, inc: Homomorphism) -> Homomorphism:
-    """Factor h through a subgroup inclusion containing its image."""
-    sols = inc.target.solve_columns(inc.matrix, [h(x).coords for x in h.source.generators()])
-    if sols is None:
-        raise InputError("map does not land in the subgroup")
-    return hom_from_images(h.source, inc.source, [inc.source.element(sol) for sol in sols])
-
-
 def _tate_subquotient(module: CyclicGroupModule, num: Homomorphism,
                       den: Homomorphism) -> Subquotient:
     sub, inc = kernel(num)
-    den_into_sub = _corestrict(den, inc)
+    den_into_sub = factor_through(den, inc)
     quo, proj = cokernel(den_into_sub)
     return Subquotient(group=quo, ambient=module.group,
                        include=inc, project=proj)
@@ -199,6 +192,11 @@ class TateGroups:
     one: Subquotient
     two: Subquotient
 
+    @property
+    def trivial(self) -> bool:
+        """Both groups vanish: the module is cohomologically trivial."""
+        return self.minus_one.group.is_trivial and self.zero.group.is_trivial
+
 
 def tate_cohomology(module: CyclicGroupModule) -> TateGroups:
     """Tate groups ker N / im T (odd degrees) and ker T / im N (even)."""
@@ -209,8 +207,7 @@ def tate_cohomology(module: CyclicGroupModule) -> TateGroups:
 
 
 def is_cohomologically_trivial(module: CyclicGroupModule) -> bool:
-    tate = tate_cohomology(module)
-    return tate.minus_one.group.is_trivial and tate.zero.group.is_trivial
+    return tate_cohomology(module).trivial
 
 
 def equivariant_section_exists(seq: GModuleSequence) -> Optional[GModuleMap]:
@@ -351,7 +348,7 @@ def regular_extension_fixture(p: int) -> GModuleSequence:
     c_mod = CyclicGroupModule(p, c_grp, Homomorphism.identity(c_grp))
     aug = Homomorphism(b_grp, c_grp, IntMatrix(1, p, (1,) * p))
     a_grp, inc = kernel(aug)
-    sigma_a = _corestrict(b_mod.sigma @ inc, inc)
+    sigma_a = factor_through(b_mod.sigma @ inc, inc)
     a_mod = CyclicGroupModule(p, a_grp, sigma_a)
     return GModuleSequence(f=GModuleMap(a_mod, b_mod, inc),
                            g=GModuleMap(b_mod, c_mod, aug))

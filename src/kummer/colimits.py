@@ -29,6 +29,7 @@ from .groups import (
     GroupElement,
     Homomorphism,
     direct_sum,
+    factor_through,
     is_isomorphism,
     kernel,
     solve_congruences,
@@ -37,7 +38,6 @@ from .matrices import (
     IntMatrix,
     block_diag,
     hstack,
-    lattice_intersection,
     preimage_lattice,
     vstack,
 )
@@ -45,11 +45,10 @@ from .sequences import (
     Section,
     ShortExactSequence,
     check_exact,
-    section_exists,
     section_from_purity,
     section_from_retraction,
 )
-from .towers import KummerTower, LevelMaps, tower_split, validate_tower
+from .towers import KummerTower, LevelMaps, _level_lift, tower_split, validate_tower
 
 __all__ = [
     "ColimitTower",
@@ -62,7 +61,6 @@ __all__ = [
     "counterexample_tower",
     "stabilizing_tower",
     "divisible_tower",
-    "level_sections",
     "colimit_height",
     "section_compatibility_solvable",
     "limit_no_section_certificate",
@@ -222,14 +220,8 @@ def counterexample_tower(p: int) -> ColimitTower:
         psi = Homomorphism(lo.B, hi.B, vstack(
             IntMatrix.identity(k), IntMatrix.zeros(1, k)))
         eta = Homomorphism(lo.C, hi.C, IntMatrix.from_rows([[p]]))
-        # phi is the restriction of psi to the kernels, solved columnwise
-        cols = hi.B.solve_columns(hi.f.matrix, [psi.matrix.apply(lo.f.matrix.col(j))
-                                                for j in range(lo.A.generator_count)])
-        if cols is None:
-            raise InputError("psi does not preserve the kernel")
-        phi = Homomorphism(lo.A, hi.A, IntMatrix.from_columns(hi.A.generator_count, cols))
-        if not (hi.f @ phi).same_map(psi @ lo.f):
-            raise InputError("kernel restriction failed to commute")
+        # phi is the restriction of psi to the kernels
+        phi = factor_through(psi @ lo.f, hi.f)
         return LevelMaps(alpha=phi, beta=psi, gamma=eta)
 
     tower = ColimitTower(p, build, maps_fn, family="counterexample")
@@ -287,11 +279,6 @@ def divisible_tower(p: int) -> ColimitTower:
 # ---------------------------------------------------------------------------
 # Per-level queries
 # ---------------------------------------------------------------------------
-
-
-def level_sections(t: ColimitTower, n: int) -> Optional[Section]:
-    """A verified section of g_n, or None."""
-    return section_exists(t.sequence(n))
 
 
 @dataclass(frozen=True)
@@ -374,18 +361,7 @@ def limit_purity_witness(t: ColimitTower, c: ColimitElement) -> ColimitElement:
     if t.p ** k != order or k > c.level:
         raise InputError(f"order {order} is not a p-power reachable at "
                          f"level {c.level}")
-    chain = Homomorphism.identity(t.sequence(k).C)
-    for j in range(k, c.level):
-        chain = t.step(j).gamma @ chain
-    down = t.sequence(c.level).C.solve(chain.matrix, c.value.coords)
-    if down is None:
-        raise PurityError("element does not come from its order level",
-                          element=c.value)
-    low_seq = t.sequence(k)
-    lift = low_seq.C.solve(low_seq.g.matrix, low_seq.C.element(down).coords)
-    if lift is None:
-        raise AssertionError("level maps are epimorphisms")
-    y = ColimitElement(t, k, "B", low_seq.B.element(lift)).push(c.level)
+    y = ColimitElement(t, c.level, "B", _level_lift(t.prefix(c.level), c.value, k))
     if y.value.order() != order:
         raise PurityError("level lift does not have the expected order",
                           element=c.value)
@@ -631,13 +607,12 @@ def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
             raise EvidenceError(
                 f"bounded projections do not form a cone at level {k}",
                 check="V2")
+    joint_relations = block_diag(d_group.relations, m_grp.relations)
     for k in range(1, big_l + 1):
         a_k = t.sequence(k).A
-        ker_d = preimage_lattice(ev.pi_divisible[k - 1].matrix,
-                                 d_group.relations)
-        ker_m = preimage_lattice(ev.pi_bounded[k - 1].matrix,
-                                 m_grp.relations)
-        joint = lattice_intersection(ker_d.matrix, ker_m.matrix)
+        joint = preimage_lattice(vstack(ev.pi_divisible[k - 1].matrix,
+                                        ev.pi_bounded[k - 1].matrix),
+                                 joint_relations).matrix
         j = a_k.hermite.outside(joint)
         if j is not None:
             raise EvidenceError(

@@ -198,11 +198,23 @@ def divisible_case_one_evidence(t: ColimitTower, level: int,
         # the window check (V5) to reject the evidence
         scale = p ** (prec - k) if k <= prec else 0
         pi_d.append(Homomorphism(a_k, d_group, IntMatrix.from_rows([[scale]])))
-        pi_m.append(Homomorphism(a_k, triv,
-                                 IntMatrix.zeros(0, a_k.generator_count)))
+        pi_m.append(Homomorphism.zero(a_k, triv))
     return CaseOneEvidence(level=level, divisible_rank=1, precision=prec,
                            m_group=triv, pi_divisible=tuple(pi_d),
                            pi_bounded=tuple(pi_m))
+
+
+def _cones(t: ColimitTower, level: int, pi_top: Homomorphism,
+           zero_target: FgAbGroup) -> tuple[tuple[Homomorphism, ...],
+                                            tuple[Homomorphism, ...]]:
+    """The cone pi_top ∘ alpha_{level-1} ∘ ... ∘ alpha_k on each A_k, and the
+    zero maps A_k -> zero_target, for k = 1..level."""
+    pis = [pi_top]
+    for k in range(level - 1, 0, -1):
+        pis.append(pis[-1] @ t.step(k).alpha)
+    zeros = tuple(Homomorphism.zero(t.sequence(k).A, zero_target)
+                  for k in range(1, level + 1))
+    return tuple(reversed(pis)), zeros
 
 
 def doomed_divisible_evidence(t: ColimitTower, level: int) -> CaseOneEvidence:
@@ -216,44 +228,24 @@ def doomed_divisible_evidence(t: ColimitTower, level: int) -> CaseOneEvidence:
     prec = level + 2
     top_a = t.sequence(level).A
     dec = pruefer_decompose(top_a)
-    r = len(dec.orders)
+    orders = top_a.invariant_factors
+    r = len(orders)
     d_group = FgAbGroup(r, IntMatrix.identity(r).scaled(p ** prec))
-    emb = IntMatrix.diagonal([p ** (prec - vp(int(n), p)) for n in dec.orders])
-    pi_top = Homomorphism(dec.inverse.target, d_group, emb) @ dec.inverse
-    pis = [pi_top]
-    for k in range(level - 1, 0, -1):
-        pis.append(pis[-1] @ t.step(k).alpha)
-    pis.reverse()
+    emb = IntMatrix.diagonal([p ** (prec - vp(n, p)) for n in orders])
+    pi_top = Homomorphism(dec.group, d_group, emb) @ dec.to_simple
     triv = FgAbGroup.trivial()
-    pi_m = tuple(
-        Homomorphism(t.sequence(k).A, triv,
-                     IntMatrix.zeros(0, t.sequence(k).A.generator_count))
-        for k in range(1, level + 1))
+    pi_d, pi_m = _cones(t, level, pi_top, triv)
     return CaseOneEvidence(level=level, divisible_rank=r, precision=prec,
-                           m_group=triv, pi_divisible=tuple(pis),
-                           pi_bounded=pi_m)
+                           m_group=triv, pi_divisible=pi_d, pi_bounded=pi_m)
 
 
 def doomed_bounded_evidence(t: ColimitTower, level: int,
                             m_level: int = 2) -> CaseOneEvidence:
     """False claim that the A column is bounded by the small group
     A_{m_level}; joint injectivity must fail once A_k outgrows it."""
-    p = t.p
-    prec = level + 2
     m_group = t.sequence(m_level).A
-    triv_d = FgAbGroup(0, IntMatrix.zeros(0, 0))
-    top_a = t.sequence(level).A
-    pi_top = Homomorphism(top_a, m_group,
-                          IntMatrix.zeros(m_group.generator_count,
-                                          top_a.generator_count))
-    pis = [pi_top]
-    for k in range(level - 1, 0, -1):
-        pis.append(pis[-1] @ t.step(k).alpha)
-    pis.reverse()
-    pi_d = tuple(
-        Homomorphism(t.sequence(k).A, triv_d,
-                     IntMatrix.zeros(0, t.sequence(k).A.generator_count))
-        for k in range(1, level + 1))
-    return CaseOneEvidence(level=level, divisible_rank=0, precision=prec,
+    pi_top = Homomorphism.zero(t.sequence(level).A, m_group)
+    pi_m, pi_d = _cones(t, level, pi_top, FgAbGroup.trivial())
+    return CaseOneEvidence(level=level, divisible_rank=0, precision=level + 2,
                            m_group=m_group, pi_divisible=pi_d,
-                           pi_bounded=tuple(pis))
+                           pi_bounded=pi_m)

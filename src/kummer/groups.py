@@ -5,20 +5,18 @@ stored in a canonical reduced form (via the Hermite form of the relations),
 so equality and hashing are structural. Homomorphisms carry a
 well-definedness certificate checked at construction time.
 
-Infinite groups (positive free rank) are first-class here; operations that
-need finiteness say so and raise UnsupportedError otherwise.
+Infinite groups (positive free rank) are first-class here.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError
 from .matrices import (
     HermiteColumnForm,
     IntMatrix,
@@ -46,10 +44,9 @@ __all__ = [
     "image",
     "cokernel",
     "direct_sum",
-    "primary_component",
     "subgroup_generated",
     "hom_from_images",
-    "multiplication_hom",
+    "factor_through",
     "kernel_witness",
     "cokernel_witness",
     "is_injective",
@@ -204,17 +201,6 @@ class FgAbGroup:
     def generators(self) -> list["GroupElement"]:
         return [self.generator(i) for i in range(self.generator_count)]
 
-    def elements(self) -> Iterator["GroupElement"]:
-        """All elements, by canonical coordinates. Finite groups only."""
-        if not self.is_finite:
-            raise UnsupportedError("cannot enumerate an infinite group")
-        h = self.hermite
-        # finite <=> every row carries a pivot, so the canonical forms are
-        # exactly the box of residues below the pivots
-        ranges = [range(h.matrix[r, c]) for r, c in h.pivots]
-        for combo in itertools.product(*ranges):
-            yield GroupElement(self, tuple(combo))
-
     # -- lattice questions --------------------------------------------------
 
     def span(self, cols: IntMatrix) -> HermiteColumnForm:
@@ -365,10 +351,6 @@ def hom_from_images(source: FgAbGroup, target: FgAbGroup,
     return Homomorphism(source, target, mat)
 
 
-def multiplication_hom(g: FgAbGroup, n: int) -> Homomorphism:
-    return Homomorphism(g, g, IntMatrix.identity(g.generator_count).scaled(n))
-
-
 def common_exponent(*groups: FgAbGroup) -> Optional[int]:
     """lcm of the exponents of finite groups, or None if one is infinite.
 
@@ -502,8 +484,24 @@ def invert_isomorphism(h: Homomorphism) -> Homomorphism:
     return inv
 
 
+def factor_through(h: Homomorphism, inj: Homomorphism) -> Homomorphism:
+    """The map x with inj ∘ x = h, for an injection inj whose image holds
+    the image of h: every column of h solved through inj by one
+    elimination. The answer is unique because inj is injective, and is
+    returned in canonical coordinates."""
+    if h.target != inj.target:
+        raise InputError("maps do not share a target")
+    sols = inj.target.solve_columns(inj.matrix,
+                                    [h.matrix.col(j) for j in range(h.matrix.cols)])
+    if sols is None:
+        raise InputError("map does not factor through the injection")
+    sub = inj.source
+    return Homomorphism(h.source, sub, IntMatrix.from_columns(
+        sub.generator_count, [sub.hermite.reduce(x) for x in sols]))
+
+
 # ---------------------------------------------------------------------------
-# Direct sums and primary parts
+# Direct sums
 # ---------------------------------------------------------------------------
 
 
@@ -531,22 +529,6 @@ def direct_sum(*summands: FgAbGroup) -> DirectSum:
         projections.append(Homomorphism(big, g, proj))
         offset += n
     return DirectSum(big, tuple(injections), tuple(projections))
-
-
-def primary_component(g: FgAbGroup, p: int) -> tuple[FgAbGroup, Homomorphism]:
-    """Subgroup of all elements of p-power order, with its inclusion."""
-    from .arith import is_prime, vp
-
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    if not g.is_finite:
-        raise UnsupportedError("primary component needs a finite group")
-    order = int(g.order)
-    if order == 1:
-        return subgroup_generated(g, [])
-    cofactor = order // p ** vp(order, p)
-    gens = [cofactor * g.generator(i) for i in range(g.generator_count)]
-    return subgroup_generated(g, gens)
 
 
 @dataclass(frozen=True)

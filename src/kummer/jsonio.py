@@ -242,8 +242,7 @@ def _decode_maps(doc: Any, path: str) -> LevelMaps:
                      gamma=decode_hom(doc["gamma"], f"{path}.gamma"))
 
 
-def decode_tower(doc: Any, path: str = "$"
-                 ) -> Union[KummerTower, CoKummerTower]:
+def decode_tower(doc: Any, path: str = "$") -> KummerTower:
     from .sequences import check_exact
 
     doc = _require_dict(doc, path, ("p", "n", "levels", "maps"))
@@ -267,9 +266,7 @@ def decode_tower(doc: Any, path: str = "$"
     maps = tuple(_decode_maps(item, f"{path}.maps[{i}]")
                  for i, item in enumerate(raw_maps))
     with _at(path):
-        if direction == "down":
-            return CoKummerTower(p, tuple(seqs), maps)
-        return KummerTower(p, tuple(seqs), maps)
+        return (KummerTower if direction == "up" else CoKummerTower)(p, tuple(seqs), maps)
 
 
 def decode_sigma(doc: Any, path: str = "$") -> SigmaModel:
@@ -337,11 +334,11 @@ def encode_section(s: Section) -> dict:
     return {"matrix": encode_matrix(s.s.matrix)}
 
 
-def encode_tower(t: Union[KummerTower, CoKummerTower]) -> dict:
+def encode_tower(t: KummerTower) -> dict:
     return {
         "p": t.p,
         "n": t.n,
-        "direction": "down" if isinstance(t, CoKummerTower) else "up",
+        "direction": "up" if t.upward else "down",
         "levels": [encode_seq(s) for s in t.seqs],
         "maps": [{"alpha": encode_hom(lm.alpha),
                   "beta": encode_hom(lm.beta),

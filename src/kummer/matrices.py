@@ -23,7 +23,6 @@ __all__ = [
     "hermite_column_form",
     "kernel_lattice",
     "preimage_lattice",
-    "lattice_intersection",
     "solve_integer_system",
     "solve_integer_columns",
     "solve_modular",
@@ -563,15 +562,6 @@ def preimage_lattice(mat: IntMatrix, target_relations: IntMatrix
     ker = kernel_lattice(hstack(mat, target_relations))
     top = ker.select(range(mat.cols), range(ker.cols))
     return hermite_column_form(top)
-
-
-def lattice_intersection(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
-    """Generators (as columns) of colspan(m1) ∩ colspan(m2)."""
-    if m1.rows != m2.rows:
-        raise InputError("lattices live in different ambient ranks")
-    ker = kernel_lattice(hstack(m1, -m2))
-    top = ker.select(range(m1.cols), range(ker.cols))
-    return m1 @ top
 
 
 # ---------------------------------------------------------------------------

@@ -14,29 +14,26 @@ from fractions import Fraction
 from functools import singledispatch
 from typing import Optional, Sequence
 
-from .arith import crt_idempotents, divisors, factorint, prime_power_parts, vp
+from .arith import divisors, factorint, vp
 from .errors import InputError, NotExactError, PurityError, UnsupportedError
 from .groups import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
+    Simplified,
     cokernel_witness,
     direct_sum,
+    factor_through,
     kernel_witness,
     solve_congruences,
 )
-from .matrices import (
-    IntMatrix,
-    block_diag,
-    preimage_lattice,
-)
+from .matrices import IntMatrix, preimage_lattice
 
 __all__ = [
     "ShortExactSequence",
     "Section",
     "PurityCertificate",
     "PurityWitnessSet",
-    "PrueferDecomposition",
     "check_exact",
     "is_pure",
     "pure_witness",
@@ -217,8 +214,8 @@ def _purity_failure_witness(seq: ShortExactSequence) -> Optional[GroupElement]:
     over a finite C: otherwise the cyclic-generator lifts would assemble
     into a section, and split sequences are pure)."""
     dec = pruefer_decompose(seq.C)
-    for i in range(dec.iso.source.generator_count):
-        c = dec.iso(dec.iso.source.generator(i))
+    for e in dec.group.generators():
+        c = dec.from_simple(e)
         try:
             pure_witness(seq, c)
         except PurityError:
@@ -255,56 +252,18 @@ def pure_witness(seq: ShortExactSequence, c: GroupElement) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrueferDecomposition:
-    """Mutually inverse isomorphisms with a direct sum of cyclic groups."""
-
-    orders: tuple[int, ...]
-    iso: Homomorphism
-    inverse: Homomorphism
-
-    def __post_init__(self):
-        if not (self.inverse @ self.iso).is_identity():
-            raise InputError("decomposition maps do not invert each other")
-        if not (self.iso @ self.inverse).is_identity():
-            raise InputError("decomposition maps do not invert each other")
-
-
-def pruefer_decompose(g: FgAbGroup, primary: bool = False) -> PrueferDecomposition:
-    """Explicit cyclic decomposition of a finite group.
-
-    Default emits the invariant-factor form (d_1 | d_2 | ...); with
-    ``primary`` each factor is refined into prime-power cyclic summands via
-    Chinese-remainder idempotents, primes ascending within each factor.
-    """
+def pruefer_decompose(g: FgAbGroup) -> Simplified:
+    """Explicit cyclic decomposition of a finite group: its simplified
+    presentation, whose generator i has order invariant_factors[i]
+    (d_1 | d_2 | ...), with the two transport isomorphisms checked to be
+    mutually inverse."""
     if not g.is_finite:
         raise UnsupportedError("cyclic decomposition needs a finite group")
     simp = g.simplified
-    orders = g.invariant_factors
-    iso, inverse = simp.from_simple, simp.to_simple
-    if not primary or all(len(factorint(d)) <= 1 for d in orders):
-        return PrueferDecomposition(orders=orders, iso=iso, inverse=inverse)
-    fine_orders: list[int] = []
-    iso_blocks: list[IntMatrix] = []
-    inv_blocks: list[IntMatrix] = []
-    for d in orders:
-        parts = prime_power_parts(d)
-        fine_orders.extend(parts)
-        if len(parts) == 1:
-            iso_blocks.append(IntMatrix.identity(1))
-            inv_blocks.append(IntMatrix.identity(1))
-        else:
-            idem = crt_idempotents(parts)
-            iso_blocks.append(IntMatrix(1, len(parts), tuple(idem)))
-            inv_blocks.append(IntMatrix(len(parts), 1, (1,) * len(parts)))
-    fine = FgAbGroup(len(fine_orders), IntMatrix.diagonal(fine_orders))
-    refine = Homomorphism(fine, simp.group, block_diag(*iso_blocks))
-    unrefine = Homomorphism(simp.group, fine, block_diag(*inv_blocks))
-    return PrueferDecomposition(
-        orders=tuple(fine_orders),
-        iso=iso @ refine,
-        inverse=unrefine @ inverse,
-    )
+    if not ((simp.to_simple @ simp.from_simple).is_identity()
+            and (simp.from_simple @ simp.to_simple).is_identity()):
+        raise InputError("decomposition maps do not invert each other")
+    return simp
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +299,18 @@ def section_exists(seq: ShortExactSequence) -> Optional[Section]:
     return Section(seq, s)
 
 
-def assemble_section(seq: ShortExactSequence, dec: PrueferDecomposition,
+def assemble_section(seq: ShortExactSequence, dec: Simplified,
                      lifts: Sequence[GroupElement]) -> Section:
     """Section of g from one same-order lift per cyclic generator of C.
 
-    lifts[i] must lie over dec.iso(e_i); order equality makes the assembled
-    map well-defined, and the Section constructor re-verifies g∘s = id.
+    lifts[i] must lie over dec.from_simple(e_i), for dec the cyclic
+    decomposition of C; order equality makes the assembled map
+    well-defined, and the Section constructor re-verifies g∘s = id.
     """
-    k = dec.iso.source.generator_count
-    if len(lifts) != k:
+    if len(lifts) != dec.group.generator_count:
         raise InputError("need exactly one lift per cyclic generator")
     wit = IntMatrix.from_columns(seq.B.generator_count, [y.coords for y in lifts])
-    return Section(seq, Homomorphism(seq.C, seq.B, wit @ dec.inverse.matrix))
+    return Section(seq, Homomorphism(seq.C, seq.B, wit @ dec.to_simple.matrix))
 
 
 def section_from_purity(seq: ShortExactSequence) -> Section:
@@ -362,19 +321,14 @@ def section_from_purity(seq: ShortExactSequence) -> Section:
     the witness search.
     """
     dec = pruefer_decompose(seq.C)
-    lifts = [pure_witness(seq, dec.iso(dec.iso.source.generator(i)))
-             for i in range(dec.iso.source.generator_count)]
+    lifts = [pure_witness(seq, dec.from_simple(e)) for e in dec.group.generators()]
     return assemble_section(seq, dec, lifts)
 
 
 def retraction_from_section(seq: ShortExactSequence, s: Section) -> Homomorphism:
     """r: B -> A with r∘f = id, via r(b) = f⁻¹(b - s(g(b)))."""
-    gb = seq.B.generator_count
-    proj = IntMatrix.identity(gb) - s.s.matrix @ seq.g.matrix
-    cols = seq.B.solve_columns(seq.f.matrix, [proj.col(j) for j in range(gb)])
-    if cols is None:
-        raise InputError("b - s(g(b)) left the image of f")  # impossible
-    r = Homomorphism(seq.B, seq.A, IntMatrix.from_columns(seq.A.generator_count, cols))
+    proj = IntMatrix.identity(seq.B.generator_count) - s.s.matrix @ seq.g.matrix
+    r = factor_through(Homomorphism(seq.B, seq.B, proj), seq.f)
     if not (r @ seq.f).is_identity():
         raise InputError("retraction verification failed")
     return r

@@ -14,14 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Union
+from typing import ClassVar, Mapping, Optional
 
 from .arith import is_prime, vp
-from .errors import GlueError, InputError, TowerInvalidError
+from .errors import GlueError, InputError, PurityError, TowerInvalidError
 from .groups import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
+    Simplified,
     cokernel_witness,
     direct_sum,
     invert_isomorphism,
@@ -37,7 +38,6 @@ from .matrices import (
     smith_normal_form,
 )
 from .sequences import (
-    PrueferDecomposition,
     PurityWitnessSet,
     Section,
     ShortExactSequence,
@@ -58,7 +58,6 @@ __all__ = [
     "TowerViolation",
     "TowerReport",
     "validate_tower",
-    "validate_co_tower",
     "tower_purity",
     "tower_split",
     "SigmaModel",
@@ -104,12 +103,14 @@ def _check_chain(p: int, seqs: tuple, maps: tuple, upward: bool) -> None:
 class KummerTower:
     """Levels S_1..S_n with upward maps; right maps inclusion-shaped."""
 
+    upward: ClassVar[bool] = True
+
     p: int
     seqs: tuple[ShortExactSequence, ...]
     maps: tuple[LevelMaps, ...]
 
     def __post_init__(self):
-        _check_chain(self.p, self.seqs, self.maps, upward=True)
+        _check_chain(self.p, self.seqs, self.maps, self.upward)
 
     @property
     def n(self) -> int:
@@ -120,24 +121,10 @@ class KummerTower:
         return self.seqs[-1]
 
 
-@dataclass(frozen=True)
-class CoKummerTower:
+class CoKummerTower(KummerTower):
     """Levels S_1..S_n with downward maps; left maps surjection-shaped."""
 
-    p: int
-    seqs: tuple[ShortExactSequence, ...]
-    maps: tuple[LevelMaps, ...]
-
-    def __post_init__(self):
-        _check_chain(self.p, self.seqs, self.maps, upward=False)
-
-    @property
-    def n(self) -> int:
-        return len(self.seqs)
-
-    @property
-    def top(self) -> ShortExactSequence:
-        return self.seqs[-1]
+    upward = False
 
 
 @dataclass(frozen=True)
@@ -243,78 +230,77 @@ def _surjection_violations(p: int, level: int,
     return out
 
 
-def _report(t: Union[KummerTower, CoKummerTower], upward: bool) -> TowerReport:
+def validate_tower(t: KummerTower) -> TowerReport:
+    """Report every splitting-hypothesis violation with level and witness.
+
+    Exactness per level is intrinsic (sequences validate at construction);
+    checked here: p^k-torsion and both commuting squares, and, for an
+    upward tower, that each right map is the canonical inclusion
+    (injective, image = p^k-torsion), for a downward one that each left
+    map is onto with kernel p^k times its source.
+    """
     violations = []
     for i, seq in enumerate(t.seqs):
         level = i + 1
         violations += _torsion_violations(t.p, level, seq)
         if level < t.n:
             lm = t.maps[i]
-            violations += _square_violations(level, seq, t.seqs[i + 1], lm, upward)
-            violations += (_inclusion_violations(t.p, level, lm.gamma) if upward
+            violations += _square_violations(level, seq, t.seqs[i + 1], lm, t.upward)
+            violations += (_inclusion_violations(t.p, level, lm.gamma) if t.upward
                            else _surjection_violations(t.p, level, lm.alpha))
     return TowerReport(valid=not violations, violations=tuple(violations),
                        levels=t.n)
 
 
-def validate_tower(t: KummerTower) -> TowerReport:
-    """Report every splitting-hypothesis violation with level and witness.
-
-    Exactness per level is intrinsic (sequences validate at construction);
-    checked here: p^k-torsion, both commuting squares, and that each right
-    map is the canonical inclusion (injective, image = p^k-torsion).
-    """
-    return _report(t, upward=True)
-
-
-def validate_co_tower(t: CoKummerTower) -> TowerReport:
-    """Dual-shape validation: torsion, downward squares, surjective left maps."""
-    return _report(t, upward=False)
-
-
-def _require_valid(t: KummerTower) -> None:
+def _require_valid(t: KummerTower, upward: bool) -> None:
+    """Raise unless t runs in the given direction and is valid."""
+    if t.upward != upward:
+        raise InputError("a downward tower is split by dual_tower_split" if upward
+                         else "an upward tower is split by tower_split")
     report = validate_tower(t)
     if not report.valid:
-        raise TowerInvalidError("tower violates the splitting hypotheses",
+        raise TowerInvalidError("tower violates the splitting hypotheses" if upward
+                                else "co-tower violates the dual hypotheses",
                                 report=report)
 
 
-def _gamma_chain(t: KummerTower, lo: int, hi: int) -> Homomorphism:
-    """Composite of the right maps from level lo up to level hi (1-based)."""
-    comp = Homomorphism.identity(t.seqs[lo - 1].C)
-    for j in range(lo - 1, hi - 1):
-        comp = t.maps[j].gamma @ comp
-    return comp
+def _level_lift(t: KummerTower, c: GroupElement, k: int) -> GroupElement:
+    """A preimage of c ∈ C_n under g_n that comes from level k.
+
+    c is pulled back along the composite of the right maps from level k to
+    the top, lifted through g_k, and pushed up by the middle maps. If c has
+    order p^k and B_k is killed by p^k, the lift has order p^k: no more,
+    as it comes from B_k, and no less, as it maps onto c.
+    """
+    low = t.seqs[k - 1]
+    chain = Homomorphism.identity(low.C)
+    for lm in t.maps[k - 1:]:
+        chain = lm.gamma @ chain
+    down = t.top.C.solve(chain.matrix, c.coords)
+    if down is None:
+        raise PurityError("element does not come from its order level", element=c)
+    lift = low.C.solve(low.g.matrix, low.C.element(down).coords)
+    if lift is None:
+        raise AssertionError("g is surjective on every level")
+    y = low.B.element(lift)
+    for lm in t.maps[k - 1:]:
+        y = lm.beta(y)
+    return y
 
 
-def _purity_lifts(t: KummerTower) -> tuple[PrueferDecomposition,
+def _purity_lifts(t: KummerTower) -> tuple[Simplified,
                                            list[tuple[GroupElement, GroupElement]]]:
     top = t.top
     dec = pruefer_decompose(top.C)
-    p, n = t.p, t.n
     pairs: list[tuple[GroupElement, GroupElement]] = []
-    for i, d in enumerate(dec.orders):
-        c = dec.iso(dec.iso.source.generator(i))
-        k = vp(d, p)
-        if p ** k != d:
+    for e, d in zip(dec.group.generators(), top.C.invariant_factors):
+        k = vp(d, t.p)
+        if t.p ** k != d:
             raise TowerInvalidError(
-                f"C[p^{n}] has a cyclic factor of order {d}, not a power "
-                f"of {p}", report=None)
-        chain = _gamma_chain(t, k, n)
-        down = top.C.solve(chain.matrix, c.coords)
-        if down is None:
-            raise AssertionError(
-                "torsion element missing from inclusion image")
-        level_seq = t.seqs[k - 1]
-        c_low = level_seq.C.element(down)
-        lift = level_seq.C.solve(level_seq.g.matrix, c_low.coords)
-        if lift is None:
-            raise AssertionError("g is surjective on every level")
-        # any preimage works: B_k is killed by p^k, so the order is exactly p^k
-        y = level_seq.B.element(lift)
-        for j in range(k - 1, n - 1):
-            y = t.maps[j].beta(y)
-        pairs.append((c, y))
+                f"C[p^{t.n}] has a cyclic factor of order {d}, not a power "
+                f"of {t.p}", report=None)
+        c = dec.from_simple(e)
+        pairs.append((c, _level_lift(t, c, k)))
     return dec, pairs
 
 
@@ -324,15 +310,15 @@ def tower_purity(t: KummerTower) -> PurityWitnessSet:
     Each generator of order p^k is pulled back to level k, lifted there
     (where every preimage already has the right order), and pushed up.
     """
-    _require_valid(t)
+    _require_valid(t, upward=True)
     dec, pairs = _purity_lifts(t)
     return PurityWitnessSet(seq=t.top, witnesses=tuple(pairs),
                             scope=f"cyclic generators of C[p^{t.n}]")
 
 
 def tower_split(t: KummerTower) -> Section:
-    """Verified section of the top sequence of a valid tower."""
-    _require_valid(t)
+    """Verified section of the top sequence of a valid upward tower."""
+    _require_valid(t, upward=True)
     dec, pairs = _purity_lifts(t)
     return assemble_section(t.top, dec, [y for _, y in pairs])
 
@@ -516,8 +502,7 @@ def crt_split(m: int, towers: Mapping[int, KummerTower],
 # ---------------------------------------------------------------------------
 
 
-def dual_tower(t: Union[KummerTower, CoKummerTower]
-               ) -> Union[CoKummerTower, KummerTower]:
+def dual_tower(t: KummerTower) -> KummerTower:
     """Pontryagin-dualize a tower levelwise (finite groups only).
 
     Maps flip direction and the A and C columns trade places, so an upward
@@ -528,20 +513,17 @@ def dual_tower(t: Union[KummerTower, CoKummerTower]
                            beta=pontryagin_dual(lm.beta),
                            gamma=pontryagin_dual(lm.alpha))
                  for lm in t.maps)
-    opposite = CoKummerTower if isinstance(t, KummerTower) else KummerTower
+    opposite = CoKummerTower if t.upward else KummerTower
     return opposite(t.p, seqs, maps)
 
 
-def dual_tower_split(t: CoKummerTower) -> Section:
+def dual_tower_split(t: KummerTower) -> Section:
     """Split the top of a downward tower through its Pontryagin dual.
 
     The dual is an honest upward tower; its section dualizes back to a
     retraction of f_n, which converts to a section of g_n.
     """
-    report = validate_co_tower(t)
-    if not report.valid:
-        raise TowerInvalidError("co-tower violates the dual hypotheses",
-                                report=report)
+    _require_valid(t, upward=False)
     upward = dual_tower(t)
     s_hat = tower_split(upward)
     top = t.top

@@ -10,12 +10,27 @@ from __future__ import annotations
 import math
 from itertools import combinations, product
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from kummer.errors import InputError
-from kummer.groups import GroupElement
-from kummer.matrices import IntMatrix, int_tuple, lattice_intersection, smith_normal_form
+from kummer.errors import InputError, UnsupportedError
+from kummer.groups import FgAbGroup, GroupElement
+from kummer.matrices import IntMatrix, hstack, int_tuple, kernel_lattice, smith_normal_form
 from kummer.sequences import ShortExactSequence
+
+
+def elements(g: FgAbGroup) -> Iterator[GroupElement]:
+    """Every element of a finite group. Its canonical coordinates are the
+    box of residues below the pivots of the relations' Hermite form."""
+    if not g.is_finite:
+        raise UnsupportedError("cannot enumerate an infinite group")
+    h = g.hermite
+    return (g.element(x) for x in product(*(range(h.matrix[r, c]) for r, c in h.pivots)))
+
+
+def lattice_intersection(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
+    """Generators (as columns) of colspan(m1) ∩ colspan(m2)."""
+    ker = kernel_lattice(hstack(m1, -m2))
+    return m1 @ ker.select(range(m1.cols), range(ker.cols))
 
 
 def naive_det(mat: IntMatrix) -> int:
@@ -63,7 +78,7 @@ def brute_same_order_lift(seq: ShortExactSequence,
                           c: GroupElement) -> bool:
     """Search all of B for a preimage of c with the same order."""
     target = c.order()
-    for b in seq.B.elements():
+    for b in elements(seq.B):
         if seq.g(b) == c and b.order() == target:
             return True
     return False
@@ -81,7 +96,7 @@ def brute_equivariant_section(seq) -> Optional[list[GroupElement]]:
                           for i in range(b.generator_count)])
 
     gens = c.generators()
-    lifts = [[y for y in b.elements() if seq.g(y) == x] for x in gens]
+    lifts = [[y for y in elements(b) if seq.g(y) == x] for x in gens]
     rel = c.relations
     for images in product(*lifts):
         if (not any(image(images, rel.col(j)) for j in range(rel.cols))
@@ -92,7 +107,7 @@ def brute_equivariant_section(seq) -> Optional[list[GroupElement]]:
 
 
 def verify_section_on_all(seq: ShortExactSequence, s) -> bool:
-    return all(seq.g(s.s(c)) == c for c in seq.C.elements())
+    return all(seq.g(s.s(c)) == c for c in elements(seq.C))
 
 
 def brute_solve_mod(mat: IntMatrix, rhs: tuple[int, ...], m: int,

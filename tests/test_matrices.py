@@ -14,7 +14,6 @@ from kummer.matrices import (
     hermite_column_form,
     hstack,
     kernel_lattice,
-    lattice_intersection,
     preimage_lattice,
     smith_normal_form,
     solve_integer_system,
@@ -24,6 +23,7 @@ from kummer.matrices import (
 
 from oracles import (
     brute_solve_mod,
+    lattice_intersection,
     minors_gcd_diagonal,
     naive_det,
     reference_solve_modular_columns,

@@ -14,7 +14,6 @@ from kummer.towers import (
     sigma_kummer_tower,
     tower_purity,
     tower_split,
-    validate_co_tower,
     validate_tower,
 )
 
@@ -25,7 +24,7 @@ from kummer.fixtures import (
     random_sigma_model,
     split_tower,
 )
-from oracles import verify_section_on_all
+from oracles import elements, verify_section_on_all
 
 
 def test_sigma_model_reads_smith_data():
@@ -142,7 +141,7 @@ def test_order_six_crt_fixture_splits_everywhere():
     section = crt_split(fix.m, fix.towers, fix.glue)
     seq = fix.glue.seq
     assert seq.C.order == 6
-    for c in seq.C.elements():
+    for c in elements(seq.C):
         assert seq.g(section(c)) == c
 
 
@@ -163,7 +162,7 @@ def test_dual_tower_round_trip():
     t = sigma_kummer_tower(SigmaModel(2, 2, IntMatrix.from_rows(
         [[1, 2], [0, 1]])), 3)
     co = dual_tower(t)
-    assert validate_co_tower(co)
+    assert validate_tower(co)
     back = dual_tower(co)
     assert validate_tower(back)
     for orig, rt in zip(t.seqs, back.seqs):
@@ -188,3 +187,26 @@ def test_co_tower_constructor_rejects_upward_maps():
     t = sigma_kummer_tower(SigmaModel(3, 2, IntMatrix.identity(2)), 2)
     with pytest.raises(InputError):
         CoKummerTower(3, t.seqs, t.maps)
+
+
+def test_validate_tower_reports_on_either_direction():
+    up = split_tower(2, 2)
+    down = dual_tower(up)
+    assert not down.upward
+    assert validate_tower(down)
+    broken = dual_tower(invalid_tower())
+    report = validate_tower(broken)
+    assert not report.valid
+    assert {v.check for v in report.violations} == {"surjection"}
+
+
+def test_tower_split_names_the_split_for_a_downward_tower():
+    with pytest.raises(InputError, match="dual_tower_split"):
+        tower_split(dual_tower(split_tower(2, 2)))
+    with pytest.raises(InputError, match="dual_tower_split"):
+        tower_purity(dual_tower(split_tower(2, 2)))
+
+
+def test_dual_tower_split_names_the_split_for_an_upward_tower():
+    with pytest.raises(InputError, match="tower_split"):
+        dual_tower_split(split_tower(2, 2))
