@@ -21,15 +21,21 @@ both trees see the same inputs:
 - every demo with its --seed, --p and --depth variants;
 - ``limit-split`` for 3 families x 2 cases x p in {2, 3, 5} x level in
   {1, 2, 3, 8};
-- ``counterexample`` for p in {2, 3, 5, 7} x depth in {2, 4, 8}.
+- ``counterexample`` for p in {2, 3, 5, 7} x depth in {2, 4, 8};
+- ``gmod-split`` for 0 -> A -> A + C -> C -> 0 with the middle module
+  written in a random basis, for every ordered pair of small regular,
+  mod-q, Tate and sign modules over C_2 and over C_3. Each splits
+  equivariantly, so its output carries a section.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +45,14 @@ sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
 from kummer import jsonio  # noqa: E402
+from kummer.cohomology import (  # noqa: E402
+    CyclicGroupModule,
+    reduce_mod_p,
+    regular_module,
+    tate_model,
+)
+from kummer.groups import FgAbGroup, Homomorphism  # noqa: E402
+from kummer.matrices import IntMatrix, block_diag, hstack, vstack  # noqa: E402
 from kummer.towers import dual_tower  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
@@ -48,6 +62,53 @@ def downward(text: str) -> str:
     this tree's library, so every source tree is run on the same input."""
     tower = dual_tower(jsonio.decode_tower(json.loads(text)))
     return jsonio.dumps(jsonio.document(jsonio.encode_tower(tower)))
+
+
+def _module_doc(m: CyclicGroupModule) -> dict:
+    return {"d": m.d, "group": jsonio.encode_group(m.group),
+            "sigma": jsonio.encode_matrix(m.sigma.matrix)}
+
+
+def mixed_sum(a: CyclicGroupModule, c: CyclicGroupModule, rng: random.Random) -> str:
+    """0 -> A -> A + C -> C -> 0 as a document, with the middle module in
+    the basis of a random unimodular U: relations U R, action U s U^-1,
+    f = U [I; 0] and g = [0 I] U^-1."""
+    na, nc = a.group.generator_count, c.group.generator_count
+    n = na + nc
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + k * y for x, y in zip(u[i], u[j])]  # row i += k row j
+        for row in u_inv:  # column j -= k column i
+            row[j] -= k * row[i]
+    u, u_inv = IntMatrix.from_rows(u), IntMatrix.from_rows(u_inv)
+    grp = FgAbGroup(n, u @ block_diag(a.group.relations, c.group.relations))
+    b = CyclicGroupModule(a.d, grp, Homomorphism(
+        grp, grp, u @ block_diag(a.sigma.matrix, c.sigma.matrix) @ u_inv))
+    f = u @ vstack(IntMatrix.identity(na), IntMatrix.zeros(nc, na))
+    g = hstack(IntMatrix.zeros(nc, na), IntMatrix.identity(nc)) @ u_inv
+    doc = {"A": _module_doc(a), "B": _module_doc(b), "C": _module_doc(c),
+           "f": jsonio.encode_matrix(f), "g": jsonio.encode_matrix(g)}
+    jsonio.decode_gmodule_seq(doc)  # the document is a valid sequence
+    return jsonio.dumps(jsonio.document(doc))
+
+
+def split_modules() -> list[str]:
+    z = FgAbGroup.free(1)
+    sign = CyclicGroupModule(2, z, Homomorphism(z, z, IntMatrix.from_rows([[-1]])))
+    families = {
+        2: [regular_module(2), reduce_mod_p(regular_module(2), 2),
+            reduce_mod_p(regular_module(2), 3), tate_model(2),
+            reduce_mod_p(tate_model(2), 2), sign],
+        3: [regular_module(3), reduce_mod_p(regular_module(3), 3),
+            reduce_mod_p(regular_module(3), 2), tate_model(3),
+            reduce_mod_p(tate_model(3), 3)],
+    }
+    rng = random.Random(13)
+    return [mixed_sum(a, c, rng) for d in sorted(families)
+            for a, c in itertools.product(families[d], repeat=2)]
 
 
 def documents() -> list[tuple[list[str], str]]:
@@ -77,6 +138,7 @@ def documents() -> list[tuple[list[str], str]]:
                     docs.append((["limit-split"], json.dumps(doc, sort_keys=True)))
     docs += [(["counterexample", "--p", str(p), "--depth", str(d)], "")
              for p in (2, 3, 5, 7) for d in (2, 4, 8)]
+    docs += [(["gmod-split"], text) for text in split_modules()]
     unique = dict.fromkeys((tuple(argv), stdin) for argv, stdin in docs)
     return [(list(argv), stdin) for argv, stdin in unique]
 

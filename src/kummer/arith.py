@@ -7,6 +7,7 @@ from .errors import InputError
 __all__ = [
     "MR_BOUND",
     "is_prime",
+    "require_prime",
     "factorint",
     "divisors",
     "vp",
@@ -47,6 +48,13 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_prime(p: int) -> None:
+    """Raise InputError unless is_prime(p); a p too long to print is named by its size."""
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime" if p > -MR_BOUND
+                         else f"a {p.bit_length()}-bit negative number is not prime")
 
 
 def factorint(n: int) -> dict[int, int]:

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import jsonio
+from .arith import require_prime
 from .cohomology import equivariant_section_exists, tate_cohomology
 from .colimits import (
     CaseTwoEvidence,
@@ -164,11 +165,20 @@ def _check_depth(args) -> None:
         raise InputError(f"--depth: expected at most {jsonio.MAX_DEPTH}")
 
 
+def _prime(value, path: str) -> int:
+    """The integer at ``path``, rejected there unless it is prime."""
+    p = jsonio.decode_int(value, path)
+    with jsonio._at(path):
+        require_prime(p)
+    return p
+
+
 def _cmd_counterexample(args) -> tuple[dict, int]:
     _check_depth(args)
-    p = args.p if args.p is not None else 2
-    depth = args.depth if args.depth is not None else 4
-    ok, payload = demo_counterexample(p, depth)
+    p = _prime(args.p if args.p is not None else 2, "--p")
+    # p is prime, so only the depth can be rejected
+    with jsonio._at("--depth"):
+        ok, payload = demo_counterexample(p, args.depth if args.depth is not None else 4)
     return payload, 0 if ok else 1
 
 
@@ -183,13 +193,14 @@ def _cmd_limit_split(args) -> tuple[dict, int]:
     doc = jsonio._require_dict(_read_document(args), "$", ())
     family = jsonio.decode_choice(doc.get("family"), "$.family",
                                   tuple(sorted(_FAMILIES)))
-    p = jsonio.decode_int(doc.get("p", 2), "$.p")
+    p = _prime(doc.get("p", 2), "$.p")
     case = jsonio.decode_int(doc.get("case", 2), "$.case")
     level = jsonio.decode_int(doc.get("level", 2), "$.level")
     if level > jsonio.MAX_LEVEL:
         raise InputError(f"$.level: expected at most {jsonio.MAX_LEVEL}")
     n0 = jsonio.decode_count(doc.get("n0", 2), "$.n0")
-    tower = _FAMILIES[family](p, n0)
+    with jsonio._at("$.n0"):  # p is prime, so only n0 can be rejected
+        tower = _FAMILIES[family](p, n0)
     if case == 2:
         evidence = CaseTwoEvidence(level=level)
     elif case == 1:
@@ -266,19 +277,18 @@ def _cmd_gmod_split(args) -> tuple[dict, int]:
 
 
 def _cmd_demo(args) -> tuple[dict, int]:
+    if args.name == "counterexample":
+        return _cmd_counterexample(args)
     _check_depth(args)
     if (args.name == "chris" and args.p is not None
             and args.p > jsonio.MAX_CHRIS_P):
         raise InputError(f"--p: expected at most {jsonio.MAX_CHRIS_P}")
-    fn = DEMOS[args.name]
     kwargs = {}
     if args.name in ("main-lemma", "dual-lemma") and args.seed is not None:
         kwargs["seed"] = args.seed
-    if args.name in ("counterexample", "direct-limit", "chris") and args.p is not None:
-        kwargs["p"] = args.p
-    if args.name == "counterexample" and args.depth is not None:
-        kwargs["depth"] = args.depth
-    ok, report = fn(**kwargs)
+    if args.name in ("direct-limit", "chris") and args.p is not None:
+        kwargs["p"] = _prime(args.p, "--p")
+    ok, report = DEMOS[args.name](**kwargs)
     return report, 0 if ok else 1
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .arith import is_prime
+from .arith import require_prime
 from .errors import InputError
 from .groups import (
     FgAbGroup,
@@ -36,7 +36,6 @@ __all__ = [
     "Subquotient",
     "TateGroups",
     "tate_cohomology",
-    "is_cohomologically_trivial",
     "equivariant_section_exists",
     "tate_model",
     "regular_module",
@@ -206,10 +205,6 @@ def tate_cohomology(module: CyclicGroupModule) -> TateGroups:
                       one=minus_one, two=zero)
 
 
-def is_cohomologically_trivial(module: CyclicGroupModule) -> bool:
-    return tate_cohomology(module).trivial
-
-
 def equivariant_section_exists(seq: GModuleSequence) -> Optional[GModuleMap]:
     """A section of g commuting with the action, or None.
 
@@ -240,8 +235,7 @@ def tate_model(p: int) -> CyclicGroupModule:
     integral ring and the divided norm; its two Tate groups are both
     cyclic of order p, which makes it the standard nontrivial test module.
     """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    require_prime(p)
     grp = FgAbGroup.free(p)
     cols: list[list[int]] = []
     for j in range(p - 2):
@@ -296,8 +290,7 @@ def les_multiplication_by_p(module: CyclicGroupModule,
     -1 and 0 rows assemble into a short exact sequence connecting M and
     M/p. The connecting map divides the norm of an integral lift by p.
     """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    require_prime(p)
     if module.d != p:
         raise InputError("the acting group must have order exactly p")
     simp = module.group.simplified
@@ -340,8 +333,7 @@ def regular_extension_fixture(p: int) -> GModuleSequence:
     the middle are spanned by the all-ones vector, whose augmentation is
     p = 0, so no fixed element maps to 1.
     """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    require_prime(p)
     b_grp = FgAbGroup(p, IntMatrix.identity(p).scaled(p))
     b_mod = CyclicGroupModule(p, b_grp, Homomorphism(b_grp, b_grp, _shift(p)))
     c_grp = FgAbGroup.cyclic(p)
@@ -389,8 +381,7 @@ class ChrisReport:
 
 def chris_verify(p: int) -> ChrisReport:
     """Run the whole mod-p obstruction computation for one prime."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    require_prime(p)
     les = les_multiplication_by_p(tate_model(p), p)
     h1_inv = les.left.group.invariant_factors
     h2_inv = les.right.group.invariant_factors

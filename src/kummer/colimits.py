@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional, Sequence, Union
 
-from .arith import is_prime, vp
+from .arith import require_prime, vp
 from .errors import (
     EvidenceError,
     InputError,
     PurityError,
-    TowerInvalidError,
     UnsupportedError,
 )
 from .groups import (
@@ -48,7 +47,7 @@ from .sequences import (
     section_from_purity,
     section_from_retraction,
 )
-from .towers import KummerTower, LevelMaps, _level_lift, tower_split, validate_tower
+from .towers import KummerTower, LevelMaps, _level_lift, _require_valid, tower_split
 
 __all__ = [
     "ColimitTower",
@@ -74,18 +73,19 @@ Position = Literal["A", "B", "C"]
 class ColimitTower:
     """Levels produced on demand by callables, memoized.
 
-    seq_fn(k) yields the level-k sequence, maps_fn(k) the triple of maps
-    from level k to k+1, for every k >= 1. The family tag drives
+    seq_fn(k) yields the level-k sequence, maps_fn(k, lo, hi) the triple
+    of maps from level k to k+1, for every k >= 1, given the memoized
+    sequences lo and hi of those two levels. The family tag drives
     family-specific shortcuts (closed-form heights, explicit sections);
     "user" towers get only the generic probes.
     """
 
     def __init__(self, p: int,
                  seq_fn: Callable[[int], ShortExactSequence],
-                 maps_fn: Callable[[int], LevelMaps],
+                 maps_fn: Callable[[int, ShortExactSequence, ShortExactSequence],
+                                   LevelMaps],
                  family: str = "user"):
-        if not is_prime(p):
-            raise InputError(f"{p} is not prime")
+        require_prime(p)
         self.p = p
         self.family = family
         self._seq_fn = seq_fn
@@ -102,10 +102,8 @@ class ColimitTower:
 
     def step(self, k: int) -> LevelMaps:
         """Maps from level k to level k+1."""
-        if k < 1:
-            raise InputError("levels are indexed from 1")
         if k not in self._maps:
-            self._maps[k] = self._maps_fn(k)
+            self._maps[k] = self._maps_fn(k, self.sequence(k), self.sequence(k + 1))
         return self._maps[k]
 
     def prefix(self, n: int) -> KummerTower:
@@ -204,8 +202,6 @@ def counterexample_tower(p: int) -> ColimitTower:
     of including, which makes every element of the limit C infinitely
     divisible while the limit B has no infinitely divisible elements.
     """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
 
     def build(k: int) -> ShortExactSequence:
         b = FgAbGroup(k, IntMatrix.diagonal([p ** i for i in range(1, k + 1)]))
@@ -215,8 +211,7 @@ def counterexample_tower(p: int) -> ColimitTower:
         a, inc = kernel(g)
         return check_exact(inc, g)
 
-    def maps_fn(k: int) -> LevelMaps:
-        lo, hi = tower.sequence(k), tower.sequence(k + 1)
+    def maps_fn(k: int, lo: ShortExactSequence, hi: ShortExactSequence) -> LevelMaps:
         psi = Homomorphism(lo.B, hi.B, vstack(
             IntMatrix.identity(k), IntMatrix.zeros(1, k)))
         eta = Homomorphism(lo.C, hi.C, IntMatrix.from_rows([[p]]))
@@ -224,14 +219,11 @@ def counterexample_tower(p: int) -> ColimitTower:
         phi = factor_through(psi @ lo.f, hi.f)
         return LevelMaps(alpha=phi, beta=psi, gamma=eta)
 
-    tower = ColimitTower(p, build, maps_fn, family="counterexample")
-    return tower
+    return ColimitTower(p, build, maps_fn, family="counterexample")
 
 
 def stabilizing_tower(p: int, n0: int = 2) -> ColimitTower:
     """Split family whose C column stops growing at level n0 (case 2 shape)."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
     if n0 < 1:
         raise InputError("stabilization level must be at least 1")
 
@@ -240,8 +232,7 @@ def stabilizing_tower(p: int, n0: int = 2) -> ColimitTower:
                         FgAbGroup.cyclic(p ** min(k, n0)))
         return check_exact(ds.injections[0], ds.projections[1])
 
-    def maps_fn(k: int) -> LevelMaps:
-        lo, hi = build(k), build(k + 1)
+    def maps_fn(k: int, lo: ShortExactSequence, hi: ShortExactSequence) -> LevelMaps:
         step = p if min(k + 1, n0) > min(k, n0) else 1
         gamma = Homomorphism(lo.C, hi.C, IntMatrix.from_rows([[step]]))
         alpha = Homomorphism(lo.A, hi.A, IntMatrix.identity(1))
@@ -254,8 +245,6 @@ def stabilizing_tower(p: int, n0: int = 2) -> ColimitTower:
 
 def divisible_tower(p: int) -> ColimitTower:
     """Family whose A column has divisible limit Z(p^inf) (case 1 shape)."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
 
     def build(k: int) -> ShortExactSequence:
         a = FgAbGroup.cyclic(p ** k)
@@ -265,8 +254,7 @@ def divisible_tower(p: int) -> ColimitTower:
         g = Homomorphism(b, c, IntMatrix.from_rows([[0, 1]]))
         return check_exact(f, g)
 
-    def maps_fn(k: int) -> LevelMaps:
-        lo, hi = build(k), build(k + 1)
+    def maps_fn(k: int, lo: ShortExactSequence, hi: ShortExactSequence) -> LevelMaps:
         return LevelMaps(
             alpha=Homomorphism(lo.A, hi.A, IntMatrix.from_rows([[p]])),
             beta=Homomorphism(lo.B, hi.B, IntMatrix.diagonal([p, 1])),
@@ -536,15 +524,8 @@ def _split_case_two(t: ColimitTower, ev: CaseTwoEvidence) -> LimitSplitResult:
         raise EvidenceError(
             f"C[p^{n + 1}] differs from C[p^{n}]: the right map at level "
             f"{n} is not an isomorphism", check="stabilization")
-    prefix = t.prefix(n)
-    report = validate_tower(prefix)
-    if not report.valid:
-        raise TowerInvalidError(
-            "materialized prefix violates the tower hypotheses",
-            report=report)
-    s = tower_split(prefix)
     return LimitSplitResult(
-        case=2, level=n, section=s,
+        case=2, level=n, section=tower_split(t.prefix(n)),
         notes=(f"section of the level-{n} sequence reused as the limit "
                "section: all later C levels coincide",))
 
@@ -632,11 +613,7 @@ def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
             raise EvidenceError(
                 f"claimed divisible-part element has finite height "
                 f"{probe.height} < {ev.height_depth}: {a!r}", check="V4")
-    report = validate_tower(t.prefix(big_l))
-    if not report.valid:
-        raise TowerInvalidError(
-            "materialized prefix violates the tower hypotheses",
-            report=report)
+    _require_valid(t.prefix(big_l), upward=True)
 
     pi_d = ev.pi_divisible[big_l - 1]
     pi_m = ev.pi_bounded[big_l - 1]

@@ -340,7 +340,8 @@ class Homomorphism:
         return self.target.hermite.outside(self.matrix - other.matrix) is None
 
     def is_identity(self) -> bool:
-        return self.source == self.target and self.same_map(Homomorphism.identity(self.source))
+        return self.source == self.target and self.target.hermite.outside(
+            self.matrix - IntMatrix.identity(self.target.generator_count)) is None
 
 
 def hom_from_images(source: FgAbGroup, target: FgAbGroup,
@@ -467,19 +468,13 @@ def is_isomorphism(h: Homomorphism) -> bool:
 
 
 def invert_isomorphism(h: Homomorphism) -> Homomorphism:
-    """Two-sided inverse of an isomorphism, found by one congruence solve:
-    X well-defined on the target's relators, X h = id and h X = id."""
-    src, tgt = h.source, h.target
-    gs, gt = src.generator_count, tgt.generator_count
-    sol = solve_congruences({"X": (gs, gt)}, [
-        ([(None, "X", tgt.relations)], IntMatrix.zeros(gs, tgt.relations.cols), src),
-        ([(None, "X", h.matrix)], IntMatrix.identity(gs), src),
-        ([(h.matrix, "X", None)], IntMatrix.identity(gt), tgt),
-    ])
-    if sol is None:
-        raise InputError("homomorphism is not invertible")
-    inv = Homomorphism(h.target, h.source, sol["X"])
-    if not (inv @ h).is_identity() or not (h @ inv).is_identity():
+    """Two-sided inverse of an isomorphism: the identity of the target
+    factored through h, so h ∘ x = id, then checked for x ∘ h = id."""
+    try:
+        inv = factor_through(Homomorphism.identity(h.target), h)
+    except InputError as exc:
+        raise InputError("homomorphism is not invertible") from exc
+    if not (inv @ h).is_identity():
         raise InputError("homomorphism is not invertible")
     return inv
 

@@ -191,7 +191,6 @@ class IntMatrix:
 
 
 def hstack(*mats: IntMatrix) -> IntMatrix:
-    mats = tuple(m for m in mats)
     if not mats:
         raise InputError("hstack of nothing")
     r = mats[0].rows
@@ -205,7 +204,6 @@ def hstack(*mats: IntMatrix) -> IntMatrix:
 
 
 def vstack(*mats: IntMatrix) -> IntMatrix:
-    mats = tuple(m for m in mats)
     if not mats:
         raise InputError("vstack of nothing")
     c = mats[0].cols
@@ -237,13 +235,13 @@ def block_diag(*mats: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ source @ V == S with U, V unimodular and S a divisibility chain.
+    """U @ M @ V == S for the decomposed matrix M, with U, V unimodular and
+    S a divisibility chain.
 
     U_inv and V_inv are the exact inverses, accumulated during elimination;
     they make changes of generators invertible without extra solving.
     """
 
-    source: IntMatrix
     U: IntMatrix
     S: IntMatrix
     V: IntMatrix
@@ -413,7 +411,7 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
     diag = _diagonal_of(mat)
     if diag is not None and _is_smith_chain(diag):
         u, v = IntMatrix.identity(r), IntMatrix.identity(c)
-        return SmithDecomposition(source=mat, U=u, S=mat, V=v, U_inv=u, V_inv=v)
+        return SmithDecomposition(U=u, S=mat, V=v, U_inv=u, V_inv=v)
     a = [list(mat.row(i)) for i in range(r)]
     u, u_inv_t = _identity_rows(r), _identity_rows(r)
     v_t, v_inv = _identity_rows(c), _identity_rows(c)
@@ -443,7 +441,6 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
             _combine(i, j, 1, 1, -y * dj // g, x * di // g, (v_t,), (v_inv,))
 
     return SmithDecomposition(
-        source=mat,
         U=IntMatrix(r, r, tuple(x for row in u for x in row)),
         S=IntMatrix(r, c, tuple(x for row in a for x in row)),
         V=IntMatrix(c, c, tuple(x for col in zip(*v_t) for x in col)),
@@ -459,7 +456,7 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
 
 @dataclass(frozen=True)
 class HermiteColumnForm:
-    """Canonical generating set of the column lattice of ``source``.
+    """Canonical generating set of a column lattice.
 
     ``matrix`` has one column per pivot, pivot rows strictly increasing,
     pivots positive, and every entry in a pivot row lying to the left of its
@@ -467,7 +464,6 @@ class HermiteColumnForm:
     lattice iff their Hermite column forms are equal.
     """
 
-    source: IntMatrix
     matrix: IntMatrix
     pivots: tuple[tuple[int, int], ...]  # (row, col) pairs
 
@@ -518,12 +514,12 @@ def hermite_column_form(mat: IntMatrix) -> HermiteColumnForm:
     if diag is not None and min(diag, default=0) >= 0:
         piv = [i for i, d in enumerate(diag) if d]
         return HermiteColumnForm(
-            source=mat, matrix=IntMatrix.from_columns(mat.rows, [mat.col(i) for i in piv]),
+            matrix=IntMatrix.from_columns(mat.rows, [mat.col(i) for i in piv]),
             pivots=tuple((i, j) for j, i in enumerate(piv)))
     cols = [list(mat.col(j)) for j in range(mat.cols)]
     piv = _hermite_pass(cols)
     return HermiteColumnForm(
-        source=mat, matrix=IntMatrix.from_columns(mat.rows, cols[:len(piv)]),
+        matrix=IntMatrix.from_columns(mat.rows, cols[:len(piv)]),
         pivots=tuple((row, j) for j, row in enumerate(piv)))
 
 
@@ -536,7 +532,7 @@ def _tracked_form(mat: IntMatrix) -> tuple[HermiteColumnForm, list[list[int]]]:
     t = _identity_rows(mat.cols)
     piv = _hermite_pass(cols, (t,))
     form = HermiteColumnForm(
-        source=mat, matrix=IntMatrix.from_columns(mat.rows, cols[:len(piv)]),
+        matrix=IntMatrix.from_columns(mat.rows, cols[:len(piv)]),
         pivots=tuple((row, j) for j, row in enumerate(piv)))
     return form, t
 
@@ -755,7 +751,7 @@ class MatrixEquationSystem:
                      rhs: IntMatrix) -> None:
         """Append the matrix equation  sum_t L_t @ X_t @ R_t = rhs."""
         er, ec = rhs.rows, rhs.cols
-        coeffs: list[dict[int, int]] = [dict() for _ in range(er * ec)]
+        rows = [[0] * self._total for _ in range(er * ec)]
         for left, name, right in terms:
             if name not in self._shapes:
                 raise InputError(f"unknown block {name!r}")
@@ -774,7 +770,7 @@ class MatrixEquationSystem:
             off = self._offsets[name]
             for i in range(er):
                 for j in range(ec):
-                    cell = coeffs[i * ec + j]
+                    row = rows[i * ec + j]
                     # coefficient of X[k][l] in (L X R)[i][j] is L[i][k] * R[l][j]
                     for k in range(xr):
                         lik = left[i, k] if left is not None else int(i == k)
@@ -783,15 +779,9 @@ class MatrixEquationSystem:
                         for l in range(xc):
                             rlj = right[l, j] if right is not None else int(l == j)
                             if rlj:
-                                idx = off + k * xc + l
-                                cell[idx] = cell.get(idx, 0) + lik * rlj
-        for i in range(er):
-            for j in range(ec):
-                row = [0] * self._total
-                for idx, val in coeffs[i * ec + j].items():
-                    row[idx] = val
-                self._rows.append(row)
-                self._rhs.append(rhs[i, j])
+                                row[off + k * xc + l] += lik * rlj
+        self._rows += rows
+        self._rhs += rhs.data
 
     def solve(self, mod: Optional[int] = None) -> Optional[dict[str, IntMatrix]]:
         """Solve over Z, or over Z/mod when ``mod`` is given.

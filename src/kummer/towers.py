@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Mapping, Optional
 
-from .arith import is_prime, vp
+from .arith import require_prime, vp
 from .errors import GlueError, InputError, PurityError, TowerInvalidError
 from .groups import (
     FgAbGroup,
@@ -26,6 +26,7 @@ from .groups import (
     cokernel_witness,
     direct_sum,
     invert_isomorphism,
+    is_isomorphism,
     kernel_witness,
 )
 from .matrices import (
@@ -79,8 +80,7 @@ class LevelMaps:
 
 
 def _check_chain(p: int, seqs: tuple, maps: tuple, upward: bool) -> None:
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    require_prime(p)
     if not seqs:
         raise InputError("tower needs at least one level")
     if len(maps) != len(seqs) - 1:
@@ -344,8 +344,7 @@ class SigmaModel:
     M: IntMatrix
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise InputError(f"{self.p} is not prime")
+        require_prime(self.p)
         if self.M.rows != self.r or self.M.cols != self.r:
             raise InputError("M must be square of size r")
         if math.gcd(determinant(self.M), self.p) != 1:
@@ -484,17 +483,14 @@ def crt_split(m: int, towers: Mapping[int, KummerTower],
     h_by_name = {"A": joint(0, glue.seq.A, "A"),
                  "B": joint(1, glue.seq.B, "B"),
                  "C": joint(2, glue.seq.C, "C")}
-    inverses = {}
     for name, h in h_by_name.items():
-        try:
-            inverses[name] = invert_isomorphism(h)
-        except InputError as exc:
+        if not is_isomorphism(h):
             raise GlueError(
                 f"glue embeddings do not form a direct-sum isomorphism on "
-                f"the {name} column", component=name) from exc
+                f"the {name} column", component=name)
     s_sum = Homomorphism(h_by_name["C"].source, h_by_name["B"].source,
                          block_diag(*[sections[p].s.matrix for p in primes]))
-    return Section(glue.seq, (h_by_name["B"] @ s_sum) @ inverses["C"])
+    return Section(glue.seq, (h_by_name["B"] @ s_sum) @ invert_isomorphism(h_by_name["C"]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from kummer.arith import MR_BOUND, is_prime, vp
+from kummer.arith import MR_BOUND, is_prime, require_prime, vp
 from kummer.errors import InputError
 
 
@@ -14,6 +14,18 @@ def test_vp_values():
 def test_vp_rejects_bases_below_two(p):
     with pytest.raises(InputError):
         vp(8, p)
+
+
+@pytest.mark.parametrize("n, message", [
+    (4, "4 is not prime"),
+    (-7, "-7 is not prime"),
+    (-10 ** 5000, f"a {(10 ** 5000).bit_length()}-bit negative number is not prime"),
+], ids=["four", "negative", "too-long-to-print"])
+def test_require_prime_names_the_rejected_number(n, message):
+    require_prime(7)
+    with pytest.raises(InputError) as info:
+        require_prime(n)
+    assert str(info.value) == message
 
 
 def test_is_prime_matches_a_sieve_below_100000():

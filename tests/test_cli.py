@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kummer import jsonio
+from kummer.arith import MR_BOUND
 from kummer.cli import main
 from kummer.groups import FgAbGroup, Homomorphism
 from kummer.matrices import IntMatrix
@@ -398,6 +399,32 @@ def test_structural_parameters_past_their_cap_fail_fast(argv, doc, path):
     res = subprocess.run([sys.executable, "-m", "kummer", *argv], input=doc,
                          capture_output=True, text=True, timeout=20)
     assert _error(res)["message"].startswith(f"{path}: ")
+
+
+NEG_HUGE_BITS = jsonio._int_from_decimal(HUGE).bit_length()
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["limit-split"], '{"family":"stabilizing","p":4}', "$.p: 4 is not prime"),
+    (["limit-split"], '{"family":"divisible","p":"%d"}' % MR_BOUND,
+     f"$.p: primality is only decided below {MR_BOUND}, got a 82-bit number"),
+    (["limit-split"], '{"family":"counterexample","p":"-%s"}' % HUGE,
+     f"$.p: a {NEG_HUGE_BITS}-bit negative number is not prime"),
+    (["limit-split"], '{"family":"stabilizing","n0":0}',
+     "$.n0: stabilization level must be at least 1"),
+    (["limit-split"], '{"family":"stabilizing","p":4,"n0":0}', "$.p: 4 is not prime"),
+    (["counterexample", "--p", "4"], "", "--p: 4 is not prime"),
+    (["counterexample", "--depth", "0"], "", "--depth: depth must be at least 1"),
+    (["demo", "counterexample", "--p", "4"], "", "--p: 4 is not prime"),
+    (["demo", "counterexample", "--depth", "0"], "", "--depth: depth must be at least 1"),
+    (["demo", "direct-limit", "--p", "4"], "", "--p: 4 is not prime"),
+    (["demo", "chris", "--p", "4"], "", "--p: 4 is not prime"),
+    (["tower-validate"], '{"p":"-%s","n":0,"levels":[],"maps":[]}' % HUGE,
+     f"$: a {NEG_HUGE_BITS}-bit negative number is not prime"),
+], ids=["p", "p-past-mr-bound", "p-too-long-to-print", "n0", "p-and-n0", "ce-p", "ce-depth",
+        "demo-ce-p", "demo-ce-depth", "demo-limit-p", "demo-chris-p", "tower-p-too-long"])
+def test_rejected_parameters_name_their_path(argv, doc, message):
+    assert _error(run_cli(argv, doc, timeout=20))["message"] == message
 
 
 HOSTILE = (HUGE, '"%s"' % HUGE, "-1", "0", "true", "null", "1.5", '"x"', "[]", "{}",

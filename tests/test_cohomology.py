@@ -11,7 +11,6 @@ from kummer.cohomology import (
     GModuleSequence,
     chris_verify,
     equivariant_section_exists,
-    is_cohomologically_trivial,
     les_multiplication_by_p,
     reduce_mod_p,
     regular_extension_fixture,
@@ -37,7 +36,7 @@ def test_negation_action_on_z():
     assert tate.minus_one.group.invariant_factors == (2,)
     assert tate.one is tate.minus_one
     assert tate.two is tate.zero
-    assert not is_cohomologically_trivial(neg)
+    assert not tate.trivial
 
 
 def test_sigma_must_have_the_right_order():
@@ -49,7 +48,7 @@ def test_sigma_must_have_the_right_order():
 
 def test_regular_modules_are_cohomologically_trivial():
     for d in (1, 2, 3, 4, 6):
-        assert is_cohomologically_trivial(regular_module(d))
+        assert tate_cohomology(regular_module(d)).trivial
 
 
 def test_tate_model_matrix_and_cohomology():

@@ -8,6 +8,7 @@ from kummer.colimits import (
     CaseOneEvidence,
     CaseTwoEvidence,
     ColimitElement,
+    ColimitTower,
     colimit_height,
     counterexample_tower,
     direct_limit_split,
@@ -17,11 +18,11 @@ from kummer.colimits import (
     section_compatibility_solvable,
     stabilizing_tower,
 )
-from kummer.errors import EvidenceError, InputError, UnsupportedError
-from kummer.groups import FgAbGroup
+from kummer.errors import EvidenceError, InputError, TowerInvalidError, UnsupportedError
+from kummer.groups import FgAbGroup, Homomorphism
 from kummer.matrices import IntMatrix
-from kummer.sequences import section_exists
-from kummer.towers import validate_tower
+from kummer.sequences import check_exact, section_exists
+from kummer.towers import LevelMaps, validate_tower
 
 from kummer.fixtures import (
     divisible_case_one_evidence,
@@ -29,6 +30,35 @@ from kummer.fixtures import (
     doomed_divisible_evidence,
 )
 from oracles import elements, verify_section_on_all
+
+
+@pytest.mark.parametrize("family", [counterexample_tower, stabilizing_tower, divisible_tower])
+def test_connecting_maps_join_the_memoized_levels(family):
+    t = family(3)
+    for k in (1, 2):
+        lm, lo, hi = t.step(k), t.sequence(k), t.sequence(k + 1)
+        for h, col in ((lm.alpha, "A"), (lm.beta, "B"), (lm.gamma, "C")):
+            assert h.source is getattr(lo, col) and h.target is getattr(hi, col)
+
+
+def test_stabilizing_tower_rejects_the_level_before_the_prime():
+    with pytest.raises(InputError, match="stabilization level"):
+        stabilizing_tower(4, 0)
+    with pytest.raises(InputError, match="4 is not prime"):
+        stabilizing_tower(4, 1)
+
+
+def test_case_two_rejects_an_invalid_prefix_as_tower_split_does():
+    # B = Z/9 at every level is not killed by p = 3 at level 1
+    z9 = FgAbGroup.cyclic(9)
+    seq = check_exact(Homomorphism.identity(z9), Homomorphism.zero(z9, FgAbGroup.trivial()))
+
+    def maps_fn(k, lo, hi):
+        return LevelMaps(*(Homomorphism.identity(g) for g in (lo.A, lo.B, lo.C)))
+
+    t = ColimitTower(3, lambda k: seq, maps_fn)
+    with pytest.raises(TowerInvalidError, match="tower violates the splitting hypotheses"):
+        direct_limit_split(t, CaseTwoEvidence(level=1))
 
 
 def test_counterexample_levels_have_the_stated_shape():

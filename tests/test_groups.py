@@ -164,6 +164,27 @@ def test_invert_isomorphism_round_trip(rng):
     assert (h @ inv).is_identity()
 
 
+def test_invert_isomorphism_inverts_a_mixed_automorphism():
+    g = FgAbGroup.of_orders(0, 3)
+    # (x, y) -> (x, x + 2y): an automorphism of Z + Z/3 that is not diagonal
+    h = Homomorphism(g, g, IntMatrix.from_rows([[1, 0], [1, 2]]))
+    inv = invert_isomorphism(h)
+    assert (inv @ h).is_identity() and (h @ inv).is_identity()
+    assert not Homomorphism(g, g, IntMatrix.from_rows([[1, 0], [1, 1]])).is_identity()
+
+
+@pytest.mark.parametrize("source, target, scale", [
+    (3, 9, 3),  # injective, not surjective
+    (9, 3, 1),  # surjective, not injective
+    (0, 0, 2),  # injective, not surjective, infinite
+], ids=["z3-into-z9", "z9-onto-z3", "double-on-z"])
+def test_invert_isomorphism_rejects_non_isomorphisms(source, target, scale):
+    h = Homomorphism(FgAbGroup.cyclic(source), FgAbGroup.cyclic(target),
+                     IntMatrix.from_rows([[scale]]))
+    with pytest.raises(InputError, match="not invertible"):
+        invert_isomorphism(h)
+
+
 def test_hom_from_images_matches_call():
     src = FgAbGroup.of_orders(2, 4)
     tgt = FgAbGroup.cyclic(8)

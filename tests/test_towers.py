@@ -1,6 +1,7 @@
 import pytest
 
 from kummer.errors import GlueError, InputError, TowerInvalidError
+from kummer.groups import Homomorphism
 from kummer.matrices import IntMatrix
 from kummer.sequences import check_exact, pontryagin_dual
 from kummer.towers import (
@@ -156,6 +157,16 @@ def test_crt_glue_errors_name_their_component():
     with pytest.raises(GlueError) as err:
         crt_split(6, missing, fix.glue)
     assert err.value.component == "primes"
+
+
+def test_crt_glue_that_is_not_an_isomorphism_names_its_column():
+    fix = order_six_glued()
+    (p2, *maps2), (p3, *maps3) = fix.glue.embeddings
+    zeros = tuple(Homomorphism.zero(h.source, h.target) for h in maps3)
+    glue = CrtGlue(fix.glue.seq, ((p2, *maps2), (p3, *zeros)))
+    with pytest.raises(GlueError) as err:
+        crt_split(6, fix.towers, glue)
+    assert err.value.component == "A"
 
 
 def test_dual_tower_round_trip():
