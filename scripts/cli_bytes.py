@@ -16,6 +16,8 @@ both trees see the same inputs:
 
 - the benchmark's ``cli`` workload documents for seeds 1-8 (both variants
   of each) and seed 1's two 5,000-digit documents;
+- each of their ``tower-generate`` sigma models read from stdin instead of
+  ``--sigma``;
 - the Pontryagin dual of each upward tower among them, a downward tower,
   for ``tower-validate`` and ``tower-split``;
 - every demo with its --seed, --p and --depth variants;
@@ -25,7 +27,11 @@ both trees see the same inputs:
 - ``gmod-split`` for 0 -> A -> A + C -> C -> 0 with the middle module
   written in a random basis, for every ordered pair of small regular,
   mod-q, Tate and sign modules over C_2 and over C_3. Each splits
-  equivariantly, so its output carries a section.
+  equivariantly, so its output carries a section;
+- ``seq-check`` and ``seq-split`` for four pairs of maps between cyclic
+  groups, each failing one exactness condition first (mono, epi, complex,
+  middle), so each exits 1 with a witness;
+- ``dual`` of a homomorphism Z/2 + Z/4 -> Z/8.
 """
 
 from __future__ import annotations
@@ -62,6 +68,19 @@ def downward(text: str) -> str:
     this tree's library, so every source tree is run on the same input."""
     tower = dual_tower(jsonio.decode_tower(json.loads(text)))
     return jsonio.dumps(jsonio.document(jsonio.encode_tower(tower)))
+
+
+# (a, b, k) for multiplication by k from Z/a to Z/b: the maps f and g of a
+# pair failing mono (f kills 2), epi (g misses 1), complex (g∘f = 2) and
+# middle (g kills 2, which f misses)
+INEXACT = (((4, 4, 2), (4, 2, 1)), ((2, 4, 2), (4, 4, 2)),
+           ((2, 4, 2), (4, 4, 1)), ((2, 8, 4), (8, 2, 1)))
+
+
+def cyclic_hom(a: int, b: int, k: int) -> dict:
+    """Multiplication by k from Z/a to Z/b, as a document."""
+    return jsonio.encode_hom(Homomorphism(FgAbGroup.cyclic(a), FgAbGroup.cyclic(b),
+                                          IntMatrix.from_rows([[k]])))
 
 
 def _module_doc(m: CyclicGroupModule) -> dict:
@@ -123,6 +142,10 @@ def documents() -> list[tuple[list[str], str]]:
         towers = [text for argv, text in (op.data for op in ops) if argv == ["tower-split"]]
         docs += [([verb], downward(text)) for text in towers
                  for verb in ("tower-validate", "tower-split")]
+        for argv, _ in (op.data for op in ops):
+            if "--sigma" in argv:  # the same sigma model, read from stdin
+                i = argv.index("--sigma")
+                docs.append((argv[:i] + argv[i + 2:], argv[i + 1]))
     for seed in (None, 1, 2, 3):
         for name in ("main-lemma", "dual-lemma"):
             docs.append((["demo", name] + ([] if seed is None else ["--seed", str(seed)]), ""))
@@ -139,6 +162,13 @@ def documents() -> list[tuple[list[str], str]]:
     docs += [(["counterexample", "--p", str(p), "--depth", str(d)], "")
              for p in (2, 3, 5, 7) for d in (2, 4, 8)]
     docs += [(["gmod-split"], text) for text in split_modules()]
+    for f, g in INEXACT:
+        text = jsonio.dumps(jsonio.document({"f": cyclic_hom(*f), "g": cyclic_hom(*g)}))
+        docs += [([verb], text) for verb in ("seq-check", "seq-split")]
+    hom = Homomorphism(FgAbGroup.of_orders(2, 4), FgAbGroup.cyclic(8),
+                       IntMatrix.from_rows([[4, 2]]))
+    docs.append((["dual"], jsonio.dumps(jsonio.document(
+        {"kind": "hom", "value": jsonio.encode_hom(hom)}))))
     unique = dict.fromkeys((tuple(argv), stdin) for argv, stdin in docs)
     return [(list(argv), stdin) for argv, stdin in unique]
 

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import jsonio
-from .arith import require_prime
 from .cohomology import equivariant_section_exists, tate_cohomology
 from .colimits import (
     CaseTwoEvidence,
@@ -153,37 +152,19 @@ def _cmd_tower_generate(args) -> tuple[dict, int]:
     else:
         doc = _read_document(args)
     model = jsonio.decode_sigma(doc)
-    levels = args.n if args.n is not None else 2
-    if levels < 1:
-        raise InputError("--n must be at least 1")
-    jsonio.decode_count(levels, "--n")
+    levels = jsonio.decode_count(args.n, "--n", 1)
     return jsonio.encode_tower(sigma_kummer_tower(model, levels)), 0
 
 
-def _check_depth(args) -> None:
-    if args.depth is not None and args.depth > jsonio.MAX_DEPTH:
-        raise InputError(f"--depth: expected at most {jsonio.MAX_DEPTH}")
-
-
-def _prime(value, path: str) -> int:
-    """The integer at ``path``, rejected there unless it is prime."""
-    p = jsonio.decode_int(value, path)
-    with jsonio._at(path):
-        require_prime(p)
-    return p
-
-
 def _cmd_counterexample(args) -> tuple[dict, int]:
-    _check_depth(args)
-    p = _prime(args.p if args.p is not None else 2, "--p")
-    # p is prime, so only the depth can be rejected
-    with jsonio._at("--depth"):
-        ok, payload = demo_counterexample(p, args.depth if args.depth is not None else 4)
+    p = jsonio.decode_prime(args.p if args.p is not None else 2, "--p")
+    depth = jsonio.decode_count(args.depth, "--depth", 1, jsonio.MAX_DEPTH)
+    ok, payload = demo_counterexample(p, depth)
     return payload, 0 if ok else 1
 
 
 _FAMILIES = {
-    "stabilizing": lambda p, n0: stabilizing_tower(p, n0),
+    "stabilizing": stabilizing_tower,
     "divisible": lambda p, n0: divisible_tower(p),
     "counterexample": lambda p, n0: counterexample_tower(p),
 }
@@ -193,20 +174,17 @@ def _cmd_limit_split(args) -> tuple[dict, int]:
     doc = jsonio._require_dict(_read_document(args), "$", ())
     family = jsonio.decode_choice(doc.get("family"), "$.family",
                                   tuple(sorted(_FAMILIES)))
-    p = _prime(doc.get("p", 2), "$.p")
+    p = jsonio.decode_prime(doc.get("p", 2), "$.p")
     case = jsonio.decode_int(doc.get("case", 2), "$.case")
-    level = jsonio.decode_int(doc.get("level", 2), "$.level")
-    if level > jsonio.MAX_LEVEL:
-        raise InputError(f"$.level: expected at most {jsonio.MAX_LEVEL}")
-    n0 = jsonio.decode_count(doc.get("n0", 2), "$.n0")
-    with jsonio._at("$.n0"):  # p is prime, so only n0 can be rejected
-        tower = _FAMILIES[family](p, n0)
+    level = jsonio.decode_count(doc.get("level", 2), "$.level", 1, jsonio.MAX_LEVEL)
+    n0 = jsonio.decode_count(doc.get("n0", 2), "$.n0", 1)
+    tower = _FAMILIES[family](p, n0)
     if case == 2:
         evidence = CaseTwoEvidence(level=level)
     elif case == 1:
         precision, path = ((args.precision, "--precision") if args.precision is not None
                            else (doc.get("precision"), "$.precision"))
-        precision = (jsonio.decode_count(precision, path)
+        precision = (jsonio.decode_count(precision, path, 1)
                      if precision is not None else None)
         if family == "divisible":
             evidence = divisible_case_one_evidence(tower, level, precision)
@@ -279,15 +257,12 @@ def _cmd_gmod_split(args) -> tuple[dict, int]:
 def _cmd_demo(args) -> tuple[dict, int]:
     if args.name == "counterexample":
         return _cmd_counterexample(args)
-    _check_depth(args)
-    if (args.name == "chris" and args.p is not None
-            and args.p > jsonio.MAX_CHRIS_P):
-        raise InputError(f"--p: expected at most {jsonio.MAX_CHRIS_P}")
     kwargs = {}
     if args.name in ("main-lemma", "dual-lemma") and args.seed is not None:
         kwargs["seed"] = args.seed
     if args.name in ("direct-limit", "chris") and args.p is not None:
-        kwargs["p"] = _prime(args.p, "--p")
+        kwargs["p"] = jsonio.decode_prime(
+            args.p, "--p", jsonio.MAX_CHRIS_P if args.name == "chris" else None)
     ok, report = DEMOS[args.name](**kwargs)
     return report, 0 if ok else 1
 
@@ -321,12 +296,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("tower-generate", parents=[common])
     gen.add_argument("--sigma", default=None,
                      help="inline sigma model JSON {p, r, M}")
-    gen.add_argument("--n", type=int, default=None,
+    gen.add_argument("--n", type=int, default=2,
                      help="number of tower levels (default 2)")
     gen.set_defaults(handler=_cmd_tower_generate)
 
     depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", type=int, default=None,
+    depth.add_argument("--depth", type=int, default=4,
                        help="probe depth for limit certificates")
 
     ce = sub.add_parser("counterexample", parents=[common, depth])

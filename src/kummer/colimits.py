@@ -27,7 +27,6 @@ from .groups import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
-    direct_sum,
     factor_through,
     is_isomorphism,
     kernel,
@@ -46,6 +45,7 @@ from .sequences import (
     check_exact,
     section_from_purity,
     section_from_retraction,
+    split_sequence,
 )
 from .towers import KummerTower, LevelMaps, _level_lift, _require_valid, tower_split
 
@@ -228,9 +228,7 @@ def stabilizing_tower(p: int, n0: int = 2) -> ColimitTower:
         raise InputError("stabilization level must be at least 1")
 
     def build(k: int) -> ShortExactSequence:
-        ds = direct_sum(FgAbGroup.cyclic(p),
-                        FgAbGroup.cyclic(p ** min(k, n0)))
-        return check_exact(ds.injections[0], ds.projections[1])
+        return split_sequence(FgAbGroup.cyclic(p), FgAbGroup.cyclic(p ** min(k, n0)))
 
     def maps_fn(k: int, lo: ShortExactSequence, hi: ShortExactSequence) -> LevelMaps:
         step = p if min(k + 1, n0) > min(k, n0) else 1

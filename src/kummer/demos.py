@@ -48,34 +48,21 @@ __all__ = [
 def demo_main_lemma(seed: int = 0, count: int = 8) -> tuple[bool, dict]:
     """Random sigma towers plus handcrafted ones: validate, split, verify."""
     rng = random.Random(seed)
-    rows = []
-    ok = True
+    towers = []
     for _ in range(count):
         p = rng.choice([2, 3, 5])
         model = random_sigma_model(rng, p, 3)
         n = rng.randint(1, 3)
         tower = sigma_kummer_tower(model, n)
-        report = validate_tower(tower)
-        section = tower_split(tower)
-        verified = (tower.top.g @ section.s).is_identity()
-        ok = ok and report.valid and verified
-        rows.append({
-            "kind": "sigma",
-            "p": p,
-            "r": model.r,
-            "levels": n,
-            "valid": report.valid,
-            "split": verified,
-            "top_c": [str(d) for d in tower.top.C.invariant_factors],
-        })
-    for p, a_mode in ((2, "growing"), (3, "constant"), (2, "capped")):
-        tower = split_tower(p, 3, a_mode)
-        report = validate_tower(tower)
-        section = tower_split(tower)
-        verified = (tower.top.g @ section.s).is_identity()
-        ok = ok and report.valid and verified
-        rows.append({"kind": "handcrafted", "p": p, "a_mode": a_mode,
-                     "levels": 3, "valid": report.valid, "split": verified})
+        towers.append((tower, {"kind": "sigma", "p": p, "r": model.r, "levels": n,
+                               "top_c": [str(d) for d in tower.top.C.invariant_factors]}))
+    towers += [(split_tower(p, 3, a_mode),
+                {"kind": "handcrafted", "p": p, "a_mode": a_mode, "levels": 3})
+               for p, a_mode in ((2, "growing"), (3, "constant"), (2, "capped"))]
+    rows = [{**row, "valid": validate_tower(tower).valid,
+             "split": (tower.top.g @ tower_split(tower).s).is_identity()}
+            for tower, row in towers]
+    ok = all(row["valid"] and row["split"] for row in rows)
     return ok, {"towers": rows, "all_split": ok}
 
 

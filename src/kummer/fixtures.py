@@ -16,7 +16,7 @@ from .colimits import CaseOneEvidence, ColimitTower
 from .errors import InputError
 from .groups import FgAbGroup, Homomorphism, direct_sum
 from .matrices import IntMatrix, block_diag
-from .sequences import ShortExactSequence, check_exact, pruefer_decompose
+from .sequences import ShortExactSequence, check_exact, pruefer_decompose, split_sequence
 from .towers import CrtGlue, KummerTower, LevelMaps, SigmaModel, sigma_kummer_tower
 
 __all__ = [
@@ -55,11 +55,8 @@ def split_tower(p: int, n: int, a_mode: str = "growing",
             return p
         return p ** min(k, 2)
 
-    seqs = []
-    for k in range(1, n + 1):
-        ds = direct_sum(FgAbGroup.cyclic(a_order(k)),
-                        FgAbGroup.of_orders(*[p ** k] * c_rank))
-        seqs.append(check_exact(ds.injections[0], ds.projections[1]))
+    seqs = [split_sequence(FgAbGroup.cyclic(a_order(k)), FgAbGroup.of_orders(*[p ** k] * c_rank))
+            for k in range(1, n + 1)]
     maps = []
     for k in range(1, n):
         lo, hi = seqs[k - 1], seqs[k]

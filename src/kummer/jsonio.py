@@ -15,8 +15,9 @@ import json
 import math
 import re
 from contextlib import contextmanager
-from typing import Any, Union
+from typing import Any, Optional, Union
 
+from .arith import require_prime
 from .cohomology import CyclicGroupModule, GModuleMap, GModuleSequence
 from .errors import InputError
 from .groups import FgAbGroup, GroupElement, Homomorphism
@@ -49,6 +50,7 @@ __all__ = [
     "document",
     "decode_int",
     "decode_count",
+    "decode_prime",
     "decode_choice",
     "decode_matrix",
     "decode_group",
@@ -158,11 +160,22 @@ def decode_int(doc: Any, path: str) -> int:
     _fail(path, f"expected an integer, got {type(doc).__name__}")
 
 
-def decode_count(doc: Any, path: str) -> int:
+def decode_count(doc: Any, path: str, low: int = 0, high: int = MAX_COUNT) -> int:
     n = decode_int(doc, path)
-    if not 0 <= n <= MAX_COUNT:
-        _fail(path, f"expected a count from 0 to {MAX_COUNT}")
+    if not low <= n <= high:
+        _fail(path, f"expected a count from {low} to {high}")
     return n
+
+
+def decode_prime(doc: Any, path: str, high: Optional[int] = None) -> int:
+    """The integer at ``path``, rejected there unless it is prime and,
+    with ``high``, at most ``high``."""
+    p = decode_int(doc, path)
+    if high is not None and p > high:
+        _fail(path, f"expected at most {high}")
+    with _at(path):
+        require_prime(p)
+    return p
 
 
 def decode_choice(doc: Any, path: str, choices: tuple[str, ...]) -> str:
@@ -246,7 +259,7 @@ def decode_tower(doc: Any, path: str = "$") -> KummerTower:
     from .sequences import check_exact
 
     doc = _require_dict(doc, path, ("p", "n", "levels", "maps"))
-    p = decode_int(doc["p"], f"{path}.p")
+    p = decode_prime(doc["p"], f"{path}.p")
     n = decode_count(doc["n"], f"{path}.n")
     direction = decode_choice(doc.get("direction", "up"), f"{path}.direction",
                               ("up", "down"))
@@ -271,7 +284,7 @@ def decode_tower(doc: Any, path: str = "$") -> KummerTower:
 
 def decode_sigma(doc: Any, path: str = "$") -> SigmaModel:
     doc = _require_dict(doc, path, ("p", "r", "M"))
-    p = decode_int(doc["p"], f"{path}.p")
+    p = decode_prime(doc["p"], f"{path}.p")
     r = decode_count(doc["r"], f"{path}.r")
     mat = decode_matrix(doc["M"], f"{path}.M")
     with _at(path):

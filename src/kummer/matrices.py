@@ -513,41 +513,35 @@ def hermite_column_form(mat: IntMatrix) -> HermiteColumnForm:
     diag = _diagonal_of(mat)
     if diag is not None and min(diag, default=0) >= 0:
         piv = [i for i, d in enumerate(diag) if d]
-        return HermiteColumnForm(
-            matrix=IntMatrix.from_columns(mat.rows, [mat.col(i) for i in piv]),
-            pivots=tuple((i, j) for j, i in enumerate(piv)))
-    cols = [list(mat.col(j)) for j in range(mat.cols)]
-    piv = _hermite_pass(cols)
-    return HermiteColumnForm(
-        matrix=IntMatrix.from_columns(mat.rows, cols[:len(piv)]),
-        pivots=tuple((row, j) for j, row in enumerate(piv)))
+        return _column_form(mat.rows, [mat.col(i) for i in piv], piv)
+    cols, piv, _ = _column_pass(mat, track=False)
+    return _column_form(mat.rows, cols, piv)
 
 
-def _tracked_form(mat: IntMatrix) -> tuple[HermiteColumnForm, list[list[int]]]:
-    """The Hermite form H of the column lattice of mat and the transform T
-    that makes it: the row pass on the columns with one identity companion.
-    Row s of T combines the columns of mat into column s of H for s below
-    the rank, and into zero past it."""
+def _column_form(rows: int, cols: list, piv: list[int]) -> HermiteColumnForm:
+    """The form whose columns are the first len(piv) of cols, pivoted at piv."""
+    return HermiteColumnForm(matrix=IntMatrix.from_columns(rows, cols[:len(piv)]),
+                             pivots=tuple((row, j) for j, row in enumerate(piv)))
+
+
+def _column_pass(mat: IntMatrix, track: bool
+                 ) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """The row pass on the columns of mat: the columns, whose first rank
+    ones are the Hermite form H of their lattice, the pivot rows, and, with
+    ``track``, the transform T of an identity companion. Row s of T
+    combines the columns of mat into column s of H for s below the rank,
+    and into zero past it."""
     cols = [list(mat.col(j)) for j in range(mat.cols)]
-    t = _identity_rows(mat.cols)
-    piv = _hermite_pass(cols, (t,))
-    form = HermiteColumnForm(
-        matrix=IntMatrix.from_columns(mat.rows, cols[:len(piv)]),
-        pivots=tuple((row, j) for j, row in enumerate(piv)))
-    return form, t
+    t = _identity_rows(mat.cols) if track else []
+    return cols, _hermite_pass(cols, (t,) if track else ()), t
 
 
 def kernel_lattice(mat: IntMatrix) -> IntMatrix:
-    """Basis (as columns) of the integer kernel {x : mat @ x = 0}.
-
-    The row pass on the columns of mat, tracked by an identity companion T,
-    gives T @ mat^T == H with H echelon; the rows of T past the rank of H
-    are a basis of the vectors whose combination of columns vanishes.
-    """
-    cols = [list(mat.col(j)) for j in range(mat.cols)]
-    t = _identity_rows(mat.cols)
-    rank = len(_hermite_pass(cols, (t,)))
-    return IntMatrix.from_columns(mat.cols, t[rank:])
+    """Basis (as columns) of the integer kernel {x : mat @ x = 0}: the rows
+    of the column pass's transform T past the rank, whose combinations of
+    the columns of mat vanish."""
+    _, piv, t = _column_pass(mat, track=True)
+    return IntMatrix.from_columns(mat.cols, t[len(piv):])
 
 
 def preimage_lattice(mat: IntMatrix, target_relations: IntMatrix
@@ -584,7 +578,8 @@ def solve_integer_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]]
     """
     if any(len(rhs) != mat.rows for rhs in rhss):
         raise InputError("right-hand side length does not match row count")
-    form, t = _tracked_form(mat)
+    cols, piv, t = _column_pass(mat, track=True)
+    form = _column_form(mat.rows, cols, piv)
     ys = [form.coordinates(rhs) for rhs in rhss]
     return [None if y is None else
             tuple(sum(yi * ti[j] for yi, ti in zip(y, t)) for j in range(mat.cols)) for y in ys]

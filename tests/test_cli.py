@@ -404,6 +404,12 @@ def test_structural_parameters_past_their_cap_fail_fast(argv, doc, path):
 NEG_HUGE_BITS = jsonio._int_from_decimal(HUGE).bit_length()
 
 
+def _tower_doc_with_p(p: int) -> dict:
+    from kummer.fixtures import split_tower
+
+    return dict(jsonio.encode_tower(split_tower(2, 2)), p=p)
+
+
 @pytest.mark.parametrize("argv, doc, message", [
     (["limit-split"], '{"family":"stabilizing","p":4}', "$.p: 4 is not prime"),
     (["limit-split"], '{"family":"divisible","p":"%d"}' % MR_BOUND,
@@ -411,18 +417,35 @@ NEG_HUGE_BITS = jsonio._int_from_decimal(HUGE).bit_length()
     (["limit-split"], '{"family":"counterexample","p":"-%s"}' % HUGE,
      f"$.p: a {NEG_HUGE_BITS}-bit negative number is not prime"),
     (["limit-split"], '{"family":"stabilizing","n0":0}',
-     "$.n0: stabilization level must be at least 1"),
+     "$.n0: expected a count from 1 to 1000"),
     (["limit-split"], '{"family":"stabilizing","p":4,"n0":0}', "$.p: 4 is not prime"),
     (["counterexample", "--p", "4"], "", "--p: 4 is not prime"),
-    (["counterexample", "--depth", "0"], "", "--depth: depth must be at least 1"),
+    (["counterexample", "--depth", "0"], "", "--depth: expected a count from 1 to 32"),
     (["demo", "counterexample", "--p", "4"], "", "--p: 4 is not prime"),
-    (["demo", "counterexample", "--depth", "0"], "", "--depth: depth must be at least 1"),
+    (["demo", "counterexample", "--depth", "0"], "", "--depth: expected a count from 1 to 32"),
     (["demo", "direct-limit", "--p", "4"], "", "--p: 4 is not prime"),
     (["demo", "chris", "--p", "4"], "", "--p: 4 is not prime"),
     (["tower-validate"], '{"p":"-%s","n":0,"levels":[],"maps":[]}' % HUGE,
-     f"$: a {NEG_HUGE_BITS}-bit negative number is not prime"),
+     f"$.p: a {NEG_HUGE_BITS}-bit negative number is not prime"),
+    *[(["limit-split"], json.dumps({"family": family, "case": case, "level": level}),
+       "$.level: expected a count from 1 to 32")
+      for family, case in (("divisible", 1), ("stabilizing", 2)) for level in (0, -1)],
+    (["limit-split"], '{"family":"divisible","case":1,"precision":0}',
+     "$.precision: expected a count from 1 to 1000"),
+    (["limit-split", "--precision", "0"], '{"family":"divisible","case":1}',
+     "--precision: expected a count from 1 to 1000"),
+    (["tower-generate", "--sigma", '{"p":2,"r":1,"M":[[3]]}', "--n", "0"], "",
+     "--n: expected a count from 1 to 1000"),
+    (["tower-validate"], json.dumps(_tower_doc_with_p(4)), "$.p: 4 is not prime"),
+    (["tower-split"], json.dumps(_tower_doc_with_p(4)), "$.p: 4 is not prime"),
+    (["tower-generate", "--sigma", '{"p":4,"r":1,"M":[[3]]}'], "", "$.p: 4 is not prime"),
+    (["dual"], json.dumps({"kind": "tower", "value": _tower_doc_with_p(4)}),
+     "$.value.p: 4 is not prime"),
 ], ids=["p", "p-past-mr-bound", "p-too-long-to-print", "n0", "p-and-n0", "ce-p", "ce-depth",
-        "demo-ce-p", "demo-ce-depth", "demo-limit-p", "demo-chris-p", "tower-p-too-long"])
+        "demo-ce-p", "demo-ce-depth", "demo-limit-p", "demo-chris-p", "tower-p-too-long",
+        "level-0-case-1", "level-minus-1-case-1", "level-0-case-2", "level-minus-1-case-2",
+        "precision-0", "precision-flag-0", "tower-n-0", "tower-validate-p", "tower-split-p",
+        "sigma-p", "dual-tower-p"])
 def test_rejected_parameters_name_their_path(argv, doc, message):
     assert _error(run_cli(argv, doc, timeout=20))["message"] == message
 
@@ -489,3 +512,78 @@ def test_hostile_documents_keep_the_exit_code_contract(data):
     assert code in (0, 1, 2), (name, path, value)
     assert err.getvalue() == ""
     assert jsonio.loads_checked(out.getvalue())["schema"] == 1
+
+
+def _cyclic_hom(a: int, b: int, k: int) -> Homomorphism:
+    """Multiplication by k from Z/a to Z/b."""
+    return Homomorphism(FgAbGroup.cyclic(a), FgAbGroup.cyclic(b), IntMatrix.from_rows([[k]]))
+
+
+# f and g as (a, b, k) for _cyclic_hom, failing the named condition first, and
+# the group the witness lies in. Plain numbers, so no group outlives a test.
+NOT_EXACT = {
+    "mono": ((4, 4, 2), (4, 2, 1), "A"),
+    "epi": ((2, 4, 2), (4, 4, 2), "C"),
+    "complex": ((2, 4, 2), (4, 4, 1), "C"),
+    "middle": ((2, 8, 4), (8, 2, 1), "B"),
+}
+
+
+def _violates(condition: str, f: Homomorphism, g: Homomorphism, w) -> bool:
+    """Whether w shows that 0 -> A -f-> B -g-> C -> 0 fails ``condition``."""
+    if condition == "mono":  # a nonzero element of A that f kills
+        return bool(w) and not f(w)
+    if condition == "epi":  # an element of C outside the image of g
+        return g.target.solve(g.matrix, w.coords) is None
+    if condition == "complex":  # a nonzero element of C in the image of g∘f
+        return bool(w) and g.target.solve((g @ f).matrix, w.coords) is not None
+    # an element of B that g kills, outside the image of f
+    return not g(w) and f.target.solve(f.matrix, w.coords) is None
+
+
+@pytest.mark.parametrize("verb", ["seq-check", "seq-split"])
+@pytest.mark.parametrize("condition", sorted(NOT_EXACT))
+def test_inexact_sequences_exit_one_with_a_witness_of_the_failed_condition(verb, condition):
+    f, g, where = NOT_EXACT[condition]
+    f, g = _cyclic_hom(*f), _cyclic_hom(*g)
+    doc = jsonio.dumps(jsonio.document({"f": jsonio.encode_hom(f), "g": jsonio.encode_hom(g)}))
+    res = run_cli([verb], doc)
+    assert (res.returncode, res.stderr) == (1, "")
+    out = json.loads(res.stdout)
+    assert out["exact"] is False and out["split"] is False and out["condition"] == condition
+    assert out.get("pure", False) is False
+    group = {"A": f.source, "B": f.target, "C": g.target}[where]
+    witness = group.element([jsonio.decode_int(c, "$") for c in out["witness"]["coords"]])
+    assert _violates(condition, f, g, witness)
+    assert not _violates(condition, f, g, group.zero)  # the check can say no
+
+
+def test_dual_verb_on_a_hom_matches_the_library():
+    from kummer.sequences import pontryagin_dual
+
+    hom = Homomorphism(FgAbGroup.of_orders(2, 4), FgAbGroup.cyclic(8),
+                       IntMatrix.from_rows([[4, 2]]))
+    res = run_cli(["dual"], jsonio.dumps(jsonio.document(
+        {"kind": "hom", "value": jsonio.encode_hom(hom)})))
+    assert (res.returncode, res.stderr) == (0, "")
+    out = json.loads(res.stdout)
+    assert out["kind"] == "hom"
+    assert out["value"] == json.loads(jsonio.dumps(jsonio.encode_hom(pontryagin_dual(hom))))
+
+
+def test_tower_generate_reads_its_sigma_from_stdin():
+    from test_cli_golden import SIGMA
+
+    inline = run_cli(["tower-generate", "--sigma", SIGMA, "--n", "3"])
+    piped = run_cli(["tower-generate", "--n", "3"], SIGMA)
+    assert (inline.returncode, inline.stderr) == (0, "")
+    assert (piped.stdout, piped.stderr, piped.returncode) == (
+        inline.stdout, inline.stderr, inline.returncode)
+
+
+def test_only_the_counterexample_demo_reads_depth():
+    plain = run_cli(["demo", "chris"])
+    deep = run_cli(["demo", "chris", "--depth", "99"])
+    assert (plain.returncode, plain.stderr) == (0, "")
+    assert (deep.stdout, deep.stderr, deep.returncode) == (
+        plain.stdout, plain.stderr, plain.returncode)
