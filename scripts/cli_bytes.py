@@ -22,7 +22,9 @@ both trees see the same inputs:
   for ``tower-validate`` and ``tower-split``;
 - every demo with its --seed, --p and --depth variants;
 - ``limit-split`` for 3 families x 2 cases x p in {2, 3, 5} x level in
-  {1, 2, 3, 8};
+  {1, 2, 3, 8}, and for the counterexample family, case 1, level 32 at
+  p = 2^61 - 1 and at the largest prime ``arith.is_prime`` accepts
+  (3317044064679887385961813, 82 bits);
 - ``counterexample`` for p in {2, 3, 5, 7} x depth in {2, 4, 8};
 - ``gmod-split`` for 0 -> A -> A + C -> C -> 0 with the middle module
   written in a random basis, for every ordered pair of small regular,
@@ -75,6 +77,10 @@ def downward(text: str) -> str:
 # middle (g kills 2, which f misses)
 INEXACT = (((4, 4, 2), (4, 2, 1)), ((2, 4, 2), (4, 4, 2)),
            ((2, 4, 2), (4, 4, 1)), ((2, 8, 4), (8, 2, 1)))
+
+
+# 2^61 - 1 and the largest prime arith.is_prime accepts
+BIG_PRIMES = (2 ** 61 - 1, 3317044064679887385961813)
 
 
 def cyclic_hom(a: int, b: int, k: int) -> dict:
@@ -159,6 +165,9 @@ def documents() -> list[tuple[list[str], str]]:
                 for level in (1, 2, 3, 8):
                     doc = {"family": family, "case": case, "p": p, "level": level}
                     docs.append((["limit-split"], json.dumps(doc, sort_keys=True)))
+    for p in BIG_PRIMES:
+        doc = {"family": "counterexample", "case": 1, "p": p, "level": 32}
+        docs.append((["limit-split"], json.dumps(doc, sort_keys=True)))
     docs += [(["counterexample", "--p", str(p), "--depth", str(d)], "")
              for p in (2, 3, 5, 7) for d in (2, 4, 8)]
     docs += [(["gmod-split"], text) for text in split_modules()]

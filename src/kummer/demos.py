@@ -6,6 +6,7 @@ Reports are deterministic for a fixed seed; no clocks, no environment.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from . import jsonio
@@ -69,18 +70,7 @@ def demo_main_lemma(seed: int = 0, count: int = 8) -> tuple[bool, dict]:
 def demo_counterexample(p: int = 2, depth: int = 4) -> tuple[bool, dict]:
     """Certify that the classical family has no limit section."""
     cert = limit_no_section_certificate(counterexample_tower(p), depth)
-    report = {
-        "p": cert.p,
-        "depth": cert.depth,
-        "divisibility_verified": cert.divisibility_verified,
-        "heights_cross_checked": [[lvl, bad] for lvl, bad
-                                  in cert.heights_cross_checked],
-        "compatibility": [[lvl, solvable] for lvl, solvable
-                          in cert.compatibility],
-        "inference": list(cert.inference),
-        "valid": cert.valid,
-    }
-    return cert.valid, report
+    return cert.valid, {**dataclasses.asdict(cert), "valid": cert.valid}
 
 
 def demo_dual_lemma(seed: int = 0, count: int = 6) -> tuple[bool, dict]:

@@ -14,7 +14,7 @@ from typing import Optional
 from .arith import vp
 from .colimits import CaseOneEvidence, ColimitTower
 from .errors import InputError
-from .groups import FgAbGroup, Homomorphism, direct_sum
+from .groups import FgAbGroup, Homomorphism, direct_sum, hom_from_images
 from .matrices import IntMatrix, block_diag
 from .sequences import ShortExactSequence, check_exact, pruefer_decompose, split_sequence
 from .towers import CrtGlue, KummerTower, LevelMaps, SigmaModel, sigma_kummer_tower
@@ -205,10 +205,13 @@ def _cones(t: ColimitTower, level: int, pi_top: Homomorphism,
            zero_target: FgAbGroup) -> tuple[tuple[Homomorphism, ...],
                                             tuple[Homomorphism, ...]]:
     """The cone pi_top ∘ alpha_{level-1} ∘ ... ∘ alpha_k on each A_k, and the
-    zero maps A_k -> zero_target, for k = 1..level."""
+    zero maps A_k -> zero_target, for k = 1..level. Composing does not
+    reduce, so each cone is rebuilt from the reduced images of its
+    generators; otherwise its entries grow with every level."""
     pis = [pi_top]
     for k in range(level - 1, 0, -1):
-        pis.append(pis[-1] @ t.step(k).alpha)
+        h = pis[-1] @ t.step(k).alpha
+        pis.append(hom_from_images(h.source, h.target, [h(x) for x in h.source.generators()]))
     zeros = tuple(Homomorphism.zero(t.sequence(k).A, zero_target)
                   for k in range(1, level + 1))
     return tuple(reversed(pis)), zeros

@@ -27,7 +27,6 @@ __all__ = [
     "solve_integer_columns",
     "solve_modular",
     "solve_modular_columns",
-    "determinant",
     "hstack",
     "vstack",
     "block_diag",
@@ -684,32 +683,6 @@ def solve_modular_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]], m: int
         return tuple(xi % m for xi in x)
 
     return [back(col) for col in range(c, c + len(rhss))]
-
-
-def determinant(mat: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if not mat.is_square:
-        raise InputError("determinant of a non-square matrix")
-    n = mat.rows
-    if n == 0:
-        return 1
-    a = [list(mat.row(i)) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .groups import (
     kernel_witness,
     solve_congruences,
 )
-from .matrices import IntMatrix, preimage_lattice
+from .matrices import HermiteColumnForm, IntMatrix, preimage_lattice
 
 __all__ = [
     "ShortExactSequence",
@@ -55,38 +55,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShortExactSequence:
-    """0 -> A -f-> B -g-> C -> 0, all three exactness conditions checked."""
+    """0 -> A -f-> B -g-> C -> 0, all three exactness conditions checked.
+
+    ``ker_g``, the Hermite form of the kernel lattice of g, decides
+    "complex" and "middle" and is kept for the purity lifts."""
 
     f: Homomorphism
     g: Homomorphism
     certificate: tuple[str, ...] = field(default=(), compare=False)
+    ker_g: HermiteColumnForm = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         f, g = self.f, self.g
         if f.target != g.source:
             raise InputError("maps do not compose: f.target differs from g.source")
-        checks = []
         wit = kernel_witness(f)
         if wit is not None:
             raise NotExactError("mono", "f has nontrivial kernel", witness=wit)
-        checks.append("mono")
         wit = cokernel_witness(g)
         if wit is not None:
             raise NotExactError("epi", "g is not surjective", witness=wit)
-        checks.append("epi")
-        comp = (g @ f).matrix
-        j = g.target.hermite.outside(comp)
+        ker_g = preimage_lattice(g.matrix, g.target.relations)
+        j = ker_g.outside(f.matrix)
         if j is not None:
             raise NotExactError("complex", "g∘f is nonzero",
-                                witness=g.target.element(comp.col(j)))
-        checks.append("complex")
-        ker_g = preimage_lattice(g.matrix, g.target.relations).matrix
-        j = f.target.span(f.matrix).outside(ker_g)
+                                witness=g.target.element(g.matrix.apply(f.matrix.col(j))))
+        j = f.target.span(f.matrix).outside(ker_g.matrix)
         if j is not None:
             raise NotExactError("middle", "kernel of g is larger than image of f",
-                                witness=f.target.element(ker_g.col(j)))
-        checks.append("middle")
-        object.__setattr__(self, "certificate", tuple(checks))
+                                witness=f.target.element(ker_g.matrix.col(j)))
+        object.__setattr__(self, "certificate", ("mono", "epi", "complex", "middle"))
+        object.__setattr__(self, "ker_g", ker_g)
 
     @property
     def A(self) -> FgAbGroup:
@@ -210,16 +209,13 @@ def _order_mod(g: FgAbGroup, n: int) -> int:
 
 
 def _purity_failure_witness(seq: ShortExactSequence) -> Optional[GroupElement]:
-    """An element of C with no same-order lift (exists whenever purity fails
-    over a finite C: otherwise the cyclic-generator lifts would assemble
-    into a section, and split sequences are pure)."""
-    dec = pruefer_decompose(seq.C)
-    for e in dec.group.generators():
-        c = dec.from_simple(e)
-        try:
-            pure_witness(seq, c)
-        except PurityError:
-            return c
+    """The first cyclic generator of C with no same-order lift (one exists
+    whenever purity fails over a finite C: otherwise the lifts would
+    assemble into a section, and split sequences are pure)."""
+    try:
+        section_from_purity(seq)
+    except PurityError as exc:
+        return exc.element
     return None
 
 
@@ -235,7 +231,7 @@ def pure_witness(seq: ShortExactSequence, c: GroupElement) -> GroupElement:
     b0 = seq.C.solve(seq.g.matrix, c.coords)
     if b0 is None:
         raise InputError("g is not surjective onto c")  # cannot happen: g epi
-    ker_g = preimage_lattice(seq.g.matrix, seq.C.relations).matrix
+    ker_g = seq.ker_g.matrix
     target = tuple(-m * x for x in b0)
     t = seq.B.solve(ker_g.scaled(m), target)
     if t is None:

@@ -30,13 +30,14 @@ from .groups import (
     kernel_witness,
 )
 from .matrices import (
+    HermiteColumnForm,
     IntMatrix,
     SmithDecomposition,
     block_diag,
-    determinant,
     hstack,
     preimage_lattice,
     smith_normal_form,
+    solve_modular_columns,
 )
 from .sequences import (
     PurityWitnessSet,
@@ -184,6 +185,17 @@ def _square_violations(level: int, low: ShortExactSequence,
     return out
 
 
+def _difference(group: FgAbGroup, one: HermiteColumnForm,
+                two: HermiteColumnForm) -> Optional[GroupElement]:
+    """An element of group in one lattice and not the other (the columns of
+    one are tried first), or None when the lattices are equal."""
+    for inner, outer in ((one, two), (two, one)):
+        j = outer.outside(inner.matrix)
+        if j is not None:
+            return group.element(inner.matrix.col(j))
+    return None
+
+
 def _inclusion_violations(p: int, level: int,
                           gamma: Homomorphism) -> list[TowerViolation]:
     """gamma must be injective with image the p^level-torsion of its target."""
@@ -194,15 +206,11 @@ def _inclusion_violations(p: int, level: int,
             level, "inclusion",
             f"right map out of level {level} is not injective", wit))
     tgt = gamma.target
-    im = tgt.span(gamma.matrix)
     tors = preimage_lattice(
         IntMatrix.identity(tgt.generator_count).scaled(p ** level),
         tgt.relations)
-    if im.matrix != tors.matrix:
-        # distinct Hermite forms: one lattice has a column outside the other
-        j = im.outside(tors.matrix)
-        wit = (tgt.element(tors.matrix.col(j)) if j is not None
-               else tgt.element(im.matrix.col(tors.outside(im.matrix))))
+    wit = _difference(tgt, tors, tgt.span(gamma.matrix))
+    if wit is not None:
         out.append(TowerViolation(
             level, "inclusion",
             f"right map out of level {level} does not have the "
@@ -220,13 +228,13 @@ def _surjection_violations(p: int, level: int,
             level, "surjection",
             f"left map into level {level} is not surjective", wit))
     src = alpha.source
-    ker_lat = preimage_lattice(alpha.matrix, alpha.target.relations).matrix
-    scaled = src.span(IntMatrix.identity(src.generator_count).scaled(p ** level)).matrix
-    if ker_lat != scaled:
+    wit = _difference(src, preimage_lattice(alpha.matrix, alpha.target.relations),
+                      src.span(IntMatrix.identity(src.generator_count).scaled(p ** level)))
+    if wit is not None:
         out.append(TowerViolation(
             level, "surjection",
             f"kernel of the left map into level {level} is not "
-            f"p^{level} times the source", None))
+            f"p^{level} times the source", wit))
     return out
 
 
@@ -335,8 +343,8 @@ class SigmaModel:
     The fixed-point functor of sigma has derived data readable from the
     Smith form of D = M - I: the finite part of the kernel has invariant
     p-valuations e_i, the divisible corank is the number of zero diagonal
-    entries. gcd(det M, p) = 1 is what makes M invertible on p-power
-    torsion.
+    entries. M must be invertible over Z/p (gcd(det M, p) = 1), which is
+    what makes it invertible on p-power torsion.
     """
 
     p: int
@@ -347,7 +355,8 @@ class SigmaModel:
         require_prime(self.p)
         if self.M.rows != self.r or self.M.cols != self.r:
             raise InputError("M must be square of size r")
-        if math.gcd(determinant(self.M), self.p) != 1:
+        units = [tuple(int(i == j) for i in range(self.r)) for j in range(self.r)]
+        if None in solve_modular_columns(self.M, units, self.p):
             raise InputError(
                 "sigma is not an automorphism: det(M) is divisible by p")
 

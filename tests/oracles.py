@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: determinant expansions over all
 k x k submatrices, exhaustive element searches. Slow but obviously right,
-which is the point.
+which is the point. The one exception is ``determinant`` (Bareiss), kept
+for matrices too large to expand; the library itself never computes a
+determinant.
 """
 
 from __future__ import annotations
@@ -47,6 +49,32 @@ def naive_det(mat: IntMatrix) -> int:
         total += sign * mat[0, j] * naive_det(minor)
         sign = -sign
     return total
+
+
+def determinant(mat: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    if not mat.is_square:
+        raise InputError("determinant of a non-square matrix")
+    n = mat.rows
+    if n == 0:
+        return 1
+    a = [list(mat.row(i)) for i in range(n)]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def minors_gcd_diagonal(mat: IntMatrix) -> list[int]:

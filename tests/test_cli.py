@@ -17,7 +17,8 @@ from kummer.arith import MR_BOUND
 from kummer.cli import main
 from kummer.groups import FgAbGroup, Homomorphism
 from kummer.matrices import IntMatrix
-from kummer.sequences import check_exact
+from kummer.sequences import check_exact, split_sequence
+from kummer.towers import CoKummerTower, LevelMaps, validate_tower
 
 
 def run_cli(argv, stdin="", timeout=120):
@@ -219,6 +220,35 @@ def test_limit_split_families():
         {"family": "counterexample", "p": BIG_P, "case": 1, "level": 32}), timeout=20)
     assert big.returncode == 2
     assert json.loads(big.stdout)["error"]["check"] == "V4"
+
+
+def test_limit_split_at_the_largest_accepted_prime():
+    """The doomed evidence's cones keep reduced entries, so the largest
+    prime below MR_BOUND (82 bits) costs about what 2^61 - 1 does."""
+    big = run_cli(["limit-split"], json.dumps(
+        {"family": "counterexample", "p": 3317044064679887385961813, "case": 1,
+         "level": 32}), timeout=20)
+    assert big.returncode == 2
+    assert json.loads(big.stdout)["error"]["check"] == "V4"
+
+
+def test_surjection_kernel_violation_carries_a_witness():
+    """A downward tower whose left map Z/2 + Z/2 -> Z/2 is onto with kernel
+    Z/2, not 2(Z/2 + Z/2) = 0: the witness (0, 1) lies in the kernel only."""
+    lo = split_sequence(FgAbGroup.cyclic(2), FgAbGroup.cyclic(2))
+    hi = split_sequence(FgAbGroup.of_orders(2, 2), FgAbGroup.cyclic(4))
+    maps = LevelMaps(
+        alpha=Homomorphism(hi.A, lo.A, IntMatrix.from_rows([[1, 0]])),
+        beta=Homomorphism(hi.B, lo.B, IntMatrix.from_rows([[1, 0, 0], [0, 0, 1]])),
+        gamma=Homomorphism(hi.C, lo.C, IntMatrix.from_rows([[1]])))
+    tower = CoKummerTower(2, (lo, hi), (maps,))
+    (violation,) = validate_tower(tower).violations
+    assert violation.check == "surjection"
+    assert violation.witness == hi.A.element((0, 1))
+    res = run_cli(["tower-validate"], jsonio.dumps(jsonio.document(jsonio.encode_tower(tower))))
+    assert res.returncode == 1
+    (out,) = json.loads(res.stdout)["violations"]
+    assert out["check"] == "surjection" and "witness" in out
 
 
 def test_dual_verb_on_a_group():

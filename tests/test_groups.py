@@ -85,6 +85,8 @@ def test_element_arithmetic_and_canonicalization():
 
 
 def test_equal_groups_share_one_smith_and_hermite_form():
+    # groups other test modules keep alive may hold entries of their own
+    before = set(groups._SNF), set(groups._HERMITE)
     a = FgAbGroup(2, IntMatrix.from_rows([[4, 2], [6, 8]]))
     b = FgAbGroup(2, IntMatrix.from_rows([[4, 2], [6, 8]]))
     assert a.snf is b.snf and a.hermite is b.hermite
@@ -95,7 +97,7 @@ def test_equal_groups_share_one_smith_and_hermite_form():
     assert f0.snf.U.shape == (0, 0) and f1.snf.U.shape == (1, 1)
     del a, b, z2, z4, f0, f1
     gc.collect()
-    assert len(groups._SNF) == 0 and len(groups._HERMITE) == 0
+    assert set(groups._SNF) <= before[0] and set(groups._HERMITE) <= before[1]
 
 
 def test_hom_well_definedness_guard():

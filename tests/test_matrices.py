@@ -10,7 +10,6 @@ from kummer.matrices import (
     IntMatrix,
     MatrixEquationSystem,
     _hermite_pass,
-    determinant,
     hermite_column_form,
     hstack,
     kernel_lattice,
@@ -23,6 +22,7 @@ from kummer.matrices import (
 
 from oracles import (
     brute_solve_mod,
+    determinant,
     lattice_intersection,
     minors_gcd_diagonal,
     naive_det,

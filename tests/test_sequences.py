@@ -17,7 +17,7 @@ from kummer.groups import (
     direct_sum,
     subgroup_generated,
 )
-from kummer.matrices import IntMatrix
+from kummer.matrices import IntMatrix, preimage_lattice
 from kummer.sequences import (
     Section,
     character_pairing,
@@ -105,6 +105,11 @@ def test_klein_sequence_splits_three_ways():
     r = retraction_from_section(seq, s1)
     s3 = section_from_retraction(seq, r)
     assert verify_section_on_all(seq, s3)
+
+
+def test_sequence_keeps_the_kernel_lattice_of_g():
+    for seq in (impure_sequence(), klein_sequence()):
+        assert seq.ker_g == preimage_lattice(seq.g.matrix, seq.C.relations)
 
 
 def test_split_sequence_constructor():

@@ -36,6 +36,8 @@ def test_sigma_model_reads_smith_data():
     ident = SigmaModel(3, 2, IntMatrix.identity(2))
     assert ident.corank == 2
     assert ident.valuations == ()
+    # det 1, though no row or column is a unit vector
+    assert SigmaModel(3, 2, IntMatrix.from_rows([[2, 1], [1, 1]])).corank == 0
 
 
 def test_sigma_model_rejects_non_automorphism():
@@ -45,6 +47,9 @@ def test_sigma_model_rejects_non_automorphism():
         SigmaModel(5, 2, IntMatrix.from_rows([[1, 0], [0, 5]]))
     with pytest.raises(InputError):
         SigmaModel(4, 1, IntMatrix.from_rows([[3]]))
+    # det 3, though no entry is divisible by 3
+    with pytest.raises(InputError, match=r"sigma is not an automorphism: det\(M\) is divisible by p"):
+        SigmaModel(3, 2, IntMatrix.from_rows([[1, 1], [1, 4]]))
 
 
 def test_sigma_tower_level_shapes():
