@@ -180,16 +180,14 @@ def _tate_subquotient(module: CyclicGroupModule, num: Homomorphism,
 
 @dataclass(frozen=True)
 class TateGroups:
-    """The Tate cohomology of a cyclic action, in degrees -1 through 2.
+    """The Tate cohomology of a cyclic action, in degrees -1 and 0.
 
-    Cohomology of a finite cyclic group is 2-periodic, so degree 1 is the
-    same subquotient object as degree -1 and degree 2 the same as 0.
+    Cohomology of a finite cyclic group is 2-periodic, so degree -1 also
+    stands for every odd degree and degree 0 for every even one.
     """
 
     minus_one: Subquotient
     zero: Subquotient
-    one: Subquotient
-    two: Subquotient
 
     @property
     def trivial(self) -> bool:
@@ -201,8 +199,7 @@ def tate_cohomology(module: CyclicGroupModule) -> TateGroups:
     """Tate groups ker N / im T (odd degrees) and ker T / im N (even)."""
     minus_one = _tate_subquotient(module, module.norm, module.difference)
     zero = _tate_subquotient(module, module.difference, module.norm)
-    return TateGroups(minus_one=minus_one, zero=zero,
-                      one=minus_one, two=zero)
+    return TateGroups(minus_one=minus_one, zero=zero)
 
 
 def equivariant_section_exists(seq: GModuleSequence) -> Optional[GModuleMap]:
@@ -303,8 +300,8 @@ def les_multiplication_by_p(module: CyclicGroupModule,
                 f"module has p-torsion: {witness!r} has order {p}")
     tate = tate_cohomology(module)
     reduced = reduce_mod_p(module, p)
-    tate_bar = tate_cohomology(reduced)
-    h1, h1_bar, h2 = tate.minus_one, tate_bar.minus_one, tate.zero
+    h1_bar = _tate_subquotient(reduced, reduced.norm, reduced.difference)
+    h1, h2 = tate.minus_one, tate.zero
 
     reps = h1.representatives(h1.group.generators())
     j = hom_from_images(h1.group, h1_bar.group, h1_bar.classes_of(

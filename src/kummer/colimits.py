@@ -27,9 +27,11 @@ from .groups import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
+    direct_sum,
     factor_through,
     is_isomorphism,
     kernel,
+    kernel_witness,
     solve_congruences,
 )
 from .matrices import (
@@ -422,11 +424,7 @@ def limit_no_section_certificate(t: ColimitTower,
     p = t.p
     c1 = ColimitElement(t, 1, "C", t.sequence(1).C.generator(0))
     # brute-force the divisibility claim rather than citing the closed form
-    pushed = c1.push(1 + depth)
-    grp = pushed.value.group
-    sol = grp.solve(IntMatrix.identity(grp.generator_count).scaled(p ** depth),
-                    pushed.value.coords)
-    divisible = sol is not None
+    divisible = _probe_height(c1, depth).saturated
     # The cross-check is exhaustive over the orbits of the diagonal unit
     # group: (x_i) -> (u_i x_i) with each u_i a unit. It commutes with the
     # B-column maps, which append a zero coordinate, so at every level it is
@@ -483,6 +481,10 @@ class CaseTwoEvidence:
     level: int
 
 
+# Levels up to which check V4 probes each claimed divisible element.
+HEIGHT_DEPTH = 3
+
+
 @dataclass(frozen=True)
 class CaseOneEvidence:
     """A decomposition of the limit A column as divisible + bounded.
@@ -490,7 +492,7 @@ class CaseOneEvidence:
     pi_divisible[k-1]: A_k -> (Z/p^precision)^divisible_rank and
     pi_bounded[k-1]: A_k -> m_group form compatible cones that are jointly
     injective on every level up to `level`; f-images of the bounded-kernel
-    generators must probe as divisible to `height_depth`.
+    generators must probe as divisible to HEIGHT_DEPTH.
     """
 
     level: int
@@ -499,7 +501,6 @@ class CaseOneEvidence:
     m_group: FgAbGroup
     pi_divisible: tuple[Homomorphism, ...]
     pi_bounded: tuple[Homomorphism, ...]
-    height_depth: int = 3
 
 
 @dataclass(frozen=True)
@@ -586,18 +587,15 @@ def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
             raise EvidenceError(
                 f"bounded projections do not form a cone at level {k}",
                 check="V2")
-    joint_relations = block_diag(d_group.relations, m_grp.relations)
+    joint_group = direct_sum(d_group, m_grp).group
     for k in range(1, big_l + 1):
-        a_k = t.sequence(k).A
-        joint = preimage_lattice(vstack(ev.pi_divisible[k - 1].matrix,
-                                        ev.pi_bounded[k - 1].matrix),
-                                 joint_relations).matrix
-        j = a_k.hermite.outside(joint)
-        if j is not None:
+        wit = kernel_witness(Homomorphism(
+            t.sequence(k).A, joint_group,
+            vstack(ev.pi_divisible[k - 1].matrix, ev.pi_bounded[k - 1].matrix)))
+        if wit is not None:
             raise EvidenceError(
                 f"projections are not jointly injective at level {k}: "
-                f"common kernel element {a_k.element(joint.col(j))!r}",
-                check="V3")
+                f"common kernel element {wit!r}", check="V3")
     top_seq = t.sequence(big_l)
     ker_m_top = preimage_lattice(ev.pi_bounded[big_l - 1].matrix,
                                  m_grp.relations).matrix
@@ -606,11 +604,11 @@ def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
         if not a:
             continue
         image = ColimitElement(t, big_l, "B", top_seq.f(a))
-        probe = colimit_height(image, ev.height_depth)
+        probe = colimit_height(image, HEIGHT_DEPTH)
         if not probe.saturated:
             raise EvidenceError(
                 f"claimed divisible-part element has finite height "
-                f"{probe.height} < {ev.height_depth}: {a!r}", check="V4")
+                f"{probe.height} < {HEIGHT_DEPTH}: {a!r}", check="V4")
     _require_valid(t.prefix(big_l), upward=True)
 
     pi_d = ev.pi_divisible[big_l - 1]

@@ -16,7 +16,7 @@ from .colimits import CaseOneEvidence, ColimitTower
 from .errors import InputError
 from .groups import FgAbGroup, Homomorphism, direct_sum, hom_from_images
 from .matrices import IntMatrix, block_diag
-from .sequences import ShortExactSequence, check_exact, pruefer_decompose, split_sequence
+from .sequences import ShortExactSequence, check_exact, split_sequence
 from .towers import CrtGlue, KummerTower, LevelMaps, SigmaModel, sigma_kummer_tower
 
 __all__ = [
@@ -227,7 +227,7 @@ def doomed_divisible_evidence(t: ColimitTower, level: int) -> CaseOneEvidence:
     p = t.p
     prec = level + 2
     top_a = t.sequence(level).A
-    dec = pruefer_decompose(top_a)
+    dec = top_a.simplified
     orders = top_a.invariant_factors
     r = len(orders)
     d_group = FgAbGroup(r, IntMatrix.identity(r).scaled(p ** prec))

@@ -1,9 +1,9 @@
 """Short exact sequences: exactness, purity, splitness, duality, ranks.
 
-The constructive heart of the package: a pure sequence over a finite middle
-group splits, and the section is assembled exactly the way the classical
-proof does it (cyclic decomposition of C, one same-order lift per cyclic
-generator).
+The constructive heart of the package: a pure sequence of finitely
+generated groups splits, and the section is assembled exactly the way the
+classical proof does it (cyclic decomposition of C, one same-order lift per
+cyclic generator).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "check_exact",
     "is_pure",
     "pure_witness",
-    "pruefer_decompose",
     "assemble_section",
     "section_exists",
     "section_from_purity",
@@ -62,7 +61,6 @@ class ShortExactSequence:
 
     f: Homomorphism
     g: Homomorphism
-    certificate: tuple[str, ...] = field(default=(), compare=False)
     ker_g: HermiteColumnForm = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -84,7 +82,6 @@ class ShortExactSequence:
         if j is not None:
             raise NotExactError("middle", "kernel of g is larger than image of f",
                                 witness=f.target.element(ker_g.matrix.col(j)))
-        object.__setattr__(self, "certificate", ("mono", "epi", "complex", "middle"))
         object.__setattr__(self, "ker_g", ker_g)
 
     @property
@@ -134,9 +131,8 @@ class Section:
 class PurityCertificate:
     """Outcome of the subgroup purity test nA = A ∩ nB.
 
-    ``scope`` says which multipliers n were compared; when B has unbounded
-    exponent only a caller-supplied finite list is checked and the verdict
-    is relative to that list.
+    ``scope`` says which multipliers n were compared; a verdict on a
+    caller-supplied list of moduli is relative to that list.
     """
 
     pure: bool
@@ -168,24 +164,29 @@ def is_pure(seq: ShortExactSequence,
             moduli: Optional[Sequence[int]] = None) -> PurityCertificate:
     """Subgroup purity criterion: nA = A ∩ nB for the relevant n.
 
-    For bounded-exponent B the divisors of exp(B) are a complete test set
-    (nB and nA only depend on gcd(n, exp B)). Otherwise the caller must
-    supply moduli and the certificate says so.
+    Without moduli the divisors of e = lcm(d_B, d_C) are tested, where d_G
+    is the largest invariant factor of G (1 if G has none); for finite B,
+    e = exp(B). The set is complete: suppose a = nb lies in A ∩ nB but not
+    in nA, and let m be the order of g(b). Then m divides n and d_C, and
+    mb lies in A ∩ mB but not in mA, since mb = ma′ would give
+    a = (n/m)·mb = n·a′ ∈ nA. With moduli, only those n are compared and
+    the certificate says so.
 
     Each n >= 1 is decided by counting. Tensoring with Z/n is right exact,
     so A/nA -> B/nB -> C/nC -> 0 is exact, and the kernel of its first map
     is (A ∩ nB)/nA. Hence nA = A ∩ nB exactly when
     |A/nA| · |C/nC| = |B/nB|, and each order is read off the invariant
     factors and the free rank.
+
+    A failure carries the first cyclic generator of C with no same-order
+    lift; one exists, or the lifts would assemble into a section.
     """
     b_group = seq.B
     if moduli is None:
-        if not b_group.is_finite:
-            raise UnsupportedError(
-                "purity over a middle group of unbounded exponent needs an "
-                "explicit moduli list")
-        ns = divisors(int(b_group.exponent))
-        scope = f"all n dividing exp(B) = {int(b_group.exponent)}"
+        e = math.lcm(*b_group.invariant_factors[-1:], *seq.C.invariant_factors[-1:])
+        ns = divisors(e)
+        scope = (f"all n dividing exp(B) = {e}" if b_group.is_finite
+                 else f"all n dividing lcm(torsion exponents of B, C) = {e}")
     else:
         ns = sorted(set(int(n) for n in moduli))
         if any(n < 0 for n in ns):
@@ -197,8 +198,11 @@ def is_pure(seq: ShortExactSequence,
         for n in ns)
     failed = not all(ok for _, ok in comparisons)
     witness = None
-    if failed and seq.C.is_finite:
-        witness = _purity_failure_witness(seq)
+    if failed:
+        try:
+            section_from_purity(seq)
+        except PurityError as exc:
+            witness = exc.element
     return PurityCertificate(pure=not failed, scope=scope,
                              comparisons=comparisons, failure=witness)
 
@@ -208,29 +212,18 @@ def _order_mod(g: FgAbGroup, n: int) -> int:
     return n ** g.free_rank * math.prod(math.gcd(d, n) for d in g.invariant_factors)
 
 
-def _purity_failure_witness(seq: ShortExactSequence) -> Optional[GroupElement]:
-    """The first cyclic generator of C with no same-order lift (one exists
-    whenever purity fails over a finite C: otherwise the lifts would
-    assemble into a section, and split sequences are pure)."""
-    try:
-        section_from_purity(seq)
-    except PurityError as exc:
-        return exc.element
-    return None
-
-
 def pure_witness(seq: ShortExactSequence, c: GroupElement) -> GroupElement:
-    """A lift b of c with the same order, or PurityError carrying c."""
+    """A lift b of c with the same order, or PurityError carrying c. Any
+    preimage of an element of infinite order has infinite order."""
     if c.group != seq.C:
         raise InputError("element does not belong to C")
-    m = c.order()
-    if m == math.inf:
-        raise UnsupportedError("same-order lifts are only searched for "
-                               "finite-order elements")
-    m = int(m)
     b0 = seq.C.solve(seq.g.matrix, c.coords)
     if b0 is None:
         raise InputError("g is not surjective onto c")  # cannot happen: g epi
+    m = c.order()
+    if m == math.inf:
+        return seq.B.element(b0)
+    m = int(m)
     ker_g = seq.ker_g.matrix
     target = tuple(-m * x for x in b0)
     t = seq.B.solve(ker_g.scaled(m), target)
@@ -241,25 +234,6 @@ def pure_witness(seq: ShortExactSequence, c: GroupElement) -> GroupElement:
     if b.order() != m:
         raise AssertionError(f"lift has order {b.order()}, not {m}")
     return b
-
-
-# ---------------------------------------------------------------------------
-# Cyclic decomposition
-# ---------------------------------------------------------------------------
-
-
-def pruefer_decompose(g: FgAbGroup) -> Simplified:
-    """Explicit cyclic decomposition of a finite group: its simplified
-    presentation, whose generator i has order invariant_factors[i]
-    (d_1 | d_2 | ...), with the two transport isomorphisms checked to be
-    mutually inverse."""
-    if not g.is_finite:
-        raise UnsupportedError("cyclic decomposition needs a finite group")
-    simp = g.simplified
-    if not ((simp.to_simple @ simp.from_simple).is_identity()
-            and (simp.from_simple @ simp.to_simple).is_identity()):
-        raise InputError("decomposition maps do not invert each other")
-    return simp
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +286,11 @@ def assemble_section(seq: ShortExactSequence, dec: Simplified,
 def section_from_purity(seq: ShortExactSequence) -> Section:
     """Split a pure sequence constructively.
 
-    Decompose C into cyclic summands, take one same-order lift per cyclic
-    generator, and assemble; a non-pure input surfaces as PurityError from
-    the witness search.
+    Decompose C into cyclic summands (torsion generators first), take one
+    same-order lift per cyclic generator, and assemble; a non-pure input
+    surfaces as PurityError at its first torsion generator with no such lift.
     """
-    dec = pruefer_decompose(seq.C)
+    dec = seq.C.simplified
     lifts = [pure_witness(seq, dec.from_simple(e)) for e in dec.group.generators()]
     return assemble_section(seq, dec, lifts)
 
@@ -432,12 +406,11 @@ def rank_m(g: FgAbGroup, m: int) -> int:
 
     For m = p^t this counts invariant factors with p-adic valuation >= t;
     composite m takes the minimum over its prime-power parts, since a copy
-    of (Z/m)^r contains (Z/p^v)^r for every part and conversely.
+    of (Z/m)^r contains (Z/p^v)^r for every part and conversely. A free
+    summand holds no element of finite order, so it adds nothing.
     """
     if m < 2:
         raise InputError("rank is defined for m >= 2")
-    if not g.is_finite:
-        raise UnsupportedError("rank computed for finite groups")
     facts = g.invariant_factors
     return min(sum(1 for d in facts if vp(d, p) >= t)
                for p, t in factorint(m).items())

@@ -49,7 +49,6 @@ from .sequences import (
     double_dual_iso,
     dualize_sequence,
     pontryagin_dual,
-    pruefer_decompose,
     section_from_retraction,
 )
 
@@ -298,18 +297,12 @@ def _level_lift(t: KummerTower, c: GroupElement, k: int) -> GroupElement:
 
 def _purity_lifts(t: KummerTower) -> tuple[Simplified,
                                            list[tuple[GroupElement, GroupElement]]]:
-    top = t.top
-    dec = pruefer_decompose(top.C)
-    pairs: list[tuple[GroupElement, GroupElement]] = []
-    for e, d in zip(dec.group.generators(), top.C.invariant_factors):
-        k = vp(d, t.p)
-        if t.p ** k != d:
-            raise TowerInvalidError(
-                f"C[p^{t.n}] has a cyclic factor of order {d}, not a power "
-                f"of {t.p}", report=None)
-        c = dec.from_simple(e)
-        pairs.append((c, _level_lift(t, c, k)))
-    return dec, pairs
+    """Each cyclic generator of the top C (a p-group, as callers validate
+    t first) with its lift from level vp(d, p), d its invariant factor."""
+    dec = t.top.C.simplified
+    gens = [dec.from_simple(e) for e in dec.group.generators()]
+    return dec, [(c, _level_lift(t, c, vp(d, t.p)))
+                 for c, d in zip(gens, t.top.C.invariant_factors)]
 
 
 def tower_purity(t: KummerTower) -> PurityWitnessSet:

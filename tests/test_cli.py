@@ -17,7 +17,7 @@ from kummer.arith import MR_BOUND
 from kummer.cli import main
 from kummer.groups import FgAbGroup, Homomorphism
 from kummer.matrices import IntMatrix
-from kummer.sequences import check_exact, split_sequence
+from kummer.sequences import Section, check_exact, split_sequence
 from kummer.towers import CoKummerTower, LevelMaps, validate_tower
 
 
@@ -84,6 +84,32 @@ def test_seq_check_split_exits_zero_with_section():
 def test_seq_split_on_impure_input_exits_one():
     res = run_cli(["seq-split"], impure_doc())
     assert res.returncode == 1
+
+
+Z, Z2 = FgAbGroup.free(1), FgAbGroup.cyclic(2)
+INFINITE_SEQS = {
+    "twice": check_exact(Homomorphism(Z, Z, IntMatrix.from_rows([[2]])),
+                         Homomorphism(Z, Z2, IntMatrix.from_rows([[1]]))),
+    "split": split_sequence(Z, Z2),
+}
+
+
+@pytest.mark.parametrize("verb", ["seq-check", "seq-split"])
+@pytest.mark.parametrize("name", sorted(INFINITE_SEQS))
+def test_sequences_with_an_infinite_middle_group_are_decided(verb, name):
+    """0 -> Z -×2-> Z -> Z/2 -> 0 fails with a witness; Z -> Z ⊕ Z/2 -> Z/2
+    splits with a verified section."""
+    seq = INFINITE_SEQS[name]
+    res = run_cli([verb], jsonio.dumps(jsonio.document(jsonio.encode_seq(seq))))
+    out = json.loads(res.stdout)
+    assert res.stderr == "" and out["exact"] is True
+    if name == "twice":
+        assert res.returncode == 1 and out["split"] is False
+        assert out["witness"] == {"coords": ["1"]}
+    else:
+        assert res.returncode == 0 and out["split"] is True
+        mat = jsonio.decode_matrix(out["section"]["matrix"], "$")
+        Section(seq, Homomorphism(seq.C, seq.B, mat))
 
 
 def test_malformed_json_is_a_schema_error():
