@@ -33,6 +33,9 @@ both trees see the same inputs:
 - ``seq-check`` and ``seq-split`` for four pairs of maps between cyclic
   groups, each failing one exactness condition first (mono, epi, complex,
   middle), so each exits 1 with a witness;
+- ``seq-check`` and ``seq-split`` for two sequences with the infinite middle
+  group Z: 0 -> Z -x2-> Z -> Z/2 -> 0 (exit 1, witness ["1"]) and
+  Z -> Z + Z/2 -> Z/2 (exit 0, with a section);
 - ``dual`` of a homomorphism Z/2 + Z/4 -> Z/8.
 """
 
@@ -61,6 +64,7 @@ from kummer.cohomology import (  # noqa: E402
 )
 from kummer.groups import FgAbGroup, Homomorphism  # noqa: E402
 from kummer.matrices import IntMatrix, block_diag, hstack, vstack  # noqa: E402
+from kummer.sequences import check_exact, split_sequence  # noqa: E402
 from kummer.towers import dual_tower  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
@@ -173,6 +177,12 @@ def documents() -> list[tuple[list[str], str]]:
     docs += [(["gmod-split"], text) for text in split_modules()]
     for f, g in INEXACT:
         text = jsonio.dumps(jsonio.document({"f": cyclic_hom(*f), "g": cyclic_hom(*g)}))
+        docs += [([verb], text) for verb in ("seq-check", "seq-split")]
+    z, z2 = FgAbGroup.free(1), FgAbGroup.cyclic(2)
+    twice = check_exact(Homomorphism(z, z, IntMatrix.from_rows([[2]])),
+                        Homomorphism(z, z2, IntMatrix.from_rows([[1]])))
+    for seq in (twice, split_sequence(z, z2)):
+        text = jsonio.dumps(jsonio.document(jsonio.encode_seq(seq)))
         docs += [([verb], text) for verb in ("seq-check", "seq-split")]
     hom = Homomorphism(FgAbGroup.of_orders(2, 4), FgAbGroup.cyclic(8),
                        IntMatrix.from_rows([[4, 2]]))

@@ -15,33 +15,13 @@ from pathlib import Path
 from typing import Optional
 
 from . import jsonio
-from .cohomology import equivariant_section_exists, tate_cohomology
-from .colimits import (
-    CaseTwoEvidence,
-    counterexample_tower,
-    direct_limit_split,
-    divisible_tower,
-    stabilizing_tower,
-)
-from .demos import DEMOS, demo_counterexample
 from .errors import InputError, KummerError, NotExactError
-from .fixtures import divisible_case_one_evidence, doomed_divisible_evidence
 from .groups import GroupElement
-from .matrices import smith_normal_form
-from .sequences import (
-    check_exact,
-    dualize_sequence,
-    is_pure,
-    pontryagin_dual,
-    section_exists,
-)
-from .towers import (
-    dual_tower,
-    dual_tower_split,
-    sigma_kummer_tower,
-    tower_split,
-    validate_tower,
-)
+
+# Each handler imports the layers it runs, so a verb loads only those. The
+# parser needs the demo names before any handler runs; the tests check that
+# this tuple is sorted(demos.DEMOS).
+_DEMO_NAMES = ("chris", "counterexample", "direct-limit", "dual-lemma", "main-lemma")
 
 __all__ = ["main"]
 
@@ -64,6 +44,8 @@ def _maybe_witness(payload: dict, witness) -> dict:
 
 
 def _cmd_snf(args) -> tuple[dict, int]:
+    from .matrices import smith_normal_form
+
     mat = jsonio.decode_matrix(_read_document(args), "$")
     dec = smith_normal_form(mat)
     return {
@@ -88,6 +70,8 @@ def _cmd_group(args) -> tuple[dict, int]:
 
 
 def _cmd_seq_check(args) -> tuple[dict, int]:
+    from .sequences import check_exact, is_pure, section_exists
+
     f, g = jsonio.decode_seq(_read_document(args), "$")
     try:
         seq = check_exact(f, g)
@@ -107,6 +91,8 @@ def _cmd_seq_check(args) -> tuple[dict, int]:
 
 
 def _cmd_seq_split(args) -> tuple[dict, int]:
+    from .sequences import check_exact, is_pure, section_exists
+
     f, g = jsonio.decode_seq(_read_document(args), "$")
     try:
         seq = check_exact(f, g)
@@ -125,6 +111,8 @@ def _cmd_seq_split(args) -> tuple[dict, int]:
 
 
 def _cmd_tower_validate(args) -> tuple[dict, int]:
+    from .towers import validate_tower
+
     tower = jsonio.decode_tower(_read_document(args))
     report = validate_tower(tower)
     payload = {
@@ -140,6 +128,8 @@ def _cmd_tower_validate(args) -> tuple[dict, int]:
 
 
 def _cmd_tower_split(args) -> tuple[dict, int]:
+    from .towers import dual_tower_split, tower_split
+
     tower = jsonio.decode_tower(_read_document(args))
     section = tower_split(tower) if tower.upward else dual_tower_split(tower)
     return {"split": True, "level": tower.n,
@@ -147,6 +137,8 @@ def _cmd_tower_split(args) -> tuple[dict, int]:
 
 
 def _cmd_tower_generate(args) -> tuple[dict, int]:
+    from .towers import sigma_kummer_tower
+
     if args.sigma is not None:
         doc = jsonio.loads_checked(args.sigma)
     else:
@@ -157,28 +149,37 @@ def _cmd_tower_generate(args) -> tuple[dict, int]:
 
 
 def _cmd_counterexample(args) -> tuple[dict, int]:
+    from .demos import demo_counterexample
+
     p = jsonio.decode_prime(args.p if args.p is not None else 2, "--p")
     depth = jsonio.decode_count(args.depth, "--depth", 1, jsonio.MAX_DEPTH)
     ok, payload = demo_counterexample(p, depth)
     return payload, 0 if ok else 1
 
 
-_FAMILIES = {
-    "stabilizing": stabilizing_tower,
-    "divisible": lambda p, n0: divisible_tower(p),
-    "counterexample": lambda p, n0: counterexample_tower(p),
-}
-
-
 def _cmd_limit_split(args) -> tuple[dict, int]:
+    from .colimits import (
+        CaseTwoEvidence,
+        counterexample_tower,
+        direct_limit_split,
+        divisible_tower,
+        stabilizing_tower,
+    )
+    from .fixtures import divisible_case_one_evidence, doomed_divisible_evidence
+
+    families = {
+        "stabilizing": stabilizing_tower,
+        "divisible": lambda p, n0: divisible_tower(p),
+        "counterexample": lambda p, n0: counterexample_tower(p),
+    }
     doc = jsonio._require_dict(_read_document(args), "$", ())
     family = jsonio.decode_choice(doc.get("family"), "$.family",
-                                  tuple(sorted(_FAMILIES)))
+                                  tuple(sorted(families)))
     p = jsonio.decode_prime(doc.get("p", 2), "$.p")
     case = jsonio.decode_int(doc.get("case", 2), "$.case")
     level = jsonio.decode_count(doc.get("level", 2), "$.level", 1, jsonio.MAX_LEVEL)
     n0 = jsonio.decode_count(doc.get("n0", 2), "$.n0", 1)
-    tower = _FAMILIES[family](p, n0)
+    tower = families[family](p, n0)
     if case == 2:
         evidence = CaseTwoEvidence(level=level)
     elif case == 1:
@@ -207,6 +208,8 @@ def _cmd_limit_split(args) -> tuple[dict, int]:
 
 
 def _cmd_dual(args) -> tuple[dict, int]:
+    from .sequences import check_exact, dualize_sequence, pontryagin_dual
+
     doc = jsonio._require_dict(_read_document(args), "$", ())
     kind = jsonio.decode_choice(doc.get("kind"), "$.kind",
                                 ("group", "hom", "seq", "tower"))
@@ -223,12 +226,16 @@ def _cmd_dual(args) -> tuple[dict, int]:
         seq = check_exact(f, g)
         return {"kind": "seq",
                 "value": jsonio.encode_seq(dualize_sequence(seq))}, 0
+    from .towers import dual_tower
+
     tower = jsonio.decode_tower(doc.get("value"), "$.value")
     return {"kind": "tower",
             "value": jsonio.encode_tower(dual_tower(tower))}, 0
 
 
 def _cmd_gmod_cohomology(args) -> tuple[dict, int]:
+    from .cohomology import tate_cohomology
+
     module = jsonio.decode_gmodule(_read_document(args))
     tate = tate_cohomology(module)
     minus = [jsonio.encode_int(d)
@@ -244,6 +251,9 @@ def _cmd_gmod_cohomology(args) -> tuple[dict, int]:
 
 
 def _cmd_gmod_split(args) -> tuple[dict, int]:
+    from .cohomology import equivariant_section_exists
+    from .sequences import section_exists
+
     seq = jsonio.decode_gmodule_seq(_read_document(args))
     section = equivariant_section_exists(seq)
     plain = section_exists(seq.sequence)
@@ -255,6 +265,8 @@ def _cmd_gmod_split(args) -> tuple[dict, int]:
 
 
 def _cmd_demo(args) -> tuple[dict, int]:
+    from .demos import DEMOS
+
     if args.name == "counterexample":
         return _cmd_counterexample(args)
     kwargs = {}
@@ -319,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    ).set_defaults(handler=_cmd_gmod_split)
 
     demo = sub.add_parser("demo", parents=[common, depth])
-    demo.add_argument("name", choices=sorted(DEMOS))
+    demo.add_argument("name", choices=_DEMO_NAMES)
     demo.add_argument("--p", type=int, default=None)
     demo.add_argument("--seed", type=int, default=None,
                       help="seed for randomized demos")

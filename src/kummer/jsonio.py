@@ -15,15 +15,19 @@ import json
 import math
 import re
 from contextlib import contextmanager
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from .arith import require_prime
-from .cohomology import CyclicGroupModule, GModuleMap, GModuleSequence
 from .errors import InputError
 from .groups import FgAbGroup, GroupElement, Homomorphism
 from .matrices import IntMatrix
-from .sequences import Section, ShortExactSequence
-from .towers import CoKummerTower, KummerTower, LevelMaps, SigmaModel
+
+# The construction layers are imported by the decoders that build their
+# types, so a verb that reads only matrices and groups never loads them.
+if TYPE_CHECKING:
+    from .cohomology import CyclicGroupModule, GModuleSequence
+    from .sequences import Section, ShortExactSequence
+    from .towers import KummerTower, LevelMaps, SigmaModel
 
 SCHEMA = 1
 
@@ -249,6 +253,8 @@ def decode_seq(doc: Any, path: str) -> tuple[Homomorphism, Homomorphism]:
 
 
 def _decode_maps(doc: Any, path: str) -> LevelMaps:
+    from .towers import LevelMaps
+
     doc = _require_dict(doc, path, ("alpha", "beta", "gamma"))
     return LevelMaps(alpha=decode_hom(doc["alpha"], f"{path}.alpha"),
                      beta=decode_hom(doc["beta"], f"{path}.beta"),
@@ -257,6 +263,7 @@ def _decode_maps(doc: Any, path: str) -> LevelMaps:
 
 def decode_tower(doc: Any, path: str = "$") -> KummerTower:
     from .sequences import check_exact
+    from .towers import CoKummerTower, KummerTower
 
     doc = _require_dict(doc, path, ("p", "n", "levels", "maps"))
     p = decode_prime(doc["p"], f"{path}.p")
@@ -283,6 +290,8 @@ def decode_tower(doc: Any, path: str = "$") -> KummerTower:
 
 
 def decode_sigma(doc: Any, path: str = "$") -> SigmaModel:
+    from .towers import SigmaModel
+
     doc = _require_dict(doc, path, ("p", "r", "M"))
     p = decode_prime(doc["p"], f"{path}.p")
     r = decode_count(doc["r"], f"{path}.r")
@@ -292,6 +301,8 @@ def decode_sigma(doc: Any, path: str = "$") -> SigmaModel:
 
 
 def decode_gmodule(doc: Any, path: str = "$") -> CyclicGroupModule:
+    from .cohomology import CyclicGroupModule
+
     doc = _require_dict(doc, path, ("d", "group", "sigma"))
     d = decode_count(doc["d"], f"{path}.d")
     grp = decode_group(doc["group"], f"{path}.group")
@@ -301,6 +312,8 @@ def decode_gmodule(doc: Any, path: str = "$") -> CyclicGroupModule:
 
 
 def decode_gmodule_seq(doc: Any, path: str = "$") -> GModuleSequence:
+    from .cohomology import GModuleMap, GModuleSequence
+
     doc = _require_dict(doc, path, ("A", "B", "C", "f", "g"))
     a = decode_gmodule(doc["A"], f"{path}.A")
     b = decode_gmodule(doc["B"], f"{path}.B")
