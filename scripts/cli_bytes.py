@@ -36,6 +36,9 @@ both trees see the same inputs:
 - ``seq-check`` and ``seq-split`` for two sequences with the infinite middle
   group Z: 0 -> Z -x2-> Z -> Z/2 -> 0 (exit 1, witness ["1"]) and
   Z -> Z + Z/2 -> Z/2 (exit 0, with a section);
+- ``tower-validate`` and ``tower-split`` on a tower whose top C is
+  Z/2 + Z/8, so one generator is lifted from below the top level, and on
+  its dual;
 - ``dual`` of a homomorphism Z/2 + Z/4 -> Z/8.
 """
 
@@ -65,7 +68,7 @@ from kummer.cohomology import (  # noqa: E402
 from kummer.groups import FgAbGroup, Homomorphism  # noqa: E402
 from kummer.matrices import IntMatrix, block_diag, hstack, vstack  # noqa: E402
 from kummer.sequences import check_exact, split_sequence  # noqa: E402
-from kummer.towers import dual_tower  # noqa: E402
+from kummer.towers import KummerTower, LevelMaps, dual_tower  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 
@@ -85,6 +88,21 @@ INEXACT = (((4, 4, 2), (4, 2, 1)), ((2, 4, 2), (4, 4, 2)),
 
 # 2^61 - 1 and the largest prime arith.is_prime accepts
 BIG_PRIMES = (2 ** 61 - 1, 3317044064679887385961813)
+
+
+def mixed_top_tower() -> str:
+    """Levels 0 -> Z/2 -> Z/2 + (Z/2 + Z/2^k) -> Z/2 + Z/2^k -> 0 for
+    k = 1..3 with alpha = id and gamma = diag(1, 2), as a document."""
+    seqs = [split_sequence(FgAbGroup.cyclic(2), FgAbGroup.of_orders(2, 2 ** k))
+            for k in (1, 2, 3)]
+    maps = []
+    for lo, hi in zip(seqs, seqs[1:]):
+        alpha = Homomorphism(lo.A, hi.A, IntMatrix.identity(1))
+        gamma = Homomorphism(lo.C, hi.C, IntMatrix.from_rows([[1, 0], [0, 2]]))
+        maps.append(LevelMaps(alpha=alpha, gamma=gamma, beta=Homomorphism(
+            lo.B, hi.B, block_diag(alpha.matrix, gamma.matrix))))
+    tower = KummerTower(2, tuple(seqs), tuple(maps))
+    return jsonio.dumps(jsonio.document(jsonio.encode_tower(tower)))
 
 
 def cyclic_hom(a: int, b: int, k: int) -> dict:
@@ -184,6 +202,9 @@ def documents() -> list[tuple[list[str], str]]:
     for seq in (twice, split_sequence(z, z2)):
         text = jsonio.dumps(jsonio.document(jsonio.encode_seq(seq)))
         docs += [([verb], text) for verb in ("seq-check", "seq-split")]
+    mixed = mixed_top_tower()
+    docs += [([verb], text) for text in (mixed, downward(mixed))
+             for verb in ("tower-validate", "tower-split")]
     hom = Homomorphism(FgAbGroup.of_orders(2, 4), FgAbGroup.cyclic(8),
                        IntMatrix.from_rows([[4, 2]]))
     docs.append((["dual"], jsonio.dumps(jsonio.document(

@@ -72,7 +72,6 @@ _EXPORTS = {
         "dual_tower",
         "dual_tower_split",
         "sigma_kummer_tower",
-        "tower_purity",
         "tower_split",
         "validate_tower",
     ),

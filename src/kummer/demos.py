@@ -2,6 +2,7 @@
 
 Each demo returns (ok, report) where the report is a JSON-ready dict.
 Reports are deterministic for a fixed seed; no clocks, no environment.
+Each demo imports the layers it runs, so a demo loads only those.
 """
 
 from __future__ import annotations
@@ -9,32 +10,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
-from . import jsonio
-from .cohomology import chris_verify
-from .colimits import (
-    CaseTwoEvidence,
-    counterexample_tower,
-    direct_limit_split,
-    divisible_tower,
-    limit_no_section_certificate,
-    stabilizing_tower,
-)
 from .errors import EvidenceError
-from .fixtures import (
-    divisible_case_one_evidence,
-    doomed_bounded_evidence,
-    doomed_divisible_evidence,
-    random_sigma_model,
-    split_tower,
-)
-from .sequences import double_dual_inverse, double_dual_iso, pontryagin_dual
-from .towers import (
-    dual_tower,
-    dual_tower_split,
-    sigma_kummer_tower,
-    tower_split,
-    validate_tower,
-)
 
 __all__ = [
     "demo_main_lemma",
@@ -46,11 +22,15 @@ __all__ = [
 ]
 
 
-def demo_main_lemma(seed: int = 0, count: int = 8) -> tuple[bool, dict]:
-    """Random sigma towers plus handcrafted ones: validate, split, verify."""
+def demo_main_lemma(seed: int = 0) -> tuple[bool, dict]:
+    """Eight random sigma towers plus three handcrafted ones: validate,
+    split, verify."""
+    from .fixtures import random_sigma_model, split_tower
+    from .towers import sigma_kummer_tower, tower_split, validate_tower
+
     rng = random.Random(seed)
     towers = []
-    for _ in range(count):
+    for _ in range(8):
         p = rng.choice([2, 3, 5])
         model = random_sigma_model(rng, p, 3)
         n = rng.randint(1, 3)
@@ -69,16 +49,22 @@ def demo_main_lemma(seed: int = 0, count: int = 8) -> tuple[bool, dict]:
 
 def demo_counterexample(p: int = 2, depth: int = 4) -> tuple[bool, dict]:
     """Certify that the classical family has no limit section."""
+    from .colimits import counterexample_tower, limit_no_section_certificate
+
     cert = limit_no_section_certificate(counterexample_tower(p), depth)
     return cert.valid, {**dataclasses.asdict(cert), "valid": cert.valid}
 
 
-def demo_dual_lemma(seed: int = 0, count: int = 6) -> tuple[bool, dict]:
-    """Dualize random towers downward, split, and pull the section back."""
+def demo_dual_lemma(seed: int = 0) -> tuple[bool, dict]:
+    """Dualize six random towers downward, split, and pull the section back."""
+    from .fixtures import random_sigma_model
+    from .sequences import double_dual_inverse, double_dual_iso, pontryagin_dual
+    from .towers import dual_tower, dual_tower_split, sigma_kummer_tower
+
     rng = random.Random(seed)
     rows = []
     ok = True
-    for _ in range(count):
+    for _ in range(6):
         p = rng.choice([2, 3, 5])
         model = random_sigma_model(rng, p, 2)
         n = rng.randint(1, 3)
@@ -106,6 +92,20 @@ def demo_direct_limit(p: int = 2) -> tuple[bool, dict]:
     Each result carries a ``Section``, which checks g∘s = id when it is
     built, so both cases split once ``direct_limit_split`` returns.
     """
+    from . import jsonio
+    from .colimits import (
+        CaseTwoEvidence,
+        counterexample_tower,
+        direct_limit_split,
+        divisible_tower,
+        stabilizing_tower,
+    )
+    from .fixtures import (
+        divisible_case_one_evidence,
+        doomed_bounded_evidence,
+        doomed_divisible_evidence,
+    )
+
     stab = stabilizing_tower(p, 2)
     result2 = direct_limit_split(stab, CaseTwoEvidence(level=2))
 
@@ -143,6 +143,8 @@ def demo_direct_limit(p: int = 2) -> tuple[bool, dict]:
 
 def demo_chris(p: int = 3) -> tuple[bool, dict]:
     """The mod-p cohomology obstruction computation for one prime."""
+    from .cohomology import chris_verify
+
     report = chris_verify(p)
     return report.valid, {
         "p": report.p,

@@ -105,12 +105,12 @@ def random_sigma_model(rng: random.Random, p: int,
             continue
 
 
-def random_finite_group(rng: random.Random, max_order: int = 64,
-                        max_generators: int = 3) -> FgAbGroup:
-    """Finite group with a non-diagonal presentation of bounded order."""
+def random_finite_group(rng: random.Random, max_order: int = 64) -> FgAbGroup:
+    """Finite group on one to three cyclic factors, with a non-diagonal
+    presentation of bounded order."""
     orders = []
     budget = max_order
-    for _ in range(rng.randint(1, max_generators)):
+    for _ in range(rng.randint(1, 3)):
         n = rng.choice([d for d in (2, 3, 4, 5, 8, 9) if d <= budget])
         orders.append(n)
         budget //= n
@@ -239,11 +239,10 @@ def doomed_divisible_evidence(t: ColimitTower, level: int) -> CaseOneEvidence:
                            m_group=triv, pi_divisible=pi_d, pi_bounded=pi_m)
 
 
-def doomed_bounded_evidence(t: ColimitTower, level: int,
-                            m_level: int = 2) -> CaseOneEvidence:
-    """False claim that the A column is bounded by the small group
-    A_{m_level}; joint injectivity must fail once A_k outgrows it."""
-    m_group = t.sequence(m_level).A
+def doomed_bounded_evidence(t: ColimitTower, level: int) -> CaseOneEvidence:
+    """False claim that the A column is bounded by the small group A_2;
+    joint injectivity must fail once A_k outgrows it."""
+    m_group = t.sequence(2).A
     pi_top = Homomorphism.zero(t.sequence(level).A, m_group)
     pi_m, pi_d = _cones(t, level, pi_top, FgAbGroup.trivial())
     return CaseOneEvidence(level=level, divisible_rank=0, precision=level + 2,

@@ -19,13 +19,13 @@ from typing import TYPE_CHECKING, Any, Optional, Union
 
 from .arith import require_prime
 from .errors import InputError
-from .groups import FgAbGroup, GroupElement, Homomorphism
 from .matrices import IntMatrix
 
-# The construction layers are imported by the decoders that build their
-# types, so a verb that reads only matrices and groups never loads them.
+# The group and construction layers are imported by the decoders that build
+# their types, so a verb that reads only matrices never loads them.
 if TYPE_CHECKING:
     from .cohomology import CyclicGroupModule, GModuleSequence
+    from .groups import FgAbGroup, GroupElement, Homomorphism
     from .sequences import Section, ShortExactSequence
     from .towers import KummerTower, LevelMaps, SigmaModel
 
@@ -225,6 +225,8 @@ def decode_matrix(doc: Any, path: str) -> IntMatrix:
 
 
 def decode_group(doc: Any, path: str) -> FgAbGroup:
+    from .groups import FgAbGroup
+
     doc = _require_dict(doc, path, ("generators", "relations"))
     gens = decode_count(doc["generators"], f"{path}.generators")
     rel = decode_matrix(doc["relations"], f"{path}.relations")
@@ -233,6 +235,8 @@ def decode_group(doc: Any, path: str) -> FgAbGroup:
 
 
 def decode_hom(doc: Any, path: str) -> Homomorphism:
+    from .groups import Homomorphism
+
     doc = _require_dict(doc, path, ("source", "target", "matrix"))
     src = decode_group(doc["source"], f"{path}.source")
     tgt = decode_group(doc["target"], f"{path}.target")
@@ -302,6 +306,7 @@ def decode_sigma(doc: Any, path: str = "$") -> SigmaModel:
 
 def decode_gmodule(doc: Any, path: str = "$") -> CyclicGroupModule:
     from .cohomology import CyclicGroupModule
+    from .groups import Homomorphism
 
     doc = _require_dict(doc, path, ("d", "group", "sigma"))
     d = decode_count(doc["d"], f"{path}.d")
@@ -313,6 +318,7 @@ def decode_gmodule(doc: Any, path: str = "$") -> CyclicGroupModule:
 
 def decode_gmodule_seq(doc: Any, path: str = "$") -> GModuleSequence:
     from .cohomology import GModuleMap, GModuleSequence
+    from .groups import Homomorphism
 
     doc = _require_dict(doc, path, ("A", "B", "C", "f", "g"))
     a = decode_gmodule(doc["A"], f"{path}.A")

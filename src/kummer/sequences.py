@@ -20,7 +20,6 @@ from .groups import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
-    Simplified,
     cokernel_witness,
     direct_sum,
     factor_through,
@@ -33,7 +32,6 @@ __all__ = [
     "ShortExactSequence",
     "Section",
     "PurityCertificate",
-    "PurityWitnessSet",
     "check_exact",
     "is_pure",
     "pure_witness",
@@ -129,14 +127,10 @@ class Section:
 
 @dataclass(frozen=True)
 class PurityCertificate:
-    """Outcome of the subgroup purity test nA = A ∩ nB.
-
-    ``scope`` says which multipliers n were compared; a verdict on a
-    caller-supplied list of moduli is relative to that list.
-    """
+    """Outcome of the subgroup purity test nA = A ∩ nB; ``comparisons``
+    lists each multiplier n compared with its verdict."""
 
     pure: bool
-    scope: str
     comparisons: tuple[tuple[int, bool], ...]
     failure: Optional[GroupElement] = None
 
@@ -144,33 +138,14 @@ class PurityCertificate:
         return self.pure
 
 
-@dataclass(frozen=True)
-class PurityWitnessSet:
-    """Same-order lifts for a set of representative elements of C."""
+def is_pure(seq: ShortExactSequence) -> PurityCertificate:
+    """Subgroup purity criterion: nA = A ∩ nB for every n >= 1.
 
-    seq: ShortExactSequence
-    witnesses: tuple[tuple[GroupElement, GroupElement], ...]
-    scope: str
-
-    def __post_init__(self):
-        for c, b in self.witnesses:
-            if self.seq.g(b) != c:
-                raise InputError("witness does not lift its target")
-            if b.order() != c.order():
-                raise InputError("witness has the wrong order")
-
-
-def is_pure(seq: ShortExactSequence,
-            moduli: Optional[Sequence[int]] = None) -> PurityCertificate:
-    """Subgroup purity criterion: nA = A ∩ nB for the relevant n.
-
-    Without moduli the divisors of e = lcm(d_B, d_C) are tested, where d_G
-    is the largest invariant factor of G (1 if G has none); for finite B,
-    e = exp(B). The set is complete: suppose a = nb lies in A ∩ nB but not
-    in nA, and let m be the order of g(b). Then m divides n and d_C, and
-    mb lies in A ∩ mB but not in mA, since mb = ma′ would give
-    a = (n/m)·mb = n·a′ ∈ nA. With moduli, only those n are compared and
-    the certificate says so.
+    The divisors of e = lcm(d_B, d_C) are tested, where d_G is the largest
+    invariant factor of G (1 if G has none); for finite B, e = exp(B). The
+    set is complete: suppose a = nb lies in A ∩ nB but not in nA, and let
+    m be the order of g(b). Then m divides n and d_C, and mb lies in
+    A ∩ mB but not in mA, since mb = ma′ would give a = (n/m)·mb = n·a′ ∈ nA.
 
     Each n >= 1 is decided by counting. Tensoring with Z/n is right exact,
     so A/nA -> B/nB -> C/nC -> 0 is exact, and the kernel of its first map
@@ -181,21 +156,10 @@ def is_pure(seq: ShortExactSequence,
     A failure carries the first cyclic generator of C with no same-order
     lift; one exists, or the lifts would assemble into a section.
     """
-    b_group = seq.B
-    if moduli is None:
-        e = math.lcm(*b_group.invariant_factors[-1:], *seq.C.invariant_factors[-1:])
-        ns = divisors(e)
-        scope = (f"all n dividing exp(B) = {e}" if b_group.is_finite
-                 else f"all n dividing lcm(torsion exponents of B, C) = {e}")
-    else:
-        ns = sorted(set(int(n) for n in moduli))
-        if any(n < 0 for n in ns):
-            raise InputError("moduli must be nonnegative")
-        scope = f"the supplied moduli {ns}"
+    e = math.lcm(*seq.B.invariant_factors[-1:], *seq.C.invariant_factors[-1:])
     comparisons = tuple(
-        (n, n == 0 or _order_mod(seq.A, n) * _order_mod(seq.C, n)
-         == _order_mod(b_group, n))
-        for n in ns)
+        (n, _order_mod(seq.A, n) * _order_mod(seq.C, n) == _order_mod(seq.B, n))
+        for n in divisors(e))
     failed = not all(ok for _, ok in comparisons)
     witness = None
     if failed:
@@ -203,8 +167,8 @@ def is_pure(seq: ShortExactSequence,
             section_from_purity(seq)
         except PurityError as exc:
             witness = exc.element
-    return PurityCertificate(pure=not failed, scope=scope,
-                             comparisons=comparisons, failure=witness)
+    return PurityCertificate(pure=not failed, comparisons=comparisons,
+                             failure=witness)
 
 
 def _order_mod(g: FgAbGroup, n: int) -> int:
@@ -269,14 +233,15 @@ def section_exists(seq: ShortExactSequence) -> Optional[Section]:
     return Section(seq, s)
 
 
-def assemble_section(seq: ShortExactSequence, dec: Simplified,
+def assemble_section(seq: ShortExactSequence,
                      lifts: Sequence[GroupElement]) -> Section:
     """Section of g from one same-order lift per cyclic generator of C.
 
-    lifts[i] must lie over dec.from_simple(e_i), for dec the cyclic
-    decomposition of C; order equality makes the assembled map
+    lifts[i] must lie over dec.from_simple(e_i), for dec = seq.C.simplified
+    the cyclic decomposition of C; order equality makes the assembled map
     well-defined, and the Section constructor re-verifies g∘s = id.
     """
+    dec = seq.C.simplified
     if len(lifts) != dec.group.generator_count:
         raise InputError("need exactly one lift per cyclic generator")
     wit = IntMatrix.from_columns(seq.B.generator_count, [y.coords for y in lifts])
@@ -292,7 +257,7 @@ def section_from_purity(seq: ShortExactSequence) -> Section:
     """
     dec = seq.C.simplified
     lifts = [pure_witness(seq, dec.from_simple(e)) for e in dec.group.generators()]
-    return assemble_section(seq, dec, lifts)
+    return assemble_section(seq, lifts)
 
 
 def retraction_from_section(seq: ShortExactSequence, s: Section) -> Homomorphism:

@@ -22,7 +22,6 @@ from .groups import (
     FgAbGroup,
     GroupElement,
     Homomorphism,
-    Simplified,
     cokernel_witness,
     direct_sum,
     invert_isomorphism,
@@ -40,7 +39,6 @@ from .matrices import (
     solve_modular_columns,
 )
 from .sequences import (
-    PurityWitnessSet,
     Section,
     ShortExactSequence,
     assemble_section,
@@ -59,7 +57,6 @@ __all__ = [
     "TowerViolation",
     "TowerReport",
     "validate_tower",
-    "tower_purity",
     "tower_split",
     "SigmaModel",
     "sigma_kummer_tower",
@@ -295,33 +292,19 @@ def _level_lift(t: KummerTower, c: GroupElement, k: int) -> GroupElement:
     return y
 
 
-def _purity_lifts(t: KummerTower) -> tuple[Simplified,
-                                           list[tuple[GroupElement, GroupElement]]]:
-    """Each cyclic generator of the top C (a p-group, as callers validate
-    t first) with its lift from level vp(d, p), d its invariant factor."""
-    dec = t.top.C.simplified
-    gens = [dec.from_simple(e) for e in dec.group.generators()]
-    return dec, [(c, _level_lift(t, c, vp(d, t.p)))
-                 for c, d in zip(gens, t.top.C.invariant_factors)]
+def tower_split(t: KummerTower) -> Section:
+    """Verified section of the top sequence of a valid upward tower.
 
-
-def tower_purity(t: KummerTower) -> PurityWitnessSet:
-    """Same-order lifts in B_n for the cyclic generators of C[p^n].
-
-    Each generator of order p^k is pulled back to level k, lifted there
-    (where every preimage already has the right order), and pushed up.
+    The top C is a p-group. Each of its cyclic generators, of order
+    p^k = d its invariant factor, is pulled back to level k, lifted there
+    (where every preimage already has the right order), and pushed up;
+    the lifts assemble into the section.
     """
     _require_valid(t, upward=True)
-    dec, pairs = _purity_lifts(t)
-    return PurityWitnessSet(seq=t.top, witnesses=tuple(pairs),
-                            scope=f"cyclic generators of C[p^{t.n}]")
-
-
-def tower_split(t: KummerTower) -> Section:
-    """Verified section of the top sequence of a valid upward tower."""
-    _require_valid(t, upward=True)
-    dec, pairs = _purity_lifts(t)
-    return assemble_section(t.top, dec, [y for _, y in pairs])
+    dec = t.top.C.simplified
+    return assemble_section(t.top, [
+        _level_lift(t, dec.from_simple(e), vp(d, t.p))
+        for e, d in zip(dec.group.generators(), t.top.C.invariant_factors)])
 
 
 # ---------------------------------------------------------------------------

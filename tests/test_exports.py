@@ -40,7 +40,7 @@ PACKAGE_NAMES = (
     "section_compatibility_solvable", "section_exists", "section_from_purity",
     "section_from_retraction", "sigma_kummer_tower", "smith_normal_form",
     "solve_congruences", "solve_integer_system", "split_sequence", "stabilizing_tower",
-    "subgroup_generated", "tate_cohomology", "tate_model", "tower_purity", "tower_split",
+    "subgroup_generated", "tate_cohomology", "tate_model", "tower_split",
     "validate_tower",
 )
 

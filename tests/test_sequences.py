@@ -230,19 +230,16 @@ def test_rank_additivity_on_split_prime_power(rng):
         assert rank_m(seq.B, m) == rank_m(a, m) + rank_m(c, m)
 
 
-def test_purity_with_moduli_for_infinite_middle():
+def test_purity_for_infinite_middle():
     z = FgAbGroup.free(1)
     z2 = FgAbGroup.cyclic(2)
     f = Homomorphism(z, z, IntMatrix.from_rows([[2]]))
     g = Homomorphism(z, z2, IntMatrix.from_rows([[1]]))
     seq = check_exact(f, g)
-    default = is_pure(seq)
-    assert not default
-    assert default.comparisons == ((1, True), (2, False))
-    assert default.failure == z2.generator(0)
-    cert = is_pure(seq, moduli=[2, 4])
+    cert = is_pure(seq)
     assert not cert
-    assert "moduli" in cert.scope
+    assert cert.comparisons == ((1, True), (2, False))
+    assert cert.failure == z2.generator(0)
 
 
 def multiples_sequence(rng: random.Random, b: FgAbGroup):
@@ -259,26 +256,23 @@ def multiples_sequence(rng: random.Random, b: FgAbGroup):
 
 
 @settings(max_examples=200)
-@given(st.integers(0, 10_000), st.booleans(),
-       st.lists(st.integers(2, 40), max_size=5))
-def test_purity_comparisons_match_the_lattice_oracle(seed, finite, extra):
-    """Every per-n verdict, with the default divisors of exp(B) and with
-    explicit moduli (always 0, 1 and some n not dividing exp(B)); the
-    middle group is a mixed finite presentation or Z^r ⊕ Z/k_1 ⊕ ..."""
+@given(st.integers(0, 10_000), st.booleans())
+def test_purity_comparisons_match_the_lattice_oracle(seed, finite):
+    """Every per-n verdict on the divisors of e = lcm(d_B, d_C), which is
+    exp(B) for finite B; the middle group is a mixed finite presentation
+    or Z^r ⊕ Z/k_1 ⊕ ..."""
     rng = random.Random(seed)
     if finite:
         seq = multiples_sequence(rng, random_finite_group(rng, 64))
-        exp_b = int(seq.B.exponent)
-        ns = divisors(exp_b)
-        assert is_pure(seq).comparisons == lattice_purity_comparisons(seq, ns)
-        extra = extra + [exp_b + 1]
     else:
         orders = [0] * rng.randint(1, 2) + [rng.randint(1, 12)
                                             for _ in range(rng.randint(0, 2))]
         seq = multiples_sequence(rng, FgAbGroup.of_orders(*orders))
-    ns = sorted(set([0, 1] + extra))
-    cert = is_pure(seq, moduli=ns)
-    assert cert.comparisons == lattice_purity_comparisons(seq, ns)
+    e = math.lcm(*seq.B.invariant_factors, *seq.C.invariant_factors)
+    if finite:
+        assert e == seq.B.exponent
+    cert = is_pure(seq)
+    assert cert.comparisons == lattice_purity_comparisons(seq, divisors(e))
     assert cert.pure == all(ok for _, ok in cert.comparisons)
 
 
@@ -313,7 +307,8 @@ def test_one_lift_loop_decides_every_finitely_generated_sequence(params):
     cert = is_pure(seq)
     assert cert.pure == (section_exists(seq) is not None)
     e = math.lcm(*seq.B.invariant_factors, *seq.C.invariant_factors)
-    assert is_pure(seq, moduli=range(1, 2 * e + 2)).pure == cert.pure
+    every_n = lattice_purity_comparisons(seq, range(1, 2 * e + 2))
+    assert all(ok for _, ok in every_n) == cert.pure
     if cert.pure:
         assert cert.failure is None
         assert section_from_purity(seq).seq is seq

@@ -1,9 +1,9 @@
 import pytest
 
 from kummer.errors import GlueError, InputError, TowerInvalidError
-from kummer.groups import Homomorphism
-from kummer.matrices import IntMatrix
-from kummer.sequences import check_exact, pontryagin_dual
+from kummer.groups import FgAbGroup, Homomorphism
+from kummer.matrices import IntMatrix, block_diag
+from kummer.sequences import check_exact, pontryagin_dual, split_sequence
 from kummer.towers import (
     CrtGlue,
     KummerTower,
@@ -13,7 +13,6 @@ from kummer.towers import (
     dual_tower,
     dual_tower_split,
     sigma_kummer_tower,
-    tower_purity,
     tower_split,
     validate_tower,
 )
@@ -111,13 +110,35 @@ def test_handcrafted_split_towers(rng):
             assert verify_section_on_all(t.top, s)
 
 
-def test_tower_purity_orders_match():
-    t = sigma_kummer_tower(SigmaModel(2, 2, IntMatrix.from_rows(
-        [[1, 2], [0, 1]])), 3)
-    ws = tower_purity(t)
-    assert ws.witnesses
-    for c, b in ws.witnesses:
-        assert b.order() == c.order()
+def mixed_top_tower() -> KummerTower:
+    """Levels 0 -> Z/2 -> Z/2 ⊕ (Z/2 ⊕ Z/2^k) -> Z/2 ⊕ Z/2^k -> 0 for
+    k = 1..3, with alpha = id and gamma = diag(1, 2): the top C is
+    Z/2 ⊕ Z/8, so its order-2 generator is lifted from level 1."""
+    seqs = [split_sequence(FgAbGroup.cyclic(2), FgAbGroup.of_orders(2, 2 ** k))
+            for k in (1, 2, 3)]
+    maps = []
+    for lo, hi in zip(seqs, seqs[1:]):
+        alpha = Homomorphism(lo.A, hi.A, IntMatrix.identity(1))
+        gamma = Homomorphism(lo.C, hi.C, IntMatrix.from_rows([[1, 0], [0, 2]]))
+        maps.append(LevelMaps(alpha=alpha, gamma=gamma, beta=Homomorphism(
+            lo.B, hi.B, block_diag(alpha.matrix, gamma.matrix))))
+    return KummerTower(2, tuple(seqs), tuple(maps))
+
+
+@pytest.mark.parametrize("t", [
+    sigma_kummer_tower(SigmaModel(2, 2, IntMatrix.from_rows([[1, 2], [0, 1]])), 3),
+    mixed_top_tower(),
+], ids=["sigma", "mixed-top"])
+def test_tower_split_lifts_each_cyclic_generator_to_its_order(t):
+    assert validate_tower(t)
+    s = tower_split(t)
+    dec = t.top.C.simplified
+    gens = [dec.from_simple(e) for e in dec.group.generators()]
+    assert gens
+    for c in gens:
+        assert t.top.g(s(c)) == c
+        assert s(c).order() == c.order()
+    assert sorted(c.order() for c in gens) == sorted(t.top.C.invariant_factors)
 
 
 def test_invalid_tower_reports_exactly_inclusion_violations():
@@ -219,8 +240,6 @@ def test_validate_tower_reports_on_either_direction():
 def test_tower_split_names_the_split_for_a_downward_tower():
     with pytest.raises(InputError, match="dual_tower_split"):
         tower_split(dual_tower(split_tower(2, 2)))
-    with pytest.raises(InputError, match="dual_tower_split"):
-        tower_purity(dual_tower(split_tower(2, 2)))
 
 
 def test_dual_tower_split_names_the_split_for_an_upward_tower():
