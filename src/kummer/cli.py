@@ -68,45 +68,37 @@ def _cmd_group(args) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_seq_check(args) -> tuple[dict, int]:
-    from .sequences import check_exact, is_pure, section_exists
+def _cmd_seq(args) -> tuple[dict, int]:
+    """seq-check and seq-split: exactness, then a section or a witness.
 
+    Each runs the lift loop at most once. seq-check lets is_pure decide
+    purity, whose failure already carries the loop's witness, and builds a
+    section only for a pure sequence; seq-split runs the loop directly.
+    """
+    from .errors import PurityError
+    from .sequences import check_exact, is_pure, section_from_purity
+
+    check = args.command == "seq-check"
     f, g = jsonio.decode_seq(_read_document(args), "$")
+    payload = {"exact": True, "split": False}
+    if check:
+        payload["pure"] = False
     try:
         seq = check_exact(f, g)
     except NotExactError as exc:
-        payload = {"exact": False, "condition": exc.condition,
-                   "pure": False, "split": False}
+        payload.update(exact=False, condition=exc.condition)
         return _maybe_witness(payload, exc.witness), 1
-    certificate = is_pure(seq)
-    section = section_exists(seq)
-    payload = {"exact": True, "pure": bool(certificate),
-               "split": section is not None}
-    if certificate.failure is not None:
-        _maybe_witness(payload, certificate.failure)
-    if section is not None:
-        payload["section"] = jsonio.encode_section(section)
-    return payload, 0 if (certificate and section is not None) else 1
-
-
-def _cmd_seq_split(args) -> tuple[dict, int]:
-    from .sequences import check_exact, is_pure, section_exists
-
-    f, g = jsonio.decode_seq(_read_document(args), "$")
+    if check:
+        certificate = is_pure(seq)
+        payload["pure"] = certificate.pure
+        if not certificate:
+            return _maybe_witness(payload, certificate.failure), 1
     try:
-        seq = check_exact(f, g)
-    except NotExactError as exc:
-        payload = {"split": False, "exact": False,
-                   "condition": exc.condition}
-        return _maybe_witness(payload, exc.witness), 1
-    section = section_exists(seq)
-    if section is not None:
-        return {"split": True, "exact": True,
-                "section": jsonio.encode_section(section)}, 0
-    payload = {"split": False, "exact": True}
-    certificate = is_pure(seq)
-    _maybe_witness(payload, certificate.failure)
-    return payload, 1
+        section = section_from_purity(seq)
+    except PurityError as exc:
+        return _maybe_witness(payload, exc.element), 1
+    payload.update(split=True, section=jsonio.encode_section(section))
+    return payload, 0
 
 
 def _cmd_tower_validate(args) -> tuple[dict, int]:
@@ -164,7 +156,6 @@ def _cmd_limit_split(args) -> tuple[dict, int]:
         divisible_tower,
         stabilizing_tower,
     )
-    from .fixtures import divisible_case_one_evidence, doomed_divisible_evidence
 
     families = {
         "stabilizing": stabilizing_tower,
@@ -182,6 +173,8 @@ def _cmd_limit_split(args) -> tuple[dict, int]:
     if case == 2:
         evidence = CaseTwoEvidence(level=level)
     elif case == 1:
+        from .fixtures import divisible_case_one_evidence, doomed_divisible_evidence
+
         precision, path = ((args.precision, "--precision") if args.precision is not None
                            else (doc.get("precision"), "$.precision"))
         precision = (jsonio.decode_count(precision, path, 1)
@@ -295,10 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("snf", parents=[common]).set_defaults(handler=_cmd_snf)
     sub.add_parser("group", parents=[common]).set_defaults(handler=_cmd_group)
-    sub.add_parser("seq-check", parents=[common]
-                   ).set_defaults(handler=_cmd_seq_check)
-    sub.add_parser("seq-split", parents=[common]
-                   ).set_defaults(handler=_cmd_seq_split)
+    for verb in ("seq-check", "seq-split"):
+        sub.add_parser(verb, parents=[common]).set_defaults(handler=_cmd_seq)
     sub.add_parser("tower-validate", parents=[common]
                    ).set_defaults(handler=_cmd_tower_validate)
     sub.add_parser("tower-split", parents=[common]

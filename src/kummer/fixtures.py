@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .arith import vp
-from .colimits import CaseOneEvidence, ColimitTower
 from .errors import InputError
 from .groups import FgAbGroup, Homomorphism, direct_sum, hom_from_images
 from .matrices import IntMatrix, block_diag
 from .sequences import ShortExactSequence, check_exact, split_sequence
 from .towers import CrtGlue, KummerTower, LevelMaps, SigmaModel, sigma_kummer_tower
+
+if TYPE_CHECKING:  # the evidence builders import colimits when they run
+    from .colimits import CaseOneEvidence, ColimitTower
 
 __all__ = [
     "split_tower",
@@ -184,6 +186,8 @@ def divisible_case_one_evidence(t: ColimitTower, level: int,
                                 ) -> CaseOneEvidence:
     """Honest evidence for the divisible family: A_k = Z/p^k is the k-th
     layer of one divisible summand, with no bounded part."""
+    from .colimits import CaseOneEvidence
+
     p = t.p
     prec = precision if precision is not None else level + 2
     d_group = FgAbGroup(1, IntMatrix.diagonal([p ** prec]))
@@ -224,6 +228,8 @@ def doomed_divisible_evidence(t: ColimitTower, level: int) -> CaseOneEvidence:
     so every shape check passes and the rejection happens where it should:
     the claimed divisible elements have finite height.
     """
+    from .colimits import CaseOneEvidence
+
     p = t.p
     prec = level + 2
     top_a = t.sequence(level).A
@@ -242,6 +248,8 @@ def doomed_divisible_evidence(t: ColimitTower, level: int) -> CaseOneEvidence:
 def doomed_bounded_evidence(t: ColimitTower, level: int) -> CaseOneEvidence:
     """False claim that the A column is bounded by the small group A_2;
     joint injectivity must fail once A_k outgrows it."""
+    from .colimits import CaseOneEvidence
+
     m_group = t.sequence(2).A
     pi_top = Homomorphism.zero(t.sequence(level).A, m_group)
     pi_m, pi_d = _cones(t, level, pi_top, FgAbGroup.trivial())

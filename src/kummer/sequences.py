@@ -24,7 +24,6 @@ from .groups import (
     direct_sum,
     factor_through,
     kernel_witness,
-    solve_congruences,
 )
 from .matrices import HermiteColumnForm, IntMatrix, preimage_lattice
 
@@ -212,25 +211,17 @@ def split_sequence(a: FgAbGroup, c: FgAbGroup) -> ShortExactSequence:
 
 
 def section_exists(seq: ShortExactSequence) -> Optional[Section]:
-    """A verified section of g, or None (a proof that none exists).
+    """A verified section of g, or None when none exists.
 
-    One integer congruence system in the generator images: s must be
-    well-defined on C's relators and satisfy g∘s = id. Solved over the
-    simplified presentations of B and C, then transported back.
+    Runs the lift loop of ``section_from_purity`` once. Its PurityError names
+    a cyclic generator c of C with no lift of the same order; a section s
+    would give one, since s(c) lies over c and no homomorphism raises an
+    order. So None proves that g does not split.
     """
-    simp_b, simp_c = seq.B.simplified, seq.C.simplified
-    g_s = (simp_c.to_simple @ seq.g) @ simp_b.from_simple
-    sb, sc = simp_b.group, simp_c.group
-    gb, gc = sb.generator_count, sc.generator_count
-    sol = solve_congruences({"X": (gb, gc)}, [
-        ([(None, "X", sc.relations)], IntMatrix.zeros(gb, sc.relations.cols), sb),
-        ([(g_s.matrix, "X", None)], IntMatrix.identity(gc), sc),
-    ])
-    if sol is None:
+    try:
+        return section_from_purity(seq)
+    except PurityError:
         return None
-    s_simple = Homomorphism(sc, sb, sol["X"])
-    s = (simp_b.from_simple @ s_simple) @ simp_c.to_simple
-    return Section(seq, s)
 
 
 def assemble_section(seq: ShortExactSequence,

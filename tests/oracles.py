@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: determinant expansions over all
 k x k submatrices, exhaustive element searches. Slow but obviously right,
-which is the point. The one exception is ``determinant`` (Bareiss), kept
-for matrices too large to expand; the library itself never computes a
-determinant.
+which is the point. Two exceptions: ``determinant`` (Bareiss), kept for
+matrices too large to expand (the library itself never computes a
+determinant), and ``congruence_section``, which decides splitting by one
+congruence system where the library lifts cyclic generators.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
 from kummer.errors import InputError, UnsupportedError
-from kummer.groups import FgAbGroup, GroupElement
+from kummer.groups import FgAbGroup, GroupElement, Homomorphism, solve_congruences
 from kummer.matrices import IntMatrix, hstack, int_tuple, kernel_lattice, smith_normal_form
-from kummer.sequences import ShortExactSequence
+from kummer.sequences import Section, ShortExactSequence
 
 
 def elements(g: FgAbGroup) -> Iterator[GroupElement]:
@@ -110,6 +111,30 @@ def brute_same_order_lift(seq: ShortExactSequence,
         if seq.g(b) == c and b.order() == target:
             return True
     return False
+
+
+def congruence_section(seq: ShortExactSequence) -> Optional[Section]:
+    """A verified section of g, or None (a proof that none exists).
+
+    One integer congruence system in the generator images: s must be
+    well-defined on C's relators and satisfy g∘s = id. Solved over the
+    simplified presentations of B and C, then transported back. The library
+    splits by lifting each cyclic generator of C instead, so this decides
+    the same question by another route.
+    """
+    simp_b, simp_c = seq.B.simplified, seq.C.simplified
+    g_s = (simp_c.to_simple @ seq.g) @ simp_b.from_simple
+    sb, sc = simp_b.group, simp_c.group
+    gb, gc = sb.generator_count, sc.generator_count
+    sol = solve_congruences({"X": (gb, gc)}, [
+        ([(None, "X", sc.relations)], IntMatrix.zeros(gb, sc.relations.cols), sb),
+        ([(g_s.matrix, "X", None)], IntMatrix.identity(gc), sc),
+    ])
+    if sol is None:
+        return None
+    s_simple = Homomorphism(sc, sb, sol["X"])
+    s = (simp_b.from_simple @ s_simple) @ simp_c.to_simple
+    return Section(seq, s)
 
 
 def brute_equivariant_section(seq) -> Optional[list[GroupElement]]:

@@ -65,6 +65,7 @@ from kummer.fixtures import (
 )
 from oracles import (
     brute_same_order_lift,
+    congruence_section,
     elements,
     minors_gcd_diagonal,
     verify_section_on_all,
@@ -96,12 +97,13 @@ def test_criterion_02_pure_iff_split_on_300_random_sequences():
         seq = random_subgroup_sequence(rng, 256)
         cert = is_pure(seq)
         section = section_exists(seq)
+        assert (section is None) == (congruence_section(seq) is None), (i, seq)
         assert bool(cert) == (section is not None), (i, seq)
         if section is not None and seq.C.order <= 64:
             assert verify_section_on_all(seq, section), (i, seq)
             verified += 1
     assert verified > 0
-    _passed(2, f"300 sequences, pure == split everywhere; "
+    _passed(2, f"300 sequences, pure == split == congruence oracle everywhere; "
                f"{verified} sections enumerated on C")
 
 

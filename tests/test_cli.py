@@ -1,5 +1,6 @@
-"""End-to-end CLI tests, all through subprocess so the exit-code contract
-and byte-level stdout are what a shell user would see."""
+"""End-to-end CLI tests, mostly through subprocess so the exit-code
+contract and byte-level stdout are what a shell user would see. Tests that
+patch the library or run many documents call ``cli.main`` in-process."""
 
 import contextlib
 import io
@@ -25,6 +26,15 @@ def run_cli(argv, stdin="", timeout=120):
     return subprocess.run([sys.executable, "-m", "kummer", *argv],
                           input=stdin, capture_output=True, text=True,
                           timeout=timeout)
+
+
+def run_main(argv, stdin=""):
+    """(exit code, stdout, stderr) of ``cli.main`` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 BIG_P = 1_000_000_007  # costs must grow with log p, not with p
@@ -110,6 +120,52 @@ def test_sequences_with_an_infinite_middle_group_are_decided(verb, name):
         assert res.returncode == 0 and out["split"] is True
         mat = jsonio.decode_matrix(out["section"]["matrix"], "$")
         Section(seq, Homomorphism(seq.C, seq.B, mat))
+
+
+@pytest.mark.parametrize("verb", ["seq-check", "seq-split"])
+@pytest.mark.parametrize("doc, expected", [(split_doc, 0), (impure_doc, 1)],
+                         ids=["pure", "impure"])
+def test_sequence_verbs_run_the_lift_loop_once_and_solve_no_congruence(verb, doc, expected):
+    """A sequence verb splits by at most one run of the lift loop: seq-check
+    builds a section only after is_pure says pure, and an impure answer
+    reuses the loop's witness. No congruence system is solved."""
+    import kummer.sequences
+    from kummer.matrices import MatrixEquationSystem
+
+    text = doc()
+    with mock.patch.object(MatrixEquationSystem, "solve",
+                           side_effect=AssertionError("a congruence system was solved")), \
+            mock.patch.object(kummer.sequences, "section_from_purity",
+                              side_effect=kummer.sequences.section_from_purity) as loop:
+        code, out, err = run_main([verb], text)
+    assert (code, err) == (expected, "")
+    assert json.loads(out)["split"] is (expected == 0)
+    assert loop.call_count <= 1
+
+
+def test_sequence_verbs_print_one_verified_section_on_random_pure_sequences():
+    """On 12 seeded pure sequences with |C| <= 64, seq-check and seq-split
+    print the same section, and it lifts every element of C."""
+    from kummer.fixtures import random_subgroup_sequence
+    from kummer.sequences import is_pure
+    from oracles import verify_section_on_all
+
+    rng = random.Random(20)
+    seqs = []
+    while len(seqs) < 12:
+        seq = random_subgroup_sequence(rng, 64)
+        if seq.C.order > 1 and is_pure(seq):
+            seqs.append(seq)
+    for seq in seqs:
+        assert seq.C.order <= 64
+        text = jsonio.dumps(jsonio.document(jsonio.encode_seq(seq)))
+        (c_code, c_out, c_err), (s_code, s_out, s_err) = (
+            run_main([verb], text) for verb in ("seq-check", "seq-split"))
+        assert (c_code, c_err, s_code, s_err) == (0, "", 0, "")
+        printed = json.loads(c_out)["section"]
+        assert json.loads(s_out)["section"] == printed
+        mat = jsonio.decode_matrix(printed["matrix"], "$")
+        assert verify_section_on_all(seq, Section(seq, Homomorphism(seq.C, seq.B, mat)))
 
 
 def test_malformed_json_is_a_schema_error():
@@ -561,13 +617,10 @@ def test_hostile_documents_keep_the_exit_code_contract(data):
         stdin = text
     else:
         argv[slot] = text
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, out, err = run_main(argv, stdin)
     assert code in (0, 1, 2), (name, path, value)
-    assert err.getvalue() == ""
-    assert jsonio.loads_checked(out.getvalue())["schema"] == 1
+    assert err == ""
+    assert jsonio.loads_checked(out)["schema"] == 1
 
 
 def _cyclic_hom(a: int, b: int, k: int) -> Homomorphism:

@@ -51,6 +51,11 @@ VERBS = {
     "counterexample": ("", {"demos", "colimits"}, {"cohomology", "fixtures"}),
     "demo counterexample": ("", {"demos", "colimits"}, {"cohomology", "fixtures"}),
     "demo chris": ("", {"demos", "cohomology"}, {"colimits", "towers", "fixtures"}),
+    "demo main-lemma": ("", {"demos", "towers", "fixtures"}, {"colimits", "cohomology"}),
+    "demo dual-lemma": ("", {"demos", "towers", "fixtures"}, {"colimits", "cohomology"}),
+    # case 2 needs no hand-built evidence, so no fixtures
+    "limit-split": ('{"family": "stabilizing", "case": 2}', {"colimits"},
+                    {"fixtures", "cohomology", "demos"}),
 }
 
 

@@ -39,6 +39,7 @@ from kummer.sequences import (
 from kummer.fixtures import random_finite_group, random_subgroup_sequence
 from oracles import (
     brute_same_order_lift,
+    congruence_section,
     elements,
     lattice_purity_comparisons,
     verify_section_on_all,
@@ -88,17 +89,20 @@ def test_impure_sequence_decided_with_witness():
     assert cert.failure.order() == 2
     assert not brute_same_order_lift(seq, cert.failure)
     assert section_exists(seq) is None
+    assert congruence_section(seq) is None
     with pytest.raises(PurityError) as err:
         pure_witness(seq, cert.failure)
     assert err.value.element == cert.failure
 
 
 def test_klein_sequence_splits_three_ways():
+    """The lift loop, the congruence oracle, and a retraction built from
+    the loop's section each give a section that holds on every element."""
     seq = klein_sequence()
     assert is_pure(seq)
     s1 = section_exists(seq)
-    s2 = section_from_purity(seq)
-    assert s1 is not None
+    s2 = congruence_section(seq)
+    assert s1 is not None and s2 is not None
     assert verify_section_on_all(seq, s1)
     assert verify_section_on_all(seq, s2)
     r = retraction_from_section(seq, s1)
@@ -296,16 +300,19 @@ def fg_sequence_params(draw):
 @example((1, [2], [[1, 0]]))  # 0 -> Z -> Z ⊕ Z/2 -> Z/2 -> 0 splits
 def test_one_lift_loop_decides_every_finitely_generated_sequence(params):
     """Pure ⇔ split for finitely generated sequences, infinite groups
-    included: the default test set agrees with every n up to 2e + 1, the
-    lift loop splits exactly the pure ones, and an impure one's witness has
-    no same-order lift."""
+    included: the lift loop splits exactly where the congruence oracle
+    does, the default test set agrees with every n up to 2e + 1, the loop
+    splits exactly the pure ones, and an impure one's witness has no
+    same-order lift."""
     free, torsion, picks = params
     b = FgAbGroup.of_orders(*torsion, *[0] * free)
     _, inc = subgroup_generated(b, [b.element(v) for v in picks])
     _, proj = cokernel(inc)
     seq = check_exact(inc, proj)
     cert = is_pure(seq)
-    assert cert.pure == (section_exists(seq) is not None)
+    split = section_exists(seq) is not None
+    assert split == (congruence_section(seq) is not None)
+    assert cert.pure == split
     e = math.lcm(*seq.B.invariant_factors, *seq.C.invariant_factors)
     every_n = lattice_purity_comparisons(seq, range(1, 2 * e + 2))
     assert all(ok for _, ok in every_n) == cert.pure
