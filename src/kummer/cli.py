@@ -71,9 +71,8 @@ def _cmd_group(args) -> tuple[dict, int]:
 def _cmd_seq(args) -> tuple[dict, int]:
     """seq-check and seq-split: exactness, then a section or a witness.
 
-    Each runs the lift loop at most once. seq-check lets is_pure decide
-    purity, whose failure already carries the loop's witness, and builds a
-    section only for a pure sequence; seq-split runs the loop directly.
+    seq-check lets is_pure decide purity; both read the section or the
+    witness of the lift loop, which the sequence runs once.
     """
     from .errors import PurityError
     from .sequences import check_exact, is_pure, section_from_purity
@@ -89,10 +88,7 @@ def _cmd_seq(args) -> tuple[dict, int]:
         payload.update(exact=False, condition=exc.condition)
         return _maybe_witness(payload, exc.witness), 1
     if check:
-        certificate = is_pure(seq)
-        payload["pure"] = certificate.pure
-        if not certificate:
-            return _maybe_witness(payload, certificate.failure), 1
+        payload["pure"] = is_pure(seq).pure
     try:
         section = section_from_purity(seq)
     except PurityError as exc:

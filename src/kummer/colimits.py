@@ -38,7 +38,6 @@ from .matrices import (
     IntMatrix,
     block_diag,
     hstack,
-    preimage_lattice,
     vstack,
 )
 from .sequences import (
@@ -597,8 +596,7 @@ def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
                 f"projections are not jointly injective at level {k}: "
                 f"common kernel element {wit!r}", check="V3")
     top_seq = t.sequence(big_l)
-    ker_m_top = preimage_lattice(ev.pi_bounded[big_l - 1].matrix,
-                                 m_grp.relations).matrix
+    ker_m_top = ev.pi_bounded[big_l - 1].kernel_form.matrix
     for j in range(ker_m_top.cols):
         a = top_seq.A.element(ker_m_top.col(j))
         if not a:

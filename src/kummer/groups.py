@@ -25,8 +25,8 @@ from .matrices import (
     block_diag,
     hermite_column_form,
     hstack,
+    image_and_kernel,
     int_tuple,
-    preimage_lattice,
     smith_normal_form,
     solve_integer_columns,
     solve_modular_columns,
@@ -313,6 +313,21 @@ class Homomorphism:
                 f"not a homomorphism: relator {j} maps to a nonzero element "
                 "of the target")
 
+    @cached_property
+    def _elimination(self) -> tuple[HermiteColumnForm, IntMatrix]:
+        """The image lattice and raw kernel generators, computed once."""
+        return image_and_kernel(self.matrix, self.target.relations)
+
+    @property
+    def image_form(self) -> HermiteColumnForm:
+        """Hermite form of the image lattice, ``target.span(matrix)``."""
+        return self._elimination[0]
+
+    @cached_property
+    def kernel_form(self) -> HermiteColumnForm:
+        """The kernel lattice, ``preimage_lattice(matrix, target.relations)``."""
+        return hermite_column_form(self._elimination[1])
+
     @classmethod
     def identity(cls, g: FgAbGroup) -> "Homomorphism":
         return cls(g, g, IntMatrix.identity(g.generator_count))
@@ -421,12 +436,12 @@ def subgroup_generated(ambient: FgAbGroup, elements: Iterable[GroupElement]
 
 def kernel(h: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
     """Kernel subgroup with its inclusion into the source."""
-    return _lattice_subgroup(h.source, preimage_lattice(h.matrix, h.target.relations))
+    return _lattice_subgroup(h.source, h.kernel_form)
 
 
 def image(h: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
     """Image subgroup with its inclusion into the target."""
-    return _lattice_subgroup(h.target, h.target.span(h.matrix))
+    return _lattice_subgroup(h.target, h.image_form)
 
 
 def cokernel(h: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
@@ -441,17 +456,17 @@ def cokernel(h: Homomorphism) -> tuple[FgAbGroup, Homomorphism]:
 def kernel_witness(h: Homomorphism) -> Optional[GroupElement]:
     """A nonzero element of the kernel of h, or None if h is injective: the
     first Hermite basis column of the kernel lattice that is nonzero in the
-    source, i.e. the image of the first nonzero generator of ``kernel(h)``."""
-    basis = preimage_lattice(h.matrix, h.target.relations).matrix
-    j = h.source.hermite.outside(basis)
-    return None if j is None else h.source.element(basis.col(j))
+    source. The raw kernel generators decide whether there is one."""
+    if h.source.hermite.outside(h._elimination[1]) is None:
+        return None
+    basis = h.kernel_form.matrix
+    return h.source.element(basis.col(h.source.hermite.outside(basis)))
 
 
 def cokernel_witness(h: Homomorphism) -> Optional[GroupElement]:
     """The first target generator outside the image of h, or None if h is
     surjective: the first generator that ``cokernel(h)`` does not kill."""
-    gens = IntMatrix.identity(h.target.generator_count)
-    j = h.target.span(h.matrix).outside(gens)
+    j = h.image_form.outside(IntMatrix.identity(h.target.generator_count))
     return None if j is None else h.target.generator(j)
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "smith_normal_form",
     "hermite_column_form",
     "kernel_lattice",
+    "image_and_kernel",
     "preimage_lattice",
     "solve_integer_system",
     "solve_integer_columns",
@@ -543,14 +544,20 @@ def kernel_lattice(mat: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(mat.cols, t[len(piv):])
 
 
+def image_and_kernel(mat: IntMatrix, target_relations: IntMatrix
+                     ) -> tuple[HermiteColumnForm, IntMatrix]:
+    """One tracked column pass of [mat | target_relations]: the Hermite form
+    of the lattice its columns span, and the unreduced top rows of its
+    kernel basis, which generate {x : mat @ x in colspan(target_relations)}."""
+    cols, piv, t = _column_pass(hstack(mat, target_relations), track=True)
+    return (_column_form(mat.rows, cols, piv),
+            IntMatrix.from_columns(mat.cols, [row[:mat.cols] for row in t[len(piv):]]))
+
+
 def preimage_lattice(mat: IntMatrix, target_relations: IntMatrix
                      ) -> HermiteColumnForm:
     """Hermite form of {x : mat @ x lies in colspan(target_relations)}."""
-    if mat.rows != target_relations.rows:
-        raise InputError("relation lattice has wrong ambient rank")
-    ker = kernel_lattice(hstack(mat, target_relations))
-    top = ker.select(range(mat.cols), range(ker.cols))
-    return hermite_column_form(top)
+    return hermite_column_form(image_and_kernel(mat, target_relations)[1])
 
 
 # ---------------------------------------------------------------------------

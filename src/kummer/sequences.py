@@ -9,9 +9,9 @@ cyclic generator).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import singledispatch
+from functools import cached_property, singledispatch
 from typing import Optional, Sequence
 
 from .arith import divisors, factorint, vp
@@ -25,7 +25,7 @@ from .groups import (
     factor_through,
     kernel_witness,
 )
-from .matrices import HermiteColumnForm, IntMatrix, preimage_lattice
+from .matrices import IntMatrix
 
 __all__ = [
     "ShortExactSequence",
@@ -51,14 +51,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShortExactSequence:
-    """0 -> A -f-> B -g-> C -> 0, all three exactness conditions checked.
-
-    ``ker_g``, the Hermite form of the kernel lattice of g, decides
-    "complex" and "middle" and is kept for the purity lifts."""
+    """0 -> A -f-> B -g-> C -> 0, all three exactness conditions checked."""
 
     f: Homomorphism
     g: Homomorphism
-    ker_g: HermiteColumnForm = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         f, g = self.f, self.g
@@ -70,16 +66,29 @@ class ShortExactSequence:
         wit = cokernel_witness(g)
         if wit is not None:
             raise NotExactError("epi", "g is not surjective", witness=wit)
-        ker_g = preimage_lattice(g.matrix, g.target.relations)
+        ker_g = g.kernel_form
         j = ker_g.outside(f.matrix)
         if j is not None:
             raise NotExactError("complex", "g∘f is nonzero",
                                 witness=g.target.element(g.matrix.apply(f.matrix.col(j))))
-        j = f.target.span(f.matrix).outside(ker_g.matrix)
+        j = f.image_form.outside(ker_g.matrix)
         if j is not None:
             raise NotExactError("middle", "kernel of g is larger than image of f",
                                 witness=f.target.element(ker_g.matrix.col(j)))
-        object.__setattr__(self, "ker_g", ker_g)
+
+    @cached_property
+    def _lift_loop(self) -> tuple[Optional["Section"], Optional[PurityError]]:
+        """The lift loop, run once: a section from one same-order lift per
+        cyclic generator of C (one solve gives every preimage), or the
+        PurityError of the first generator with none."""
+        dec = self.C.simplified
+        cs = [dec.from_simple(e) for e in dec.group.generators()]
+        b0s = self.C.solve_columns(self.g.matrix, [c.coords for c in cs])
+        try:
+            lifts = [_same_order_lift(self, c, b0) for c, b0 in zip(cs, b0s)]
+        except PurityError as exc:
+            return None, exc.with_traceback(None)
+        return assemble_section(self, lifts), None
 
     @property
     def A(self) -> FgAbGroup:
@@ -160,14 +169,9 @@ def is_pure(seq: ShortExactSequence) -> PurityCertificate:
         (n, _order_mod(seq.A, n) * _order_mod(seq.C, n) == _order_mod(seq.B, n))
         for n in divisors(e))
     failed = not all(ok for _, ok in comparisons)
-    witness = None
-    if failed:
-        try:
-            section_from_purity(seq)
-        except PurityError as exc:
-            witness = exc.element
+    error = seq._lift_loop[1] if failed else None
     return PurityCertificate(pure=not failed, comparisons=comparisons,
-                             failure=witness)
+                             failure=error.element if error else None)
 
 
 def _order_mod(g: FgAbGroup, n: int) -> int:
@@ -183,11 +187,17 @@ def pure_witness(seq: ShortExactSequence, c: GroupElement) -> GroupElement:
     b0 = seq.C.solve(seq.g.matrix, c.coords)
     if b0 is None:
         raise InputError("g is not surjective onto c")  # cannot happen: g epi
+    return _same_order_lift(seq, c, b0)
+
+
+def _same_order_lift(seq: ShortExactSequence, c: GroupElement,
+                     b0: Sequence[int]) -> GroupElement:
+    """``pure_witness`` given one preimage b0 of c."""
     m = c.order()
     if m == math.inf:
         return seq.B.element(b0)
     m = int(m)
-    ker_g = seq.ker_g.matrix
+    ker_g = seq.g.kernel_form.matrix
     target = tuple(-m * x for x in b0)
     t = seq.B.solve(ker_g.scaled(m), target)
     if t is None:
@@ -211,17 +221,10 @@ def split_sequence(a: FgAbGroup, c: FgAbGroup) -> ShortExactSequence:
 
 
 def section_exists(seq: ShortExactSequence) -> Optional[Section]:
-    """A verified section of g, or None when none exists.
-
-    Runs the lift loop of ``section_from_purity`` once. Its PurityError names
-    a cyclic generator c of C with no lift of the same order; a section s
-    would give one, since s(c) lies over c and no homomorphism raises an
-    order. So None proves that g does not split.
-    """
-    try:
-        return section_from_purity(seq)
-    except PurityError:
-        return None
+    """A verified section of g, or None, which proves that g does not split:
+    the lift loop found a cyclic generator c of C with no lift of its order,
+    and a section s would give one, s(c), as no homomorphism raises orders."""
+    return seq._lift_loop[0]
 
 
 def assemble_section(seq: ShortExactSequence,
@@ -246,9 +249,10 @@ def section_from_purity(seq: ShortExactSequence) -> Section:
     same-order lift per cyclic generator, and assemble; a non-pure input
     surfaces as PurityError at its first torsion generator with no such lift.
     """
-    dec = seq.C.simplified
-    lifts = [pure_witness(seq, dec.from_simple(e)) for e in dec.group.generators()]
-    return assemble_section(seq, lifts)
+    section, error = seq._lift_loop
+    if error is not None:
+        raise PurityError(str(error), element=error.element)
+    return section
 
 
 def retraction_from_section(seq: ShortExactSequence, s: Section) -> Homomorphism:

@@ -205,7 +205,7 @@ def _inclusion_violations(p: int, level: int,
     tors = preimage_lattice(
         IntMatrix.identity(tgt.generator_count).scaled(p ** level),
         tgt.relations)
-    wit = _difference(tgt, tors, tgt.span(gamma.matrix))
+    wit = _difference(tgt, tors, gamma.image_form)
     if wit is not None:
         out.append(TowerViolation(
             level, "inclusion",
@@ -224,7 +224,7 @@ def _surjection_violations(p: int, level: int,
             level, "surjection",
             f"left map into level {level} is not surjective", wit))
     src = alpha.source
-    wit = _difference(src, preimage_lattice(alpha.matrix, alpha.target.relations),
+    wit = _difference(src, alpha.kernel_form,
                       src.span(IntMatrix.identity(src.generator_count).scaled(p ** level)))
     if wit is not None:
         out.append(TowerViolation(

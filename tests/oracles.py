@@ -2,10 +2,13 @@
 
 Everything here is deliberately naive: determinant expansions over all
 k x k submatrices, exhaustive element searches. Slow but obviously right,
-which is the point. Two exceptions: ``determinant`` (Bareiss), kept for
+which is the point. Three exceptions: ``determinant`` (Bareiss), kept for
 matrices too large to expand (the library itself never computes a
-determinant), and ``congruence_section``, which decides splitting by one
-congruence system where the library lifts cyclic generators.
+determinant), ``congruence_section``, which decides splitting by one
+congruence system where the library lifts cyclic generators, and the
+witness formulas (``kernel_form`` to ``tower_map_violations``), which
+eliminate a map's kernel and image separately where the library makes
+one pass.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from typing import Iterator, Optional, Sequence
 
 from kummer.errors import InputError, UnsupportedError
 from kummer.groups import FgAbGroup, GroupElement, Homomorphism, solve_congruences
-from kummer.matrices import IntMatrix, hstack, int_tuple, kernel_lattice, smith_normal_form
+from kummer.matrices import (HermiteColumnForm, IntMatrix, hermite_column_form, hstack,
+                             int_tuple, kernel_lattice, smith_normal_form)
 from kummer.sequences import Section, ShortExactSequence
 
 
@@ -34,6 +38,75 @@ def lattice_intersection(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
     """Generators (as columns) of colspan(m1) ∩ colspan(m2)."""
     ker = kernel_lattice(hstack(m1, -m2))
     return m1 @ ker.select(range(m1.cols), range(ker.cols))
+
+
+def kernel_form(h: Homomorphism) -> HermiteColumnForm:
+    """Hermite form of {x : h.matrix @ x in the target relations}: the top
+    rows of the integer kernel of [h.matrix | target relations], reduced by
+    a Hermite pass of their own, as ``preimage_lattice`` computes it."""
+    ker = kernel_lattice(hstack(h.matrix, h.target.relations))
+    return hermite_column_form(ker.select(range(h.matrix.cols), range(ker.cols)))
+
+
+def image_form(h: Homomorphism) -> HermiteColumnForm:
+    """Hermite form of [h.matrix | target relations], by a pass of its own."""
+    return hermite_column_form(hstack(h.matrix, h.target.relations))
+
+
+def kernel_witness(h: Homomorphism) -> Optional[GroupElement]:
+    """The first column of the ``kernel_form(h)`` basis outside the source
+    relations."""
+    basis = kernel_form(h).matrix
+    j = h.source.hermite.outside(basis)
+    return None if j is None else h.source.element(basis.col(j))
+
+
+def cokernel_witness(h: Homomorphism) -> Optional[GroupElement]:
+    """The first target generator outside ``image_form(h)``."""
+    j = image_form(h).outside(IntMatrix.identity(h.target.generator_count))
+    return None if j is None else h.target.generator(j)
+
+
+def exactness_failure(f: Homomorphism, g: Homomorphism
+                      ) -> Optional[tuple[str, GroupElement]]:
+    """The first condition that 0 -> A -f-> B -g-> C -> 0 fails, in the
+    order mono, epi, complex, middle, with its witness; or None."""
+    for condition, wit in (("mono", kernel_witness(f)), ("epi", cokernel_witness(g))):
+        if wit is not None:
+            return condition, wit
+    ker_g = kernel_form(g)
+    j = ker_g.outside(f.matrix)
+    if j is not None:
+        return "complex", g.target.element(g.matrix.apply(f.matrix.col(j)))
+    j = image_form(f).outside(ker_g.matrix)
+    return None if j is None else ("middle", f.target.element(ker_g.matrix.col(j)))
+
+
+def tower_map_violations(t) -> list[tuple[int, str, GroupElement]]:
+    """(level, check, witness) of every violation of the right maps of an
+    upward tower (injective, image the p^level-torsion) or of the left maps
+    of a downward one (onto, kernel p^level times the source)."""
+    def difference(group: FgAbGroup, one: HermiteColumnForm, two: HermiteColumnForm):
+        for inner, outer in ((one, two), (two, one)):
+            j = outer.outside(inner.matrix)
+            if j is not None:
+                return group.element(inner.matrix.col(j))
+        return None
+
+    out = []
+    for level, lm in enumerate(t.maps, 1):
+        h = lm.gamma if t.upward else lm.alpha
+        grp = h.target if t.upward else h.source
+        scaled = IntMatrix.identity(grp.generator_count).scaled(t.p ** level)
+        if t.upward:  # the p^level-torsion against the image
+            tors = kernel_form(Homomorphism(grp, grp, scaled))
+            wits = (kernel_witness(h), difference(grp, tors, image_form(h)))
+        else:  # the kernel against p^level times the source
+            multiples = hermite_column_form(hstack(scaled, grp.relations))
+            wits = (cokernel_witness(h), difference(grp, kernel_form(h), multiples))
+        out += [(level, "inclusion" if t.upward else "surjection", wit)
+                for wit in wits if wit is not None]
+    return out
 
 
 def naive_det(mat: IntMatrix) -> int:

@@ -1,11 +1,13 @@
 import gc
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kummer import groups
-from kummer.errors import InputError
+from kummer.errors import InputError, NotExactError
 from kummer.groups import (
     INFINITE,
     FgAbGroup,
@@ -37,7 +39,9 @@ from kummer.matrices import (
 )
 
 from kummer.fixtures import random_finite_group
+from kummer.sequences import check_exact
 
+import oracles
 from oracles import elements, snf_solve
 
 orders_lists = st.lists(st.sampled_from([2, 3, 4, 5, 8, 9, 12]),
@@ -316,22 +320,23 @@ def test_common_exponent_kills_every_group(groups):
         assert all(not m * x for x in g.generators())
 
 
-def _random_hom(data, src: FgAbGroup, tgt: FgAbGroup) -> Homomorphism:
-    """A random well-defined map: an integer combination of a basis of the
-    lattice of matrices M with M @ src.relations inside tgt's lattice."""
+def _random_hom(coeff, src: FgAbGroup, tgt: FgAbGroup) -> Homomorphism:
+    """A random well-defined map: an integer combination, each coefficient
+    from coeff(), of a basis of the lattice of matrices M with
+    M @ src.relations inside tgt's lattice."""
     gs, gt, rel = src.generator_count, tgt.generator_count, src.relations
     # row (j, a) of the constraint picks (M @ rel)[a, j] out of M's entries
     rows = [[rel[b, j] if a == a2 else 0 for a2 in range(gt) for b in range(gs)]
             for j in range(rel.cols) for a in range(gt)]
     cons = IntMatrix.from_rows(rows, cols=gt * gs)
     maps = preimage_lattice(cons, block_diag(*[tgt.relations] * rel.cols)).matrix
-    coeffs = [data.draw(st.integers(-3, 3)) for _ in range(maps.cols)]
+    coeffs = [coeff() for _ in range(maps.cols)]
     return Homomorphism(src, tgt, IntMatrix(gt, gs, maps.apply(coeffs)))
 
 
 @given(any_groups, any_groups, st.data())
 def test_kernel_and_cokernel_witnesses_match_the_groups(src, tgt, data):
-    h = _random_hom(data, src, tgt)
+    h = _random_hom(lambda: data.draw(st.integers(-3, 3)), src, tgt)
     k, inc = kernel(h)
     wit = kernel_witness(h)
     assert (wit is None) == k.is_trivial
@@ -344,6 +349,55 @@ def test_kernel_and_cokernel_witnesses_match_the_groups(src, tgt, data):
     if wit is not None:
         assert wit == next(x for x in tgt.generators() if proj(x))
     assert is_injective(h) == k.is_trivial and is_surjective(h) == c.is_trivial
+
+
+def _random_group(rng: random.Random) -> FgAbGroup:
+    """A random finite group, with a free summand of rank 1 or 2 two times
+    in three."""
+    finite = random_finite_group(rng, 36)
+    free = rng.randint(0, 2)
+    return direct_sum(finite, FgAbGroup.free(free)).group if free else finite
+
+
+def _map_pairs(rng: random.Random):
+    """Pairs (f, g) around B/<P> and B/<P, Q> for random P and Q: one exact,
+    one with g∘f nonzero, one with the kernel of g past the image of f, and
+    two with a random f or g."""
+    b = _random_group(rng)
+
+    def picks(k):
+        return [b.element([rng.randrange(6) for _ in range(b.generator_count)])
+                for _ in range(k)]
+
+    small = picks(rng.randint(0, 2))
+    big = small + picks(rng.randint(1, 2))
+    inc_s, inc_b = subgroup_generated(b, small)[1], subgroup_generated(b, big)[1]
+    proj_s, proj_b = cokernel(inc_s)[1], cokernel(inc_b)[1]
+    return [(inc_s, proj_s), (inc_b, proj_s), (inc_s, proj_b),
+            (_random_hom(lambda: rng.randint(-3, 3), _random_group(rng), b), proj_s),
+            (inc_s, _random_hom(lambda: rng.randint(-3, 3), b, _random_group(rng)))]
+
+
+def test_witnesses_agree_with_separate_eliminations():
+    """kernel_witness, cokernel_witness and check_exact read one elimination
+    per map, and name the witnesses that a kernel pass reduced by its own
+    Hermite pass and a separate image pass name (``oracles``), on 60 seeded
+    groups B with free rank 0 to 2."""
+    rng = random.Random(2111)
+    seen = Counter()
+    for _ in range(60):
+        for f, g in _map_pairs(rng):
+            for h in (f, g):
+                assert kernel_witness(h) == oracles.kernel_witness(h)
+                assert cokernel_witness(h) == oracles.cokernel_witness(h)
+            try:
+                check_exact(f, g)
+                got = None
+            except NotExactError as exc:
+                got = (exc.condition, exc.witness)
+            assert got == oracles.exactness_failure(f, g)
+            seen[None if got is None else got[0]] += 1
+    assert set(seen) == {None, "mono", "epi", "complex", "middle"}, seen
 
 
 @given(st.integers(1, 4), st.integers(0, 4), st.booleans(), st.data())
@@ -365,7 +419,7 @@ def test_coordinates_and_outside_agree_with_contains(rows, cols, planted, data):
 
 @given(any_groups, any_groups, st.data())
 def test_lattice_subgroup_relations_match_a_per_column_solve(src, tgt, data):
-    h = _random_hom(data, src, tgt)
+    h = _random_hom(lambda: data.draw(st.integers(-3, 3)), src, tgt)
     cols = _draw_matrix(data, tgt.generator_count, data.draw(st.integers(0, 2)))
     for ambient, form in ((src, preimage_lattice(h.matrix, tgt.relations)),
                           (tgt, tgt.span(h.matrix)),

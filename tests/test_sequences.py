@@ -1,13 +1,17 @@
 import ast
+import gc
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kummer
+from kummer import matrices
 from kummer.arith import divisors
 from kummer.errors import InputError, NotExactError, PurityError
 from kummer.groups import (
@@ -112,7 +116,7 @@ def test_klein_sequence_splits_three_ways():
 
 def test_sequence_keeps_the_kernel_lattice_of_g():
     for seq in (impure_sequence(), klein_sequence()):
-        assert seq.ker_g == preimage_lattice(seq.g.matrix, seq.C.relations)
+        assert seq.g.kernel_form == preimage_lattice(seq.g.matrix, seq.C.relations)
 
 
 def test_split_sequence_constructor():
@@ -342,3 +346,71 @@ def test_section_constructor_verifies():
     seq = impure_sequence()
     with pytest.raises(InputError):
         Section(seq, Homomorphism(seq.C, seq.B, IntMatrix.from_rows([[1]])))
+
+
+def _unbuilt_sequence(seed: int, pure: bool) -> list[IntMatrix]:
+    """The relations of A, B, C and the matrices of f, g of the first seeded
+    subgroup sequence with A and C nontrivial that is (or is not) pure, as
+    plain matrices, with every group built from them collected."""
+    rng = random.Random(seed)
+    while True:
+        seq = random_subgroup_sequence(rng, 64)
+        if not (seq.A.is_trivial or seq.C.is_trivial) and bool(is_pure(seq)) == pure:
+            mats = [seq.A.relations, seq.B.relations, seq.C.relations, seq.f.matrix, seq.g.matrix]
+            del seq
+            gc.collect()
+            return mats
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "impure"])
+def test_each_matrix_is_eliminated_once_and_each_sequence_lifts_once(pure):
+    """check_exact, is_pure, section_exists and section_from_purity, each
+    called twice, run the column pass at most once on any matrix and solve
+    for the preimages of C's generators through g once."""
+    a_rel, b_rel, c_rel, f_mat, g_mat = _unbuilt_sequence(21, pure)
+    passes = mock.patch.object(matrices, "_column_pass", wraps=matrices._column_pass)
+    solves = mock.patch.object(FgAbGroup, "solve_columns", autospec=True,
+                               side_effect=FgAbGroup.solve_columns)
+    with passes as column_pass, solves as solve_columns:
+        a, b, c = (FgAbGroup(rel.rows, rel) for rel in (a_rel, b_rel, c_rel))
+        f, g = Homomorphism(a, b, f_mat), Homomorphism(b, c, g_mat)
+        seq = check_exact(f, g)
+        check_exact(f, g)
+        for _ in range(2):
+            assert bool(is_pure(seq)) == pure
+            assert (section_exists(seq) is not None) == pure
+            try:
+                section_from_purity(seq)
+            except PurityError:
+                assert not pure
+    eliminated = Counter(call.args[0] for call in column_pass.call_args_list)
+    assert eliminated and max(eliminated.values()) == 1, eliminated
+    assert sum(call.args[1] == g_mat for call in solve_columns.call_args_list) == 1
+
+
+def _seeded_sequence(pure: bool):
+    rng = random.Random(5)
+    return next(s for s in iter(lambda: random_subgroup_sequence(rng, 64), None)
+                if not (s.A.is_trivial or s.C.is_trivial) and bool(is_pure(s)) == pure)
+
+
+def test_an_impure_sequence_keeps_its_witness():
+    seq = _seeded_sequence(pure=False)
+    failure = is_pure(seq).failure
+    errors = []
+    for _ in range(2):
+        with pytest.raises(PurityError) as err:
+            section_from_purity(seq)
+        errors.append(err.value)
+    assert failure is not None
+    assert [e.element for e in errors] == [failure, failure]
+    assert all(f"order {failure.order()}" in str(e) for e in errors)
+    assert section_exists(seq) is None
+
+
+def test_a_pure_sequence_returns_one_verified_section():
+    seq = _seeded_sequence(pure=True)
+    section = section_exists(seq)
+    assert section is not None and section_exists(seq) is section
+    assert section_from_purity(seq) is section
+    assert verify_section_on_all(seq, section)

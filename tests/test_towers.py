@@ -24,6 +24,7 @@ from kummer.fixtures import (
     random_sigma_model,
     split_tower,
 )
+import oracles
 from oracles import elements, verify_section_on_all
 
 
@@ -245,3 +246,12 @@ def test_tower_split_names_the_split_for_a_downward_tower():
 def test_dual_tower_split_names_the_split_for_an_upward_tower():
     with pytest.raises(InputError, match="tower_split"):
         dual_tower_split(split_tower(2, 2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tower_violations_agree_with_separate_eliminations(p):
+    """The inclusion and surjection checks read each level map's one
+    elimination and name the witnesses that separate passes name."""
+    for t in (invalid_tower(p), dual_tower(invalid_tower(p))):
+        got = [(v.level, v.check, v.witness) for v in validate_tower(t).violations]
+        assert got and got == oracles.tower_map_violations(t)
