@@ -45,7 +45,6 @@ from .sequences import (
     ShortExactSequence,
     check_exact,
     section_from_purity,
-    section_from_retraction,
     split_sequence,
 )
 from .towers import KummerTower, LevelMaps, _level_lift, _require_valid, tower_split
@@ -528,8 +527,11 @@ def _split_case_two(t: ColimitTower, ev: CaseTwoEvidence) -> LimitSplitResult:
                "section: all later C levels coincide",))
 
 
-def _pushout(seq: ShortExactSequence, pi: Homomorphism):
-    """Push the extension out along pi: A -> Q; returns (sequence, i, q)."""
+def _split_pushout(seq: ShortExactSequence, pi: Homomorphism, check: str,
+                   message: str) -> tuple[Section, Homomorphism]:
+    """Push seq out along pi: A -> Q and split the pushout by its lift loop,
+    which finds a section exactly when pi extends over f. Returns the
+    section and q: B -> pushout; no section is EvidenceError(check)."""
     q_grp = pi.target
     gq, gb = q_grp.generator_count, seq.B.generator_count
     graph = vstack(pi.matrix, -seq.f.matrix)
@@ -542,7 +544,10 @@ def _pushout(seq: ShortExactSequence, pi: Homomorphism):
     g = Homomorphism(pushed, seq.C,
                      hstack(IntMatrix.zeros(seq.C.generator_count, gq),
                             seq.g.matrix))
-    return check_exact(i, g), i, q
+    try:
+        return section_from_purity(check_exact(i, g)), q
+    except PurityError as exc:
+        raise EvidenceError(message, check=check) from exc
 
 
 def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
@@ -609,47 +614,26 @@ def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
                 f"{probe.height} < {HEIGHT_DEPTH}: {a!r}", check="V4")
     _require_valid(t.prefix(big_l), upward=True)
 
-    pi_d = ev.pi_divisible[big_l - 1]
-    pi_m = ev.pi_bounded[big_l - 1]
-    gb = top_seq.B.generator_count
-    rel_b, rel_c = top_seq.B.relations, top_seq.C.relations
-    ext_sol = solve_congruences({"X": (d, gb)}, [
-        ([(None, "X", top_seq.f.matrix)], pi_d.matrix, d_group),
-        ([(None, "X", rel_b)], IntMatrix.zeros(d, rel_b.cols), d_group),
-    ])
-    if ext_sol is None:
-        raise EvidenceError(
-            "the divisible projection does not extend over f at this "
-            "precision", check="extension")
-    r_div = Homomorphism(top_seq.B, d_group, ext_sol["X"])
-    if not (r_div @ top_seq.f).same_map(pi_d):
-        raise AssertionError("r_div∘f differs from the divisible projection")
-
-    s_div_seq, i_div, q_div = _pushout(top_seq, pi_d)
-    retraction = Homomorphism(s_div_seq.B, d_group,
-                              hstack(IntMatrix.identity(d), r_div.matrix))
-    s_prime = section_from_retraction(s_div_seq, retraction)
-
-    s_bnd_seq, i_bnd, q_bnd = _pushout(top_seq, pi_m)
+    s_prime, q_div = _split_pushout(
+        top_seq, ev.pi_divisible[big_l - 1], "extension",
+        "the divisible projection does not extend over f at this precision")
+    s_second, q_bnd = _split_pushout(
+        top_seq, ev.pi_bounded[big_l - 1], "bounded-split",
+        "the bounded pushout sequence is not pure; the decomposition "
+        "evidence is false")
+    # V3 makes (q_div, q_bnd) injective, so the glued section is unique
+    rel = block_diag(s_prime.seq.B.relations, s_second.seq.B.relations)
+    both = FgAbGroup(rel.rows, rel)
+    parts = Homomorphism(top_seq.C, both, vstack(s_prime.s.matrix, s_second.s.matrix))
+    inj = Homomorphism(top_seq.B, both, vstack(q_div.matrix, q_bnd.matrix))
     try:
-        s_second = section_from_purity(s_bnd_seq)
-    except PurityError as exc:
-        raise EvidenceError(
-            "the bounded pushout sequence is not pure; the decomposition "
-            "evidence is false", check="bounded-split") from exc
-
-    comb_sol = solve_congruences({"X": (gb, top_seq.C.generator_count)}, [
-        ([(q_div.matrix, "X", None)], s_prime.s.matrix, s_div_seq.B),
-        ([(q_bnd.matrix, "X", None)], s_second.s.matrix, s_bnd_seq.B),
-        ([(None, "X", rel_c)], IntMatrix.zeros(gb, rel_c.cols), top_seq.B),
-    ])
-    if comb_sol is None:
+        glued = factor_through(parts, inj)
+    except InputError as exc:
         raise EvidenceError(
             "per-part sections do not glue over the pullback; evidence "
-            "does not decompose A", check="combine")
-    s = Section(top_seq, Homomorphism(top_seq.C, top_seq.B, comb_sol["X"]))
+            "does not decompose A", check="combine") from exc
     return LimitSplitResult(
-        case=1, level=big_l, section=s,
+        case=1, level=big_l, section=Section(top_seq, glued),
         divisible_section=s_prime, bounded_section=s_second,
         notes=(f"divisible part handled at precision p^{prec}, bounded "
                f"part of exponent p^{k0} split by purity",))

@@ -143,6 +143,25 @@ def test_sequence_verbs_run_the_lift_loop_once_and_solve_no_congruence(verb, doc
     assert loop.call_count <= 1
 
 
+def test_case_one_limit_split_solves_no_congruence():
+    """A case-1 direct-limit split runs the lift loop on each pushout and
+    glues the two sections by one factor_through: no congruence system is
+    solved, through the CLI verb or the library call."""
+    from kummer.colimits import direct_limit_split, divisible_tower
+    from kummer.fixtures import divisible_case_one_evidence
+    from kummer.matrices import MatrixEquationSystem
+
+    with mock.patch.object(MatrixEquationSystem, "solve",
+                           side_effect=AssertionError("a congruence system was solved")):
+        code, out, err = run_main(["limit-split"], json.dumps(
+            {"family": "divisible", "p": 3, "case": 1, "level": 3}))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["case"] == 1
+        for p in (2, 5):
+            t = divisible_tower(p)
+            assert direct_limit_split(t, divisible_case_one_evidence(t, 3)).case == 1
+
+
 def test_sequence_verbs_print_one_verified_section_on_random_pure_sequences():
     """On 12 seeded pure sequences with |C| <= 64, seq-check and seq-split
     print the same section, and it lifts every element of C."""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from kummer.arith import vp
 from kummer.colimits import (
     _probe_height,
+    _split_pushout,
     CaseOneEvidence,
     CaseTwoEvidence,
     ColimitElement,
@@ -18,9 +20,15 @@ from kummer.colimits import (
     section_compatibility_solvable,
     stabilizing_tower,
 )
-from kummer.errors import EvidenceError, InputError, TowerInvalidError, UnsupportedError
-from kummer.groups import FgAbGroup, Homomorphism
-from kummer.matrices import IntMatrix
+from kummer.errors import (
+    EvidenceError,
+    InputError,
+    PurityError,
+    TowerInvalidError,
+    UnsupportedError,
+)
+from kummer.groups import FgAbGroup, Homomorphism, hom_from_images
+from kummer.matrices import IntMatrix, vstack
 from kummer.sequences import check_exact, section_exists
 from kummer.towers import LevelMaps, validate_tower
 
@@ -252,6 +260,99 @@ def test_case_one_shape_checks_reject_malformed_evidence():
     with pytest.raises(EvidenceError) as err:
         direct_limit_split(t, divisible_case_one_evidence(t, 3, precision=2))
     assert err.value.check == "V5"
+
+
+def twisted_divisible_tower(p):
+    """The divisible family with B_k = Z/p^k + Z/p written so that
+    g(x, y) = x + y: the first preimage of C's generator, (1, 0), has order
+    p^k, so the lift loop must correct it by a kernel element."""
+
+    def build(k):
+        b = FgAbGroup.of_orders(p ** k, p)
+        return check_exact(
+            Homomorphism(FgAbGroup.cyclic(p ** k), b, IntMatrix.from_rows([[1], [-1]])),
+            Homomorphism(b, FgAbGroup.cyclic(p), IntMatrix.from_rows([[1, 1]])))
+
+    def maps_fn(k, lo, hi):
+        return LevelMaps(
+            alpha=Homomorphism(lo.A, hi.A, IntMatrix.from_rows([[p]])),
+            beta=Homomorphism(lo.B, hi.B, IntMatrix.from_rows([[p, 0], [1, 1]])),
+            gamma=Homomorphism(lo.C, hi.C, IntMatrix.identity(1)))
+
+    return ColimitTower(p, build, maps_fn)
+
+
+def bounded_part_evidence(t, level, j):
+    """Honest divisible projections, and as bounded part M = Z/p^j the cone
+    of the reduction A_level = Z/p^level -> Z/p^j, composed down the A
+    column and re-reduced at each level."""
+    honest = divisible_case_one_evidence(t, level)
+    m_group = FgAbGroup.cyclic(t.p ** j)
+    cone = [Homomorphism(t.sequence(level).A, m_group, IntMatrix.identity(1))]
+    for k in range(level - 1, 0, -1):
+        h = cone[-1] @ t.step(k).alpha
+        cone.append(hom_from_images(h.source, m_group, [h(x) for x in h.source.generators()]))
+    return CaseOneEvidence(
+        level=level, divisible_rank=1, precision=honest.precision, m_group=m_group,
+        pi_divisible=honest.pi_divisible, pi_bounded=tuple(reversed(cone)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_case_one_section_glues_the_two_pushout_sections(p):
+    """The limit section s is the one map C -> B with q_div∘s and q_bnd∘s the
+    sections of the divisible and bounded pushouts, where q: B -> pushout is
+    the second summand of its presentation on (Q, B). Covered at levels
+    1-3: the divisible family with M = 0 and with M = Z/p^j for every j up
+    to the level, and the twisted family with M = 0, with the divisible
+    projections as given and negated. Negated, at levels 2 and 3, the glued
+    section differs from the top level's own lift-loop section."""
+    cases = []
+    for level in (1, 2, 3):
+        t, twisted = divisible_tower(p), twisted_divisible_tower(p)
+        honest = divisible_case_one_evidence(twisted, level)
+        negated = dataclasses.replace(honest, pi_divisible=tuple(
+            Homomorphism(h.source, h.target, h.matrix.scaled(-1)) for h in honest.pi_divisible))
+        cases += [(t, divisible_case_one_evidence(t, level)),
+                  (twisted, honest), (twisted, negated)]
+        cases += [(t, bounded_part_evidence(t, level, j)) for j in range(1, level + 1)]
+    for t, ev in cases:
+        res = direct_limit_split(t, ev)
+        top = t.sequence(ev.level)
+        gb = top.B.generator_count
+        for part in (res.divisible_section, res.bounded_section):
+            gq = part.seq.B.generator_count - gb
+            q = Homomorphism(top.B, part.seq.B,
+                             vstack(IntMatrix.zeros(gq, gb), IntMatrix.identity(gb)))
+            assert (q @ res.section.s).same_map(part.s)
+        assert verify_section_on_all(top, res.section)
+
+
+@pytest.mark.parametrize("check", ["extension", "bounded-split"])
+def test_a_pushout_without_section_is_refused_with_its_check_name(check):
+    """Through direct_limit_split neither pushout check can fail: the
+    evidence checks make B_L killed by p^L and the precision at least L, so
+    the divisible projection extends into (Z/p^prec)^d, and the top of a
+    valid tower splits, so both of its pushouts do. The helper is therefore
+    driven directly, with 0 -> Z/2 -> Z/4 -> Z/2 -> 0 pushed out along the
+    identity, which does not split."""
+    z2, z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
+    seq = check_exact(Homomorphism(z2, z4, IntMatrix.from_rows([[2]])),
+                      Homomorphism(z4, z2, IntMatrix.from_rows([[1]])))
+    with pytest.raises(EvidenceError, match="^no section here$") as err:
+        _split_pushout(seq, Homomorphism.identity(z2), check, "no section here")
+    assert err.value.check == check
+    assert isinstance(err.value.__cause__, PurityError)
+
+
+def test_pushout_sections_that_do_not_glue_fail_the_combine_check():
+    """On the twisted family with M = Z/2 at level 2, the sections that the
+    lift loop picks for the two pushouts are not q_div∘s and q_bnd∘s for one
+    map s: C -> B, so factor_through finds no glued section."""
+    t = twisted_divisible_tower(2)
+    with pytest.raises(EvidenceError, match="do not glue") as err:
+        direct_limit_split(t, bounded_part_evidence(t, 2, 1))
+    assert err.value.check == "combine"
+    assert isinstance(err.value.__cause__, InputError)
 
 
 def test_prefix_is_cached_and_consistent():
