@@ -22,10 +22,10 @@ from .matrices import (
     IntMatrix,
     MatrixEquationSystem,
     SmithDecomposition,
+    _tracked_elimination,
     block_diag,
     hermite_column_form,
     hstack,
-    image_and_kernel,
     int_tuple,
     smith_normal_form,
     solve_integer_columns,
@@ -314,9 +314,10 @@ class Homomorphism:
                 "of the target")
 
     @cached_property
-    def _elimination(self) -> tuple[HermiteColumnForm, IntMatrix]:
-        """The image lattice and raw kernel generators, computed once."""
-        return image_and_kernel(self.matrix, self.target.relations)
+    def _elimination(self) -> tuple[HermiteColumnForm, IntMatrix, list[list[int]]]:
+        """The image lattice, raw kernel generators and the transform rows
+        that solve into the image (``_tracked_elimination``), computed once."""
+        return _tracked_elimination(self.matrix, self.target.relations)
 
     @property
     def image_form(self) -> HermiteColumnForm:

@@ -269,68 +269,57 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-# A row step E acts on the rows of the working matrix and of each transform
-# T, and E^-T on the rows of each T_inv^T, which keeps T @ T_inv == I.
+# A row step E acts on each row of the working matrix with the transform T
+# that follows it, and E^-T on the rows of T_inv^T, so T @ T_inv == I.
+_REDUCE_EVERY = 8  # untracked passes; larger batches let entries grow
 
 
 def _combine(i: int, k: int, x: int, y: int, z: int, w: int,
-             direct: tuple[list[list[int]], ...],
-             inv_t: tuple[list[list[int]], ...]) -> None:
+             rows: list[list[int]], inv_t: Optional[list[list[int]]]) -> None:
     """E = [[x, y], [z, w]] (determinant 1) on rows i and k."""
-    for rows in direct:
-        ri, rk = rows[i], rows[k]
-        rows[i] = [x * s + y * t for s, t in zip(ri, rk)]
-        rows[k] = [z * s + w * t for s, t in zip(ri, rk)]
-    for rows in inv_t:
-        ri, rk = rows[i], rows[k]
-        rows[i] = [w * s - z * t for s, t in zip(ri, rk)]
-        rows[k] = [x * t - y * s for s, t in zip(ri, rk)]
+    ri, rk = rows[i], rows[k]
+    rows[i] = [x * s + y * t for s, t in zip(ri, rk)]
+    rows[k] = [z * s + w * t for s, t in zip(ri, rk)]
+    if inv_t is not None:
+        ri, rk = inv_t[i], inv_t[k]
+        inv_t[i] = [w * s - z * t for s, t in zip(ri, rk)]
+        inv_t[k] = [x * t - y * s for s, t in zip(ri, rk)]
 
 
-def _sub(i: int, k: int, m: int, direct: tuple[list[list[int]], ...],
-         inv_t: tuple[list[list[int]], ...]) -> None:
-    """E: row_i -= m * row_k."""
-    for rows in direct:
-        rows[i] = [s - m * t for s, t in zip(rows[i], rows[k])]
-    for rows in inv_t:
-        rows[k] = [s + m * t for s, t in zip(rows[k], rows[i])]
+def _hermite_pass(a: list[list[int]], width: int,
+                  inv_t: Optional[list[list[int]]] = None) -> list[int]:
+    """Row Hermite form of the first ``width`` entries of the rows of ``a``,
+    in place: row echelon form, pivots positive, entries above each pivot
+    reduced into [0, pivot), zero rows last. Entries past ``width`` are a
+    transform, and ``inv_t`` its inverse transpose. Returns the pivot
+    column of each nonzero row. Applied to a transpose it is a column pass.
 
-
-def _hermite_pass(a: list[list[int]], tr: tuple[list[list[int]], ...] = (),
-                  tr_inv_t: tuple[list[list[int]], ...] = ()) -> list[int]:
-    """Row Hermite form of ``a`` in place: row echelon form, pivots positive,
-    entries above each pivot reduced into [0, pivot), zero rows last.
-    Returns the pivot column of each nonzero row.
-
-    Rows are added one at a time to the Hermite form of the rows before
-    them, which is reduced again after each addition, so no entry grows
-    past what that leading block needs (Kannan & Bachem 1979). Every row
-    step is applied to each matrix in ``tr`` too, and its inverse transpose
-    to each matrix in ``tr_inv_t``. Applied to the transpose of ``a`` the
-    pass is a column pass.
+    Rows are added one at a time (Kannan & Bachem 1979). A tracked pass
+    reduces above the pivots after every row, because its transforms are
+    outputs of that schedule; the Hermite form is unique (Cohen, GTM 138,
+    §2.4), so an untracked pass reduces after every ``_REDUCE_EVERY`` rows
+    and the last.
     """
-    ncols = len(a[0]) if a else 0
-    direct = (a, *tr)
-    every = (a, *tr, *tr_inv_t)
+    every = _REDUCE_EVERY if inv_t is None and all(len(row) == width for row in a) else 1
     piv: list[int] = []  # pivot column of row s, increasing in s
+    low = 0  # first Hermite row changed since the last reduction
     for i in range(len(a)):
-        t = low = len(piv)  # low: first Hermite row this addition changes
+        t = len(piv)
         s = lead = 0
         while True:
             row = a[i]
-            while lead < ncols and not row[lead]:
+            while lead < width and not row[lead]:
                 lead += 1
-            if lead == ncols:
+            if lead == width:
                 break
             while s < t and piv[s] < lead:
                 s += 1
             if s == t or piv[s] != lead:
                 # a new pivot: move row i up to position s
                 flip = row[lead] < 0
-                for rows in every:
-                    rows.insert(s, rows.pop(i))
-                    if flip:
-                        rows[s] = [-x for x in rows[s]]
+                for rows in (a,) if inv_t is None else (a, inv_t):
+                    moved = rows.pop(i)
+                    rows.insert(s, [-x for x in moved] if flip else moved)
                 piv.insert(s, lead)
                 t += 1
                 low = min(low, s)
@@ -340,10 +329,14 @@ def _hermite_pass(a: list[list[int]], tr: tuple[list[list[int]], ...] = (),
             if rem:
                 # [[x, y], [-q/g, p/g]] puts g = gcd(p, q) in row s, 0 in row i
                 g, x, y = _ext_gcd(p, q)
-                _combine(s, i, x, y, -q // g, p // g, direct, tr_inv_t)
+                _combine(s, i, x, y, -q // g, p // g, a, inv_t)
                 low = min(low, s)
             else:
-                _sub(i, s, m, direct, tr_inv_t)
+                a[i] = [u - m * v for u, v in zip(row, a[s])]
+                if inv_t is not None:
+                    inv_t[s] = [u + m * v for u, v in zip(inv_t[s], inv_t[i])]
+        if (i + 1) % every and i + 1 < len(a):
+            continue
         # reduce each row against the changed rows below it, bottom up;
         # subtracting a lower row never moves a pivot, so pivots are read once
         changed = [(s, piv[s], a[s][piv[s]]) for s in range(low, t)]
@@ -351,7 +344,10 @@ def _hermite_pass(a: list[list[int]], tr: tuple[list[list[int]], ...] = (),
             for s, j, p in changed[max(k + 1 - low, 0):]:
                 m = a[k][j] // p
                 if m:
-                    _sub(k, s, m, direct, tr_inv_t)
+                    a[k] = [u - m * v for u, v in zip(a[k], a[s])]
+                    if inv_t is not None:
+                        inv_t[s] = [u + m * v for u, v in zip(inv_t[s], inv_t[k])]
+        low = t
     return piv
 
 
@@ -364,14 +360,7 @@ def _is_diagonal(a: list[list[int]]) -> bool:
 
 
 def _identity_rows(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
-
-
-def _transpose(rows: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*rows)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def _diagonal_of(mat: IntMatrix) -> Optional[tuple[int, ...]]:
@@ -396,34 +385,32 @@ def _is_smith_chain(diag: tuple[int, ...]) -> bool:
 def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
     """Smith normal form over the integers.
 
-    Alternates a row Hermite pass and a column Hermite pass (the row pass on
-    the transpose) until the matrix is diagonal, then turns each diagonal
-    pair into (gcd, lcm) until every entry divides the next (Kannan &
-    Bachem 1979). Each pass keeps the working entries reduced, so the
-    transforms stay small. Pivot order is fixed, so the transforms are
+    Alternates a row Hermite pass on the rows [a | U] and a column pass
+    (the row pass on [a^T | V^T]) until a is diagonal, then turns each
+    diagonal pair into (gcd, lcm) until every entry divides the next
+    (Kannan & Bachem 1979). Pivot order is fixed, so the transforms are
     deterministic. Diagonal entries are nonnegative, each divides the next,
-    zeros trail.
-
-    An input already in that form makes no step of the passes, so it is
-    returned with identity transforms without running them.
+    zeros trail. An input already in that form makes no step of the
+    passes, so it is returned with identity transforms without them.
     """
     r, c = mat.rows, mat.cols
     diag = _diagonal_of(mat)
     if diag is not None and _is_smith_chain(diag):
         u, v = IntMatrix.identity(r), IntMatrix.identity(c)
         return SmithDecomposition(U=u, S=mat, V=v, U_inv=u, V_inv=v)
-    a = [list(mat.row(i)) for i in range(r)]
-    u, u_inv_t = _identity_rows(r), _identity_rows(r)
-    v_t, v_inv = _identity_rows(c), _identity_rows(c)
+    a = [list(mat.row(i)) + e for i, e in enumerate(_identity_rows(r))]
+    u_inv_t, v_t, v_inv = _identity_rows(r), _identity_rows(c), _identity_rows(c)
     while True:
-        _hermite_pass(a, (u,), (u_inv_t,))
+        _hermite_pass(a, c, u_inv_t)
+        a, u = [row[:c] for row in a], [row[c:] for row in a]
         if _is_diagonal(a):
             break
-        a = _transpose(a)
-        _hermite_pass(a, (v_t,), (v_inv,))
-        a = _transpose(a)
+        a = [list(col) + e for col, e in zip(zip(*a), v_t)]
+        _hermite_pass(a, r, v_inv)
+        a, v_t = [list(col) for col in zip(*(row[:r] for row in a))], [row[r:] for row in a]
         if _is_diagonal(a):
             break
+        a = [x + y for x, y in zip(a, u)]
 
     # Each pass ends in echelon form, so the nonzero diagonal is a prefix.
     rank = sum(1 for i in range(min(r, c)) if a[i][i])
@@ -435,10 +422,10 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
             # U2 diag(di, dj) V2 == diag(g, lcm), both with determinant 1
             g, x, y = _ext_gcd(di, dj)
             a[i][i], a[j][j] = g, di // g * dj
-            _combine(i, j, x, y, -dj // g, di // g, (u,), (u_inv_t,))
+            _combine(i, j, x, y, -dj // g, di // g, u, u_inv_t)
             # V2 == [[1, -y*dj/g], [1, x*di/g]] acts on columns: its
             # transpose acts on the rows of V^T
-            _combine(i, j, 1, 1, -y * dj // g, x * di // g, (v_t,), (v_inv,))
+            _combine(i, j, 1, 1, -y * dj // g, x * di // g, v_t, v_inv)
 
     return SmithDecomposition(
         U=IntMatrix(r, r, tuple(x for row in u for x in row)),
@@ -514,8 +501,7 @@ def hermite_column_form(mat: IntMatrix) -> HermiteColumnForm:
     if diag is not None and min(diag, default=0) >= 0:
         piv = [i for i, d in enumerate(diag) if d]
         return _column_form(mat.rows, [mat.col(i) for i in piv], piv)
-    cols, piv, _ = _column_pass(mat, track=False)
-    return _column_form(mat.rows, cols, piv)
+    return _column_pass(mat, track=False)[0]
 
 
 def _column_form(rows: int, cols: list, piv: list[int]) -> HermiteColumnForm:
@@ -524,24 +510,27 @@ def _column_form(rows: int, cols: list, piv: list[int]) -> HermiteColumnForm:
                              pivots=tuple((row, j) for j, row in enumerate(piv)))
 
 
-def _column_pass(mat: IntMatrix, track: bool
-                 ) -> tuple[list[list[int]], list[int], list[list[int]]]:
-    """The row pass on the columns of mat: the columns, whose first rank
-    ones are the Hermite form H of their lattice, the pivot rows, and, with
-    ``track``, the transform T of an identity companion. Row s of T
-    combines the columns of mat into column s of H for s below the rank,
+def _column_pass(mat: IntMatrix, track: bool) -> tuple[HermiteColumnForm, list[list[int]]]:
+    """The row pass on the columns of mat: the Hermite form H of their
+    lattice and, with ``track``, the rows of the transform T of an identity
+    companion, each carried in the row of its column ([cols | T]). Row s of
+    T combines the columns of mat into column s of H for s below the rank,
     and into zero past it."""
-    cols = [list(mat.col(j)) for j in range(mat.cols)]
-    t = _identity_rows(mat.cols) if track else []
-    return cols, _hermite_pass(cols, (t,) if track else ()), t
+    w = mat.rows
+    if not track:
+        rows = [list(mat.col(j)) for j in range(mat.cols)]
+        return _column_form(w, rows, _hermite_pass(rows, w)), []
+    rows = [[*mat.col(j), *e] for j, e in enumerate(_identity_rows(mat.cols))]
+    piv = _hermite_pass(rows, w)
+    return _column_form(w, [row[:w] for row in rows[:len(piv)]], piv), [row[w:] for row in rows]
 
 
 def kernel_lattice(mat: IntMatrix) -> IntMatrix:
     """Basis (as columns) of the integer kernel {x : mat @ x = 0}: the rows
     of the column pass's transform T past the rank, whose combinations of
     the columns of mat vanish."""
-    _, piv, t = _column_pass(mat, track=True)
-    return IntMatrix.from_columns(mat.cols, t[len(piv):])
+    form, t = _column_pass(mat, track=True)
+    return IntMatrix.from_columns(mat.cols, t[len(form.pivots):])
 
 
 def image_and_kernel(mat: IntMatrix, target_relations: IntMatrix
@@ -549,9 +538,17 @@ def image_and_kernel(mat: IntMatrix, target_relations: IntMatrix
     """One tracked column pass of [mat | target_relations]: the Hermite form
     of the lattice its columns span, and the unreduced top rows of its
     kernel basis, which generate {x : mat @ x in colspan(target_relations)}."""
-    cols, piv, t = _column_pass(hstack(mat, target_relations), track=True)
-    return (_column_form(mat.rows, cols, piv),
-            IntMatrix.from_columns(mat.cols, [row[:mat.cols] for row in t[len(piv):]]))
+    return _tracked_elimination(mat, target_relations)[:2]
+
+
+def _tracked_elimination(mat: IntMatrix, target_relations: IntMatrix
+                         ) -> tuple[HermiteColumnForm, IntMatrix, list[list[int]]]:
+    """``image_and_kernel``, and the rows of T below the rank cut to mat's
+    columns: y_s times row s, summed, solves mat @ x = b modulo the
+    relations for y the coordinates of b in the image (Cohen, §2.4)."""
+    form, t = _column_pass(hstack(mat, target_relations), track=True)
+    top, rank = [row[:mat.cols] for row in t], len(form.pivots)
+    return form, IntMatrix.from_columns(mat.cols, top[rank:]), top[:rank]
 
 
 def preimage_lattice(mat: IntMatrix, target_relations: IntMatrix
@@ -574,18 +571,15 @@ def solve_integer_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]]
                           ) -> list[Optional[tuple[int, ...]]]:
     """One integer solution x of mat @ x = rhs, or None, for each rhs.
 
-    Back-substitution through the Hermite form H of the column lattice
-    gives the coordinates y of rhs in H, or shows that rhs is outside it;
-    the transform T of the same pass turns y into x = sum of y_s times row
-    s of T (Cohen, GTM 138, §2.4). H and T are built once for every rhs.
-    Congruences modulo a relation lattice are solved by the group layer
-    (``FgAbGroup.solve_columns``, ``groups.solve_congruences``), which
-    chooses a sound modulus itself.
+    Back-substitution through the Hermite form of the column lattice gives
+    the coordinates of rhs or shows that rhs is outside it, and the
+    transform of the same pass, built once for every rhs, turns them into
+    x. Congruences modulo a relation lattice are solved by the group layer
+    (``FgAbGroup.solve_columns``, ``groups.solve_congruences``).
     """
     if any(len(rhs) != mat.rows for rhs in rhss):
         raise InputError("right-hand side length does not match row count")
-    cols, piv, t = _column_pass(mat, track=True)
-    form = _column_form(mat.rows, cols, piv)
+    form, t = _column_pass(mat, track=True)
     ys = [form.coordinates(rhs) for rhs in rhss]
     return [None if y is None else
             tuple(sum(yi * ti[j] for yi, ti in zip(y, t)) for j in range(mat.cols)) for y in ys]
@@ -613,8 +607,6 @@ def solve_modular_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]], m: int
     if m < 1:
         raise InputError("modulus must be positive")
     r, c = mat.rows, mat.cols
-    if m == 1:
-        return [(0,) * c for _ in rhss]
     # (x + k) % m - k is the representative of x in [-k, m - 1 - k], the
     # symmetric range (-m/2, m/2]
     k = m - m // 2 - 1
@@ -622,7 +614,7 @@ def solve_modular_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]], m: int
     rhss = [int_tuple(rhs) for rhs in rhss]
     a = [[(x + k) % m - k for x in (*mat.row(i), *(rhs[i] for rhs in rhss))]
          for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
+    v = _identity_rows(c)
 
     t = 0
     mdim = min(r, c)
@@ -657,10 +649,12 @@ def solve_modular_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]], m: int
                         recheck = True
             if recheck:
                 continue
+            # the row steps left column t at a[t][t] * e_t, so until a
+            # column swap a column step changes only row t
             for j in range(t + 1, c):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    for row in a:
+                    for row in (a if recheck else (a[t],)):
                         row[j] = (row[j] - q * row[t] + k) % m - k
                     v[j] = [(x - q * y + k) % m - k for x, y in zip(v[j], v[t])]
                     if a[t][j]:

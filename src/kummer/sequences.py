@@ -83,7 +83,12 @@ class ShortExactSequence:
         PurityError of the first generator with none."""
         dec = self.C.simplified
         cs = [dec.from_simple(e) for e in dec.group.generators()]
-        b0s = self.C.solve_columns(self.g.matrix, [c.coords for c in cs])
+        if self.C.is_finite:
+            b0s = self.C.solve_columns(self.g.matrix, [c.coords for c in cs])
+        else:  # the exact solve reads the pass of [g | R_C] that checked g
+            form, _, top = self.g._elimination
+            lift = IntMatrix.from_columns(self.B.generator_count, top)
+            b0s = [lift.apply(form.coordinates(c.coords)) for c in cs]
         try:
             lifts = [_same_order_lift(self, c, b0) for c, b0 in zip(cs, b0s)]
         except PurityError as exc:

@@ -2,13 +2,14 @@
 
 Everything here is deliberately naive: determinant expansions over all
 k x k submatrices, exhaustive element searches. Slow but obviously right,
-which is the point. Three exceptions: ``determinant`` (Bareiss), kept for
+which is the point. The exceptions: ``determinant`` (Bareiss), kept for
 matrices too large to expand (the library itself never computes a
 determinant), ``congruence_section``, which decides splitting by one
-congruence system where the library lifts cyclic generators, and the
+congruence system where the library lifts cyclic generators, the
 witness formulas (``kernel_form`` to ``tower_map_violations``), which
 eliminate a map's kernel and image separately where the library makes
-one pass.
+one pass, and the ``reference_*`` eliminations, earlier versions of the
+library's own loops whose results it must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from typing import Iterator, Optional, Sequence
 
 from kummer.errors import InputError, UnsupportedError
 from kummer.groups import FgAbGroup, GroupElement, Homomorphism, solve_congruences
-from kummer.matrices import (HermiteColumnForm, IntMatrix, hermite_column_form, hstack,
-                             int_tuple, kernel_lattice, smith_normal_form)
+from kummer.matrices import (HermiteColumnForm, IntMatrix, SmithDecomposition, _diagonal_of,
+                             _ext_gcd, _identity_rows, _is_diagonal, _is_smith_chain,
+                             hermite_column_form, hstack, int_tuple, kernel_lattice,
+                             smith_normal_form)
 from kummer.sequences import Section, ShortExactSequence
 
 
@@ -383,3 +386,121 @@ def reference_solve_modular_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]
         return tuple(sum(v[j][i] * w[j] for j in range(c)) % m for i in range(c))
 
     return [back(col) for col in range(c, c + len(rhss))]
+
+
+# The library's Hermite pass, column pass and Smith form before each row
+# started to carry its transform and untracked passes started to reduce
+# once per several rows, kept as written: every tracked result (SNF
+# transforms, kernel bases, solutions) depends on the step schedule, and
+# the library must return exactly what these return.
+
+
+def _reference_combine(i, k, x, y, z, w, direct, inv_t) -> None:
+    """E = [[x, y], [z, w]] (determinant 1) on rows i and k."""
+    for rows in direct:
+        ri, rk = rows[i], rows[k]
+        rows[i] = [x * s + y * t for s, t in zip(ri, rk)]
+        rows[k] = [z * s + w * t for s, t in zip(ri, rk)]
+    for rows in inv_t:
+        ri, rk = rows[i], rows[k]
+        rows[i] = [w * s - z * t for s, t in zip(ri, rk)]
+        rows[k] = [x * t - y * s for s, t in zip(ri, rk)]
+
+
+def _reference_sub(i, k, m, direct, inv_t) -> None:
+    """E: row_i -= m * row_k."""
+    for rows in direct:
+        rows[i] = [s - m * t for s, t in zip(rows[i], rows[k])]
+    for rows in inv_t:
+        rows[k] = [s + m * t for s, t in zip(rows[k], rows[i])]
+
+
+def reference_hermite_pass(a: list[list[int]], tr=(), tr_inv_t=()) -> list[int]:
+    """Row Hermite form of ``a`` in place, reduced after every added row;
+    each row step goes to every matrix in ``tr`` and its inverse transpose
+    to every matrix in ``tr_inv_t``. Returns the pivot columns."""
+    ncols = len(a[0]) if a else 0
+    direct = (a, *tr)
+    every = (a, *tr, *tr_inv_t)
+    piv: list[int] = []
+    for i in range(len(a)):
+        t = low = len(piv)
+        s = lead = 0
+        while True:
+            row = a[i]
+            while lead < ncols and not row[lead]:
+                lead += 1
+            if lead == ncols:
+                break
+            while s < t and piv[s] < lead:
+                s += 1
+            if s == t or piv[s] != lead:
+                flip = row[lead] < 0
+                for rows in every:
+                    rows.insert(s, rows.pop(i))
+                    if flip:
+                        rows[s] = [-x for x in rows[s]]
+                piv.insert(s, lead)
+                t += 1
+                low = min(low, s)
+                break
+            p, q = a[s][lead], row[lead]
+            m, rem = divmod(q, p)
+            if rem:
+                g, x, y = _ext_gcd(p, q)
+                _reference_combine(s, i, x, y, -q // g, p // g, direct, tr_inv_t)
+                low = min(low, s)
+            else:
+                _reference_sub(i, s, m, direct, tr_inv_t)
+        changed = [(s, piv[s], a[s][piv[s]]) for s in range(low, t)]
+        for k in range(t - 2, -1, -1):
+            for s, j, p in changed[max(k + 1 - low, 0):]:
+                m = a[k][j] // p
+                if m:
+                    _reference_sub(k, s, m, direct, tr_inv_t)
+    return piv
+
+
+def reference_column_pass(mat: IntMatrix, track: bool):
+    """The reference pass on the columns of mat: (columns, pivot rows, T)."""
+    cols = [list(mat.col(j)) for j in range(mat.cols)]
+    t = _identity_rows(mat.cols) if track else []
+    return cols, reference_hermite_pass(cols, (t,) if track else ()), t
+
+
+def reference_smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
+    """Smith form by alternating reference passes and the gcd/lcm step."""
+    r, c = mat.rows, mat.cols
+    diag = _diagonal_of(mat)
+    if diag is not None and _is_smith_chain(diag):
+        u, v = IntMatrix.identity(r), IntMatrix.identity(c)
+        return SmithDecomposition(U=u, S=mat, V=v, U_inv=u, V_inv=v)
+    a = [list(mat.row(i)) for i in range(r)]
+    u, u_inv_t = _identity_rows(r), _identity_rows(r)
+    v_t, v_inv = _identity_rows(c), _identity_rows(c)
+    while True:
+        reference_hermite_pass(a, (u,), (u_inv_t,))
+        if _is_diagonal(a):
+            break
+        a = [list(col) for col in zip(*a)]
+        reference_hermite_pass(a, (v_t,), (v_inv,))
+        a = [list(col) for col in zip(*a)]
+        if _is_diagonal(a):
+            break
+    rank = sum(1 for i in range(min(r, c)) if a[i][i])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            di, dj = a[i][i], a[j][j]
+            if dj % di == 0:
+                continue
+            g, x, y = _ext_gcd(di, dj)
+            a[i][i], a[j][j] = g, di // g * dj
+            _reference_combine(i, j, x, y, -dj // g, di // g, (u,), (u_inv_t,))
+            _reference_combine(i, j, 1, 1, -y * dj // g, x * di // g, (v_t,), (v_inv,))
+    return SmithDecomposition(
+        U=IntMatrix(r, r, tuple(x for row in u for x in row)),
+        S=IntMatrix(r, c, tuple(x for row in a for x in row)),
+        V=IntMatrix(c, c, tuple(x for col in zip(*v_t) for x in col)),
+        U_inv=IntMatrix(r, r, tuple(x for col in zip(*u_inv_t) for x in col)),
+        V_inv=IntMatrix(c, c, tuple(x for row in v_inv for x in row)),
+    )

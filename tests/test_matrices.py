@@ -12,9 +12,11 @@ from kummer.matrices import (
     _hermite_pass,
     hermite_column_form,
     hstack,
+    image_and_kernel,
     kernel_lattice,
     preimage_lattice,
     smith_normal_form,
+    solve_integer_columns,
     solve_integer_system,
     solve_modular,
     solve_modular_columns,
@@ -26,6 +28,8 @@ from oracles import (
     lattice_intersection,
     minors_gcd_diagonal,
     naive_det,
+    reference_column_pass,
+    reference_smith_normal_form,
     reference_solve_modular_columns,
     snf_solve,
 )
@@ -244,10 +248,65 @@ def test_smith_form_inputs_come_back_with_identity_transforms(mat):
 @given(diagonal_matrices(chain=False))
 def test_hermite_form_of_a_diagonal_input_is_the_pass_result(mat):
     cols = [list(mat.col(j)) for j in range(mat.cols)]
-    piv = _hermite_pass(cols)
+    piv = _hermite_pass(cols, mat.rows)
     form = hermite_column_form(mat)
     assert form.matrix == IntMatrix.from_columns(mat.rows, cols[:len(piv)])
     assert form.pivots == tuple((row, j) for j, row in enumerate(piv))
+
+
+def _seeded_shapes(rng):
+    """(mat, relations, rhss) over square, n x (n+2), tall, rank-deficient
+    and empty shapes with sizes 0 to 40 and entries up to 10^6 in size;
+    relations has mat's row count, and half the rhss are mat @ x."""
+    def entries(k, bound):
+        return tuple(rng.randint(-bound, bound) for _ in range(k))
+
+    sizes = [0, 1, 2, 3, 5, 7, 8, 9, 12, 16, 17, 24, 33, 40]
+    for case in range(60):
+        n, bound = rng.choice(sizes), rng.choice([9, 1000, 10 ** 6])
+        kind = case % 5
+        rows, cols = {0: (n, n), 1: (n, n + 2), 2: (n + 3, max(n // 3, 1)),
+                      3: (n, n), 4: rng.choice([(0, n), (n, 0)])}[kind]
+        if n > 24 and kind != 2:
+            bound = min(bound, 1000)  # keeps the largest squares quick
+        if kind == 3 and rows:
+            inner = rng.randint(0, rows - 1)
+            mat = IntMatrix(rows, inner, entries(rows * inner, bound)) @ IntMatrix(
+                inner, cols, entries(inner * cols, bound))
+        else:
+            mat = IntMatrix(rows, cols, entries(rows * cols, bound))
+        extra = rng.randint(0, 3)
+        relations = IntMatrix(rows, extra, entries(rows * extra, bound))
+        rhss = [mat.apply(entries(cols, bound)) if i % 2 else entries(rows, bound)
+                for i in range(4)]
+        yield mat, relations, rhss
+
+
+def test_eliminations_equal_the_reference_step_for_step():
+    """The row layout, the batched untracked reduction and the pivot-row
+    column steps change no result: every transform, form, kernel basis and
+    solution equals the reference pass's, bit for bit."""
+    for mat, relations, rhss in _seeded_shapes(random.Random(24)):
+        assert smith_normal_form(mat) == reference_smith_normal_form(mat), mat.shape
+        cols, piv, _ = reference_column_pass(mat, track=False)
+        form = hermite_column_form(mat)
+        assert form.matrix == IntMatrix.from_columns(mat.rows, cols[:len(piv)])
+        assert form.pivots == tuple((row, j) for j, row in enumerate(piv))
+        _, piv, t = reference_column_pass(mat, track=True)
+        assert kernel_lattice(mat) == IntMatrix.from_columns(mat.cols, t[len(piv):])
+        ys = [form.coordinates(rhs) for rhs in rhss]
+        assert solve_integer_columns(mat, rhss) == [
+            None if y is None else tuple(sum(yi * ti[j] for yi, ti in zip(y, t))
+                                         for j in range(mat.cols)) for y in ys]
+        both = hstack(mat, relations)
+        cols, piv, t = reference_column_pass(both, track=True)
+        image, kernel = image_and_kernel(mat, relations)
+        assert image.matrix == IntMatrix.from_columns(mat.rows, cols[:len(piv)])
+        assert kernel == IntMatrix.from_columns(
+            mat.cols, [row[:mat.cols] for row in t[len(piv):]])
+        for m in (2, 360, 2 ** 61 - 1):
+            assert solve_modular_columns(both, rhss, m) \
+                == reference_solve_modular_columns(both, rhss, m)
 
 
 def test_diagonal_inputs_off_the_pass_through_still_eliminate():

@@ -388,6 +388,20 @@ def test_each_matrix_is_eliminated_once_and_each_sequence_lifts_once(pure):
     assert sum(call.args[1] == g_mat for call in solve_columns.call_args_list) == 1
 
 
+def test_an_infinite_quotient_lifts_through_the_pass_that_checked_g():
+    """0 -> Z/2 -> Z/2 + Z -> Z -> 0: with C infinite, the lift loop reads
+    the preimages of C's generators from the tracked pass of [g | R_C]
+    that the exactness check ran, and does not eliminate it again."""
+    a, c = FgAbGroup.cyclic(2), FgAbGroup.free(1)
+    b = FgAbGroup(2, IntMatrix.from_rows([[2], [0]]))
+    f, g_rc = IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[0, 1]])
+    with mock.patch.object(matrices, "_column_pass", wraps=matrices._column_pass) as column_pass:
+        seq = check_exact(Homomorphism(a, b, f), Homomorphism(b, c, g_rc))
+        section = section_exists(seq)
+    assert section is not None and (seq.g @ section.s).is_identity()
+    assert sum(call.args[0] == g_rc for call in column_pass.call_args_list) == 1
+
+
 def _seeded_sequence(pure: bool):
     rng = random.Random(5)
     return next(s for s in iter(lambda: random_subgroup_sequence(rng, 64), None)
