@@ -61,14 +61,19 @@ class CyclicGroupModule:
             raise InputError("the acting group must have positive order")
         if self.sigma.source != self.group or self.sigma.target != self.group:
             raise InputError("sigma must be an endomorphism of the module")
-        if not self.power(self.d).is_identity():
+        if self.group._disagreement(self._power_matrix(self.d)):
             raise InputError(f"sigma does not have order dividing {self.d}")
 
+    def _power_matrix(self, i: int) -> IntMatrix:
+        """sigma^i by repeated squaring: the same exact matrix as i products."""
+        mat, square = IntMatrix.identity(self.group.generator_count), self.sigma.matrix
+        while i > 0:
+            mat, i = (square @ mat if i & 1 else mat), i >> 1
+            square = square @ square if i else square
+        return mat
+
     def power(self, i: int) -> Homomorphism:
-        mat = IntMatrix.identity(self.group.generator_count)
-        for _ in range(i):
-            mat = self.sigma.matrix @ mat
-        return Homomorphism(self.group, self.group, mat)
+        return Homomorphism(self.group, self.group, self._power_matrix(i))
 
     @cached_property
     def norm(self) -> Homomorphism:
@@ -103,8 +108,8 @@ class GModuleMap:
         if (self.hom.source != self.source.group
                 or self.hom.target != self.target.group):
             raise InputError("map does not match the module groups")
-        if not (self.hom @ self.source.sigma).same_map(
-                self.target.sigma @ self.hom):
+        if self.target.group._disagreement(self.hom.matrix @ self.source.sigma.matrix,
+                                           self.target.sigma.matrix @ self.hom.matrix):
             raise InputError("map does not commute with the group action")
 
     def __call__(self, x: GroupElement) -> GroupElement:

@@ -582,12 +582,12 @@ def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
             f"window too small: need exp(M) = p^{k0} visible and precision "
             f">= {big_l}", check="V5")
     for k in range(1, big_l):
-        alpha = t.step(k).alpha
-        if not (ev.pi_divisible[k] @ alpha).same_map(ev.pi_divisible[k - 1]):
+        alpha = t.step(k).alpha.matrix
+        if d_group._disagreement(ev.pi_divisible[k].matrix @ alpha, ev.pi_divisible[k - 1].matrix):
             raise EvidenceError(
                 f"divisible projections do not form a cone at level {k}",
                 check="V2")
-        if not (ev.pi_bounded[k] @ alpha).same_map(ev.pi_bounded[k - 1]):
+        if m_grp._disagreement(ev.pi_bounded[k].matrix @ alpha, ev.pi_bounded[k - 1].matrix):
             raise EvidenceError(
                 f"bounded projections do not form a cone at level {k}",
                 check="V2")

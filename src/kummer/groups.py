@@ -230,6 +230,15 @@ class FgAbGroup:
                 else solve_modular_columns(big, rhss, m))
         return None if None in sols else [sol[:mat.cols] for sol in sols]
 
+    def _disagreement(self, one: IntMatrix, two: Optional[IntMatrix] = None
+                      ) -> Optional["GroupElement"]:
+        """The first column of one - two (two defaults to the identity) that is
+        nonzero in this group, or None: maps into a group agree exactly modulo
+        its relation lattice (Cohen, GTM 138, §2.4), so no composite is built."""
+        diff = one - (IntMatrix.identity(self.generator_count) if two is None else two)
+        j = self.hermite.outside(diff)
+        return None if j is None else self.element(diff.col(j))
+
     def __repr__(self) -> str:
         parts = [f"Z/{d}" for d in self.invariant_factors]
         parts += ["Z"] * self.free_rank
@@ -353,11 +362,10 @@ class Homomorphism:
         """Equality as maps (matrices may differ by relations)."""
         if self.source != other.source or self.target != other.target:
             raise InputError("comparing maps between different groups")
-        return self.target.hermite.outside(self.matrix - other.matrix) is None
+        return self.target._disagreement(self.matrix, other.matrix) is None
 
     def is_identity(self) -> bool:
-        return self.source == self.target and self.target.hermite.outside(
-            self.matrix - IntMatrix.identity(self.target.generator_count)) is None
+        return self.source == self.target and self.target._disagreement(self.matrix) is None
 
 
 def hom_from_images(source: FgAbGroup, target: FgAbGroup,
@@ -490,7 +498,7 @@ def invert_isomorphism(h: Homomorphism) -> Homomorphism:
         inv = factor_through(Homomorphism.identity(h.target), h)
     except InputError as exc:
         raise InputError("homomorphism is not invertible") from exc
-    if not (inv @ h).is_identity():
+    if h.source._disagreement(inv.matrix @ h.matrix):
         raise InputError("homomorphism is not invertible")
     return inv
 

@@ -176,8 +176,7 @@ class IntMatrix:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise InputError(f"vector length {len(vec)} does not match {self.cols} columns")
-        return tuple(sum(self.data[i * self.cols + j] * vec[j] for j in range(self.cols))
-                     for i in range(self.rows))
+        return tuple(sum(map(operator.mul, self.row(i), vec)) for i in range(self.rows))
 
     def select(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "IntMatrix":
         ri, ci = list(row_idx), list(col_idx)
@@ -545,7 +544,13 @@ def _tracked_elimination(mat: IntMatrix, target_relations: IntMatrix
                          ) -> tuple[HermiteColumnForm, IntMatrix, list[list[int]]]:
     """``image_and_kernel``, and the rows of T below the rank cut to mat's
     columns: y_s times row s, summed, solves mat @ x = b modulo the
-    relations for y the coordinates of b in the image (Cohen, §2.4)."""
+    relations for y the coordinates of b in the image (Cohen, §2.4). A map
+    into the trivial group (no rows) has image 0 and kernel everything, so
+    its pass, which would make no step, is written down in closed form."""
+    if mat.rows == target_relations.rows == 0:
+        n = mat.cols
+        return (_column_form(0, [], []),
+                hstack(IntMatrix.identity(n), IntMatrix.zeros(n, target_relations.cols)), [])
     form, t = _column_pass(hstack(mat, target_relations), track=True)
     top, rank = [row[:mat.cols] for row in t], len(form.pivots)
     return form, IntMatrix.from_columns(mat.cols, top[rank:]), top[:rank]

@@ -126,7 +126,7 @@ class Section:
     def __post_init__(self):
         if self.s.source != self.seq.C or self.s.target != self.seq.B:
             raise InputError("section must map C into B")
-        if not (self.seq.g @ self.s).is_identity():
+        if self.seq.C._disagreement(self.seq.g.matrix @ self.s.matrix):
             raise InputError("not a section: g∘s is not the identity")
 
     def __call__(self, c: GroupElement) -> GroupElement:
@@ -264,7 +264,7 @@ def retraction_from_section(seq: ShortExactSequence, s: Section) -> Homomorphism
     """r: B -> A with r∘f = id, via r(b) = f⁻¹(b - s(g(b)))."""
     proj = IntMatrix.identity(seq.B.generator_count) - s.s.matrix @ seq.g.matrix
     r = factor_through(Homomorphism(seq.B, seq.B, proj), seq.f)
-    if not (r @ seq.f).is_identity():
+    if seq.A._disagreement(r.matrix @ seq.f.matrix):
         raise InputError("retraction verification failed")
     return r
 
@@ -273,7 +273,7 @@ def section_from_retraction(seq: ShortExactSequence, r: Homomorphism) -> Section
     """s(c) = b - f(r(b)) for any preimage b of c; independent of the choice."""
     if r.source != seq.B or r.target != seq.A:
         raise InputError("retraction must map B onto A")
-    if not (r @ seq.f).is_identity():
+    if seq.A._disagreement(r.matrix @ seq.f.matrix):
         raise InputError("not a retraction: r∘f is not the identity")
     fr = seq.f.matrix @ r.matrix
     bs = seq.C.solve_columns(seq.g.matrix, [c.coords for c in seq.C.generators()])

@@ -117,6 +117,11 @@ class KummerTower:
     def top(self) -> ShortExactSequence:
         return self.seqs[-1]
 
+    @cached_property
+    def _report(self) -> TowerReport:
+        """The validation report, a function of the frozen tower, run once."""
+        return _check_levels(self)
+
 
 class CoKummerTower(KummerTower):
     """Levels S_1..S_n with downward maps; left maps surjection-shaped."""
@@ -164,20 +169,19 @@ def _square_violations(level: int, low: ShortExactSequence,
                        high: ShortExactSequence,
                        lm: LevelMaps, upward: bool) -> list[TowerViolation]:
     if upward:
-        left = (lm.beta @ low.f, high.f @ lm.alpha)
-        right = (lm.gamma @ low.g, high.g @ lm.beta)
+        left = (high.B, lm.beta.matrix @ low.f.matrix, high.f.matrix @ lm.alpha.matrix)
+        right = (high.C, lm.gamma.matrix @ low.g.matrix, high.g.matrix @ lm.beta.matrix)
     else:
-        left = (low.f @ lm.alpha, lm.beta @ high.f)
-        right = (low.g @ lm.beta, lm.gamma @ high.g)
+        left = (low.B, low.f.matrix @ lm.alpha.matrix, lm.beta.matrix @ high.f.matrix)
+        right = (low.C, low.g.matrix @ lm.beta.matrix, lm.gamma.matrix @ high.g.matrix)
     out = []
-    for name, (one, two) in (("left square", left), ("right square", right)):
-        diff = one.matrix - two.matrix
-        j = one.target.hermite.outside(diff)
-        if j is not None:
+    for name, (group, one, two) in (("left square", left), ("right square", right)):
+        wit = group._disagreement(one, two)
+        if wit is not None:
             out.append(TowerViolation(
                 level, "square",
                 f"{name} between levels {level} and {level + 1} does not "
-                "commute", one.target.element(diff.col(j))))
+                "commute", wit))
     return out
 
 
@@ -241,8 +245,14 @@ def validate_tower(t: KummerTower) -> TowerReport:
     checked here: p^k-torsion and both commuting squares, and, for an
     upward tower, that each right map is the canonical inclusion
     (injective, image = p^k-torsion), for a downward one that each left
-    map is onto with kernel p^k times its source.
+    map is onto with kernel p^k times its source. A tower is frozen, so
+    it keeps its report, and the splitters read the same one.
     """
+    return t._report
+
+
+def _check_levels(t: KummerTower) -> TowerReport:
+    """``validate_tower``'s checks, level by level."""
     violations = []
     for i, seq in enumerate(t.seqs):
         level = i + 1
@@ -261,11 +271,10 @@ def _require_valid(t: KummerTower, upward: bool) -> None:
     if t.upward != upward:
         raise InputError("a downward tower is split by dual_tower_split" if upward
                          else "an upward tower is split by tower_split")
-    report = validate_tower(t)
-    if not report.valid:
+    if not t._report.valid:
         raise TowerInvalidError("tower violates the splitting hypotheses" if upward
                                 else "co-tower violates the dual hypotheses",
-                                report=report)
+                                report=t._report)
 
 
 def _level_lift(t: KummerTower, c: GroupElement, k: int) -> GroupElement:
@@ -452,10 +461,10 @@ def crt_split(m: int, towers: Mapping[int, KummerTower],
                 or b_p.target != glue.seq.B or c_p.target != glue.seq.C):
             raise GlueError(f"embedding for p={p} connects the wrong groups",
                             component=f"shape:{p}")
-        if not (glue.seq.f @ a_p).same_map(b_p @ top.f):
+        if glue.seq.B._disagreement(glue.seq.f.matrix @ a_p.matrix, b_p.matrix @ top.f.matrix):
             raise GlueError(f"f-square fails for p={p}",
                             component=f"f:{p}")
-        if not (glue.seq.g @ b_p).same_map(c_p @ top.g):
+        if glue.seq.C._disagreement(glue.seq.g.matrix @ b_p.matrix, c_p.matrix @ top.g.matrix):
             raise GlueError(f"g-square fails for p={p}",
                             component=f"g:{p}")
     sections = {p: tower_split(towers[p]) for p in primes}

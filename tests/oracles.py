@@ -8,8 +8,10 @@ determinant), ``congruence_section``, which decides splitting by one
 congruence system where the library lifts cyclic generators, the
 witness formulas (``kernel_form`` to ``tower_map_violations``), which
 eliminate a map's kernel and image separately where the library makes
-one pass, and the ``reference_*`` eliminations, earlier versions of the
-library's own loops whose results it must reproduce exactly.
+one pass, ``tower_square_violations``, which compares checked composites
+where the library compares product matrices, and the ``reference_*``
+eliminations, earlier versions of the library's own loops whose results
+it must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -109,6 +111,25 @@ def tower_map_violations(t) -> list[tuple[int, str, GroupElement]]:
             wits = (cokernel_witness(h), difference(grp, kernel_form(h), multiples))
         out += [(level, "inclusion" if t.upward else "surjection", wit)
                 for wit in wits if wit is not None]
+    return out
+
+
+def tower_square_violations(t) -> list[tuple[int, str, str, GroupElement]]:
+    """(level, check, message, witness) of every square of t that does not
+    commute, found the way the squares were once checked: by building both
+    composites as checked homomorphisms and comparing them."""
+    out = []
+    for level, (lo, hi, lm) in enumerate(zip(t.seqs, t.seqs[1:], t.maps), 1):
+        if t.upward:
+            squares = ((lm.beta @ lo.f, hi.f @ lm.alpha), (lm.gamma @ lo.g, hi.g @ lm.beta))
+        else:
+            squares = ((lo.f @ lm.alpha, lm.beta @ hi.f), (lo.g @ lm.beta, lm.gamma @ hi.g))
+        for name, (one, two) in zip(("left square", "right square"), squares):
+            diff = one.matrix - two.matrix
+            j = one.target.hermite.outside(diff)
+            if j is not None:
+                out.append((level, "square", f"{name} between levels {level} and "
+                            f"{level + 1} does not commute", one.target.element(diff.col(j))))
     return out
 
 

@@ -39,7 +39,7 @@ def test_negation_action_on_z():
 
 def test_sigma_must_have_the_right_order():
     z = FgAbGroup.free(1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^sigma does not have order dividing 3$"):
         CyclicGroupModule(3, z, Homomorphism(z, z,
                                              IntMatrix.from_rows([[-1]])))
 
@@ -327,3 +327,34 @@ def test_chris_verify_two_is_flagged_but_checked():
 def test_chris_verify_rejects_composites():
     with pytest.raises(InputError):
         chris_verify(4)
+
+
+@pytest.mark.parametrize("d, order", [(3, 2), (4, 3), (13, 2), (12, 5)])
+def test_sigma_of_the_wrong_order_is_refused_by_name(d, order):
+    """sigma^d = 1 is checked on the matrix power found by squaring."""
+    grp = FgAbGroup.free(order)
+    shift = Homomorphism(grp, grp, regular_module(order).sigma.matrix)
+    with pytest.raises(InputError, match=f"^sigma does not have order dividing {d}$"):
+        CyclicGroupModule(d, grp, shift)
+    assert CyclicGroupModule(d * order, grp, shift).d == d * order
+
+
+def test_sigma_powers_equal_the_repeated_products():
+    fixture = regular_extension_fixture(5)
+    for module in (tate_model(5), tate_model(13), regular_module(13), regular_module(1),
+                   fixture.A, fixture.B):
+        mat = IntMatrix.identity(module.group.generator_count)
+        for i in range(2 * module.d + 1):
+            power = module.power(i)
+            assert (power.source, power.target, power.matrix) == (module.group, module.group, mat)
+            mat = module.sigma.matrix @ mat
+
+
+def test_a_map_that_does_not_commute_with_the_action_is_refused():
+    swap = regular_module(2)
+    z = FgAbGroup.free(1)
+    trivial = CyclicGroupModule(2, z, Homomorphism.identity(z))
+    first = Homomorphism(swap.group, z, IntMatrix.from_rows([[1, 0]]))
+    with pytest.raises(InputError, match="^map does not commute with the group action$"):
+        GModuleMap(swap, trivial, first)
+    assert GModuleMap(swap, trivial, Homomorphism(swap.group, z, IntMatrix.from_rows([[1, 1]])))

@@ -361,3 +361,26 @@ def test_prefix_is_cached_and_consistent():
     pre = t.prefix(3)
     assert pre.n == 3
     assert pre.seqs[1] is t.sequence(2)
+
+
+@pytest.mark.parametrize("part", ["divisible", "bounded"])
+def test_case_one_evidence_that_is_not_a_cone_fails_v2(part):
+    """The cone squares pi_{k+1}∘alpha_k = pi_k are checked on matrices
+    modulo the projection's target."""
+    p = 3
+    t = divisible_tower(p)
+    ev = divisible_case_one_evidence(t, 3)
+    if part == "divisible":  # a unit multiple of the honest level-1 embedding
+        first = ev.pi_divisible[0]
+        bad = dataclasses.replace(ev, pi_divisible=(
+            Homomorphism(first.source, first.target, first.matrix.scaled(2)),
+            *ev.pi_divisible[1:]))
+    else:  # reduction mod p on level 1 only: alpha is p, so no cone
+        zp = FgAbGroup.cyclic(p)
+        bounded = [Homomorphism.zero(t.sequence(k).A, zp) for k in range(1, 4)]
+        bounded[0] = Homomorphism(t.sequence(1).A, zp, IntMatrix.from_rows([[1]]))
+        bad = dataclasses.replace(ev, m_group=zp, pi_bounded=tuple(bounded))
+    with pytest.raises(EvidenceError, match=f"^{part} projections do not form a cone "
+                                            "at level 1$") as err:
+        direct_limit_split(t, bad)
+    assert err.value.check == "V2"

@@ -430,3 +430,13 @@ def test_lattice_subgroup_relations_match_a_per_column_solve(src, tgt, data):
                   for j in range(rel.cols)]
         assert sub.relations == IntMatrix.from_columns(form.matrix.cols, oracle)
         assert inc.matrix == form.matrix
+
+
+def test_invert_isomorphism_checks_the_other_composite():
+    """A split surjection factors the identity of its target through
+    itself, so only the check x∘h = 1 refuses it."""
+    h = Homomorphism(FgAbGroup.of_orders(2, 2), FgAbGroup.cyclic(2),
+                     IntMatrix.from_rows([[1, 0]]))
+    with pytest.raises(InputError, match="^homomorphism is not invertible$") as err:
+        invert_isomorphism(h)
+    assert err.value.__cause__ is None

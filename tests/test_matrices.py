@@ -447,3 +447,28 @@ def test_int_subclasses_convert_to_plain_ints():
     m = IntMatrix.from_rows([[True, False, 7]])
     assert m.data == (1, 0, 7)
     assert all(type(x) is int for x in m.data)
+
+
+def test_a_map_into_the_trivial_group_is_eliminated_in_closed_form():
+    """A 0-row map's image is 0 and its kernel everything: the result equals
+    what the tracked column pass of [mat | relations] returns."""
+    from kummer import matrices
+
+    for c in range(7):
+        for k in range(4):
+            mat, rel = IntMatrix.zeros(0, c), IntMatrix.zeros(0, k)
+            form, t = matrices._column_pass(hstack(mat, rel), track=True)
+            top, rank = [row[:c] for row in t], len(form.pivots)
+            assert matrices._tracked_elimination(mat, rel) == (
+                form, IntMatrix.from_columns(c, top[rank:]), top[:rank])
+            assert image_and_kernel(mat, rel) == (form, IntMatrix.from_columns(c, top[rank:]))
+
+
+def test_apply_equals_the_product_with_a_column():
+    rng = random.Random(11)
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (4, 2), (2, 5), (6, 6)]:
+        for _ in range(5):
+            m = IntMatrix(rows, cols, tuple(rng.randint(-10 ** 6, 10 ** 6)
+                                            for _ in range(rows * cols)))
+            v = [rng.randint(-50, 50) for _ in range(cols)]
+            assert m.apply(v) == (m @ IntMatrix.column(v)).data

@@ -428,3 +428,46 @@ def test_a_pure_sequence_returns_one_verified_section():
     assert section is not None and section_exists(seq) is section
     assert section_from_purity(seq) is section
     assert verify_section_on_all(seq, section)
+
+
+def test_a_map_that_is_not_a_section_is_refused():
+    """g∘s = 1 is checked on matrices modulo the relations of C."""
+    seq = split_sequence(FgAbGroup.cyclic(2), FgAbGroup.cyclic(4))
+    twice = Homomorphism(seq.C, seq.B, IntMatrix.from_rows([[0], [2]]))
+    with pytest.raises(InputError, match="^not a section: g∘s is not the identity$"):
+        Section(seq, twice)
+    Section(seq, Homomorphism(seq.C, seq.B, IntMatrix.from_rows([[0], [5]])))
+
+
+def test_a_map_that_is_not_a_retraction_is_refused_on_both_paths():
+    seq = impure_sequence()  # 0 -> Z/2 -2-> Z/4 -> Z/2 -> 0: r = 0 is no retraction
+    with pytest.raises(InputError, match="^not a retraction: r∘f is not the identity$"):
+        section_from_retraction(seq, Homomorphism.zero(seq.B, seq.A))
+    # a section of another sequence on the same B: 1 - s∘g is zero, so the
+    # retraction it gives is zero and fails r∘f = 1
+    z4 = FgAbGroup.cyclic(4)
+    other = check_exact(Homomorphism.zero(FgAbGroup.trivial(), z4), Homomorphism.identity(z4))
+    with pytest.raises(InputError, match="^retraction verification failed$"):
+        retraction_from_section(seq, Section(other, Homomorphism.identity(z4)))
+
+
+def test_two_certify_rounds_eliminate_no_zero_row_matrix(monkeypatch):
+    """Maps into the trivial group (exactness checks of sequences onto 0,
+    tower map checks) take the closed form, not a column pass. The rounds
+    are the benchmark's certify mix, each output checked by its property."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench import workloads
+
+    zero_rows = Counter()
+    column_pass = matrices._column_pass
+
+    def counted(mat, track):
+        zero_rows[mat.rows == 0] += 1
+        return column_pass(mat, track)
+
+    monkeypatch.setattr(matrices, "_column_pass", counted)
+    rng, ctx = random.Random(7), workloads.Context()
+    for _ in range(2):
+        for op in workloads.certify_round(rng):
+            assert op.check(ctx, op.run(ctx)), op.tag
+    assert zero_rows[False] > 1000 and zero_rows[True] == 0

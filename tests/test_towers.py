@@ -151,8 +151,9 @@ def test_invalid_tower_reports_exactly_inclusion_violations():
     for v in report.violations:
         assert v.level >= 1
         assert v.message
-    with pytest.raises(TowerInvalidError):
+    with pytest.raises(TowerInvalidError) as err:
         tower_split(t)
+    assert err.value.report is report  # the tower keeps the one report
 
 
 def test_tower_constructor_rejects_bad_chains():
@@ -255,3 +256,65 @@ def test_tower_violations_agree_with_separate_eliminations(p):
     for t in (invalid_tower(p), dual_tower(invalid_tower(p))):
         got = [(v.level, v.check, v.witness) for v in validate_tower(t).violations]
         assert got and got == oracles.tower_map_violations(t)
+
+
+def _broken_square_tower(p: int, left: bool) -> KummerTower:
+    """split_tower(p, 3) with the middle map out of level 1 replaced so that
+    one square (the left one or the right one) no longer commutes and every
+    other check still holds."""
+    base = split_tower(p, 3)
+    lo, hi = base.seqs[:2]
+    lm = base.maps[0]
+    a, c = lm.alpha.matrix, lm.gamma.matrix
+    beta = block_diag(a.scaled(0), c) if left else block_diag(a, c.scaled(0))
+    broken = LevelMaps(alpha=lm.alpha, beta=Homomorphism(lo.B, hi.B, beta), gamma=lm.gamma)
+    return KummerTower(p, base.seqs, (broken, *base.maps[1:]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
+def test_a_square_that_does_not_commute_is_reported_with_its_witness(p, left):
+    """The squares are compared on matrices modulo the target lattice; the
+    report names the same level, message and witness as comparing checked
+    composites does, in both directions."""
+    for t in (_broken_square_tower(p, left), dual_tower(_broken_square_tower(p, left))):
+        report = validate_tower(t)
+        got = [(v.level, v.check, v.message, v.witness)
+               for v in report.violations if v.check == "square"]
+        assert len(got) == 1 and got == oracles.tower_square_violations(t)
+        with pytest.raises(TowerInvalidError) as err:
+            (tower_split if t.upward else dual_tower_split)(t)
+        assert err.value.report is report
+
+
+def test_a_tower_keeps_its_validation_report(monkeypatch):
+    """validate_tower, tower_split and dual_tower_split read one report per
+    tower: the level checks run once however often the tower is asked."""
+    from kummer import towers
+
+    calls = []
+    check = towers._check_levels
+    monkeypatch.setattr(towers, "_check_levels", lambda t: calls.append(t) or check(t))
+    t = sigma_kummer_tower(SigmaModel(3, 2, IntMatrix.from_rows([[1, 3], [0, 1]])), 3)
+    assert validate_tower(t) is validate_tower(t)
+    tower_split(t)
+    assert len(calls) == 1 and calls[0] is t
+    co = dual_tower(t)
+    dual_tower_split(co)
+    assert validate_tower(co) and len(calls) == 3  # co, and the dual of co
+
+
+@pytest.mark.parametrize("square", ["f", "g"])
+def test_crt_glue_with_a_failing_square_names_it(square):
+    """Zeroing the A (or C) embedding of the p = 3 part breaks the f-square
+    (or g-square) of that prime only."""
+    fix = order_six_glued()
+    (p2, *maps2), (p3, a3, b3, c3) = fix.glue.embeddings
+    if square == "f":
+        a3 = Homomorphism.zero(a3.source, a3.target)
+    else:
+        c3 = Homomorphism.zero(c3.source, c3.target)
+    glue = CrtGlue(fix.glue.seq, ((p2, *maps2), (p3, a3, b3, c3)))
+    with pytest.raises(GlueError, match=f"^{square}-square fails for p=3$") as err:
+        crt_split(6, fix.towers, glue)
+    assert err.value.component == f"{square}:3"
