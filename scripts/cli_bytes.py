@@ -25,6 +25,10 @@ both trees see the same inputs:
   {1, 2, 3, 8}, and for the counterexample family, case 1, level 32 at
   p = 2^61 - 1 and at the largest prime ``arith.is_prime`` accepts
   (3317044064679887385961813, 82 bits);
+- ``limit-split`` for the divisible family, case 1, p in {2, 3, 5} x level
+  in {1, 2, 3, 8}, with the evidence precision level - 1 (when positive,
+  refused by the window check), level, level + 1 and level + 5, given once
+  as ``$.precision`` and once as ``--precision``;
 - ``counterexample`` for p in {2, 3, 5, 7} x depth in {2, 4, 8};
 - ``gmod-split`` for 0 -> A -> A + C -> C -> 0 with the middle module
   written in a random basis, for every ordered pair of small regular,
@@ -187,6 +191,16 @@ def documents() -> list[tuple[list[str], str]]:
                 for level in (1, 2, 3, 8):
                     doc = {"family": family, "case": case, "p": p, "level": level}
                     docs.append((["limit-split"], json.dumps(doc, sort_keys=True)))
+    for p in (2, 3, 5):
+        for level in (1, 2, 3, 8):
+            doc = {"family": "divisible", "case": 1, "p": p, "level": level}
+            for precision in (level - 1, level, level + 1, level + 5):
+                if precision < 1:
+                    continue
+                docs.append((["limit-split"],
+                             json.dumps(dict(doc, precision=precision), sort_keys=True)))
+                docs.append((["limit-split", "--precision", str(precision)],
+                             json.dumps(doc, sort_keys=True)))
     for p in BIG_PRIMES:
         doc = {"family": "counterexample", "case": 1, "p": p, "level": 32}
         docs.append((["limit-split"], json.dumps(doc, sort_keys=True)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Sequence, Union
+from typing import Callable, Literal, Sequence, Union
 
 from .arith import require_prime, vp
 from .errors import (
@@ -34,20 +34,14 @@ from .groups import (
     kernel_witness,
     solve_congruences,
 )
-from .matrices import (
-    IntMatrix,
-    block_diag,
-    hstack,
-    vstack,
-)
+from .matrices import IntMatrix, vstack
 from .sequences import (
     Section,
     ShortExactSequence,
     check_exact,
-    section_from_purity,
     split_sequence,
 )
-from .towers import KummerTower, LevelMaps, _level_lift, _require_valid, tower_split
+from .towers import KummerTower, LevelMaps, _check_level_maps, _level_lift, tower_split
 
 __all__ = [
     "ColimitTower",
@@ -101,9 +95,12 @@ class ColimitTower:
         return self._seqs[k]
 
     def step(self, k: int) -> LevelMaps:
-        """Maps from level k to level k+1."""
+        """Maps from level k to level k+1, checked to run between them."""
         if k not in self._maps:
-            self._maps[k] = self._maps_fn(k, self.sequence(k), self.sequence(k + 1))
+            lo, hi = self.sequence(k), self.sequence(k + 1)
+            lm = self._maps_fn(k, lo, hi)
+            _check_level_maps(lm, lo, hi, k)
+            self._maps[k] = lm
         return self._maps[k]
 
     def prefix(self, n: int) -> KummerTower:
@@ -488,9 +485,13 @@ class CaseOneEvidence:
     """A decomposition of the limit A column as divisible + bounded.
 
     pi_divisible[k-1]: A_k -> (Z/p^precision)^divisible_rank and
-    pi_bounded[k-1]: A_k -> m_group form compatible cones that are jointly
-    injective on every level up to `level`; f-images of the bounded-kernel
-    generators must probe as divisible to HEIGHT_DEPTH.
+    pi_bounded[k-1]: A_k -> m_group, for k = 1..level, have the right
+    shapes (V1), form cones along the alpha maps (V2) and are jointly
+    injective on every level (V3); the f-images of the generators of the
+    top bounded kernel must probe as divisible to HEIGHT_DEPTH (V4); and
+    exp(m_group) must be visible with precision >= level (V5). The
+    evidence is only checked: the limit section is the section of the
+    first `level` levels as a tower.
     """
 
     level: int
@@ -506,12 +507,10 @@ class LimitSplitResult:
     case: int
     level: int
     section: Section
-    divisible_section: Optional[Section] = None
-    bounded_section: Optional[Section] = None
     notes: tuple[str, ...] = ()
 
 
-def _split_case_two(t: ColimitTower, ev: CaseTwoEvidence) -> LimitSplitResult:
+def _check_case_two(t: ColimitTower, ev: CaseTwoEvidence) -> str:
     n = ev.level
     if n < 1:
         raise EvidenceError("stabilization level must be at least 1",
@@ -521,36 +520,11 @@ def _split_case_two(t: ColimitTower, ev: CaseTwoEvidence) -> LimitSplitResult:
         raise EvidenceError(
             f"C[p^{n + 1}] differs from C[p^{n}]: the right map at level "
             f"{n} is not an isomorphism", check="stabilization")
-    return LimitSplitResult(
-        case=2, level=n, section=tower_split(t.prefix(n)),
-        notes=(f"section of the level-{n} sequence reused as the limit "
-               "section: all later C levels coincide",))
+    return (f"section of the level-{n} sequence reused as the limit "
+            "section: all later C levels coincide")
 
 
-def _split_pushout(seq: ShortExactSequence, pi: Homomorphism, check: str,
-                   message: str) -> tuple[Section, Homomorphism]:
-    """Push seq out along pi: A -> Q and split the pushout by its lift loop,
-    which finds a section exactly when pi extends over f. Returns the
-    section and q: B -> pushout; no section is EvidenceError(check)."""
-    q_grp = pi.target
-    gq, gb = q_grp.generator_count, seq.B.generator_count
-    graph = vstack(pi.matrix, -seq.f.matrix)
-    rel = hstack(block_diag(q_grp.relations, seq.B.relations), graph)
-    pushed = FgAbGroup(gq + gb, rel)
-    i = Homomorphism(q_grp, pushed,
-                     vstack(IntMatrix.identity(gq), IntMatrix.zeros(gb, gq)))
-    q = Homomorphism(seq.B, pushed,
-                     vstack(IntMatrix.zeros(gq, gb), IntMatrix.identity(gb)))
-    g = Homomorphism(pushed, seq.C,
-                     hstack(IntMatrix.zeros(seq.C.generator_count, gq),
-                            seq.g.matrix))
-    try:
-        return section_from_purity(check_exact(i, g)), q
-    except PurityError as exc:
-        raise EvidenceError(message, check=check) from exc
-
-
-def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
+def _check_case_one(t: ColimitTower, ev: CaseOneEvidence) -> str:
     p, big_l, prec, d = t.p, ev.level, ev.precision, ev.divisible_rank
     if big_l < 1 or prec < 1 or d < 0:
         raise EvidenceError("level, precision and rank must be positive",
@@ -612,31 +586,8 @@ def _split_case_one(t: ColimitTower, ev: CaseOneEvidence) -> LimitSplitResult:
             raise EvidenceError(
                 f"claimed divisible-part element has finite height "
                 f"{probe.height} < {HEIGHT_DEPTH}: {a!r}", check="V4")
-    _require_valid(t.prefix(big_l), upward=True)
-
-    s_prime, q_div = _split_pushout(
-        top_seq, ev.pi_divisible[big_l - 1], "extension",
-        "the divisible projection does not extend over f at this precision")
-    s_second, q_bnd = _split_pushout(
-        top_seq, ev.pi_bounded[big_l - 1], "bounded-split",
-        "the bounded pushout sequence is not pure; the decomposition "
-        "evidence is false")
-    # V3 makes (q_div, q_bnd) injective, so the glued section is unique
-    rel = block_diag(s_prime.seq.B.relations, s_second.seq.B.relations)
-    both = FgAbGroup(rel.rows, rel)
-    parts = Homomorphism(top_seq.C, both, vstack(s_prime.s.matrix, s_second.s.matrix))
-    inj = Homomorphism(top_seq.B, both, vstack(q_div.matrix, q_bnd.matrix))
-    try:
-        glued = factor_through(parts, inj)
-    except InputError as exc:
-        raise EvidenceError(
-            "per-part sections do not glue over the pullback; evidence "
-            "does not decompose A", check="combine") from exc
-    return LimitSplitResult(
-        case=1, level=big_l, section=Section(top_seq, glued),
-        divisible_section=s_prime, bounded_section=s_second,
-        notes=(f"divisible part handled at precision p^{prec}, bounded "
-               f"part of exponent p^{k0} split by purity",))
+    return (f"divisible part handled at precision p^{prec}, bounded "
+            f"part of exponent p^{k0} split by purity")
 
 
 def direct_limit_split(t: ColimitTower,
@@ -644,14 +595,22 @@ def direct_limit_split(t: ColimitTower,
                        ) -> LimitSplitResult:
     """Split the limit sequence under one of the two supplied hypotheses.
 
-    Case 2 (bounded C): verify stabilization, reuse a finite-level section.
-    Case 1 (A = divisible + bounded): verify the supplied decomposition
-    evidence (cones, joint injectivity, height saturation, window bounds),
-    then split the two pushouts and glue. False evidence fails with the
-    name of the violated check.
+    Case 2 (bounded C): the right map at the level is an isomorphism, so
+    every later C level is the same group. Case 1 (A = divisible +
+    bounded): the supplied decomposition passes its checks (V1 shapes,
+    V2 cones, V3 joint injectivity, V4 height saturation, V5 window
+    bounds); a divisible group is injective and a bounded pure subgroup is
+    a summand, so nothing beyond the evidence is needed. False evidence
+    fails with the name of the violated check. Either way the section is
+    that of the first `level` levels as a tower, so an invalid prefix
+    raises TowerInvalidError.
     """
     if isinstance(evidence, CaseTwoEvidence):
-        return _split_case_two(t, evidence)
-    if isinstance(evidence, CaseOneEvidence):
-        return _split_case_one(t, evidence)
-    raise InputError("evidence must describe case 1 or case 2")
+        case, note = 2, _check_case_two(t, evidence)
+    elif isinstance(evidence, CaseOneEvidence):
+        case, note = 1, _check_case_one(t, evidence)
+    else:
+        raise InputError("evidence must describe case 1 or case 2")
+    return LimitSplitResult(case=case, level=evidence.level,
+                            section=tower_split(t.prefix(evidence.level)),
+                            notes=(note,))

@@ -1,35 +1,28 @@
-"""Reusable concrete inputs: split towers, glue data, limit evidence.
+"""Reusable concrete inputs: split towers, sigma models, limit evidence.
 
-Tests and scripts share these so the interesting objects (the order-6
-glued sequence, the doomed limit evidence, the invalid tower) are built
-in exactly one place.
+The CLI, the demos and the scripts share these so the interesting objects
+(the split towers, the honest and the doomed limit evidence) are built in
+exactly one place.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .arith import vp
 from .errors import InputError
-from .groups import FgAbGroup, Homomorphism, direct_sum, hom_from_images
+from .groups import FgAbGroup, Homomorphism, hom_from_images
 from .matrices import IntMatrix, block_diag
-from .sequences import ShortExactSequence, check_exact, split_sequence
-from .towers import CrtGlue, KummerTower, LevelMaps, SigmaModel, sigma_kummer_tower
+from .sequences import split_sequence
+from .towers import KummerTower, LevelMaps, SigmaModel
 
 if TYPE_CHECKING:  # the evidence builders import colimits when they run
     from .colimits import CaseOneEvidence, ColimitTower
 
 __all__ = [
     "split_tower",
-    "invalid_tower",
-    "default_sigma_models",
     "random_sigma_model",
-    "random_finite_group",
-    "random_subgroup_sequence",
-    "OrderSixFixture",
-    "order_six_glued",
     "divisible_case_one_evidence",
     "doomed_divisible_evidence",
     "doomed_bounded_evidence",
@@ -72,29 +65,6 @@ def split_tower(p: int, n: int, a_mode: str = "growing",
     return KummerTower(p, tuple(seqs), tuple(maps))
 
 
-def invalid_tower(p: int = 2) -> KummerTower:
-    """Two levels whose right-hand map is zero: breaks the inclusion axiom
-    (and nothing else, so validation reports exactly one violation)."""
-    base = split_tower(p, 2, a_mode="constant")
-    lo, hi = base.seqs
-    alpha = base.maps[0].alpha
-    gamma = Homomorphism(lo.C, hi.C, IntMatrix.zeros(1, 1))
-    beta = Homomorphism(lo.B, hi.B, block_diag(alpha.matrix, gamma.matrix))
-    return KummerTower(p, base.seqs,
-                       (LevelMaps(alpha=alpha, beta=beta, gamma=gamma),))
-
-
-def default_sigma_models() -> tuple[SigmaModel, ...]:
-    """Small mixed bag: finite kernel, divisible corank, both, identity."""
-    return (
-        SigmaModel(2, 1, IntMatrix.from_rows([[3]])),
-        SigmaModel(2, 2, IntMatrix.from_rows([[3, 0], [0, 1]])),
-        SigmaModel(3, 2, IntMatrix.from_rows([[1, 0], [0, 4]])),
-        SigmaModel(5, 2, IntMatrix.from_rows([[6, 5], [0, 1]])),
-        SigmaModel(2, 1, IntMatrix.from_rows([[1]])),
-    )
-
-
 def random_sigma_model(rng: random.Random, p: int,
                        max_rank: int = 3) -> SigmaModel:
     """Random sigma matrix with det prime to p, by rejection sampling."""
@@ -105,80 +75,6 @@ def random_sigma_model(rng: random.Random, p: int,
             return SigmaModel(p, r, mat)
         except InputError:
             continue
-
-
-def random_finite_group(rng: random.Random, max_order: int = 64) -> FgAbGroup:
-    """Finite group on one to three cyclic factors, with a non-diagonal
-    presentation of bounded order."""
-    orders = []
-    budget = max_order
-    for _ in range(rng.randint(1, 3)):
-        n = rng.choice([d for d in (2, 3, 4, 5, 8, 9) if d <= budget])
-        orders.append(n)
-        budget //= n
-        if budget < 2:
-            break
-    g = FgAbGroup.of_orders(*orders)
-    k = g.generator_count
-    # mix the presentation with a unimodular change of generators
-    mix = IntMatrix.identity(k)
-    for _ in range(3):
-        i, j = rng.randrange(k), rng.randrange(k)
-        if i == j:
-            continue
-        add = IntMatrix.identity(k).data
-        mix = mix @ IntMatrix(k, k, tuple(
-            rng.randint(-2, 2) if (a, b) == (i, j) else add[a * k + b]
-            for a in range(k) for b in range(k)))
-    return FgAbGroup(k, mix @ g.relations)
-
-
-def random_subgroup_sequence(rng: random.Random,
-                             max_order: int = 64) -> ShortExactSequence:
-    """Random short exact sequence: a generated subgroup and its quotient."""
-    from .groups import cokernel, subgroup_generated
-
-    b = random_finite_group(rng, max_order)
-    picks = [b.element(tuple(rng.randrange(8) for _ in
-                             range(b.generator_count)))
-             for _ in range(rng.randint(0, 2))]
-    sub, inc = subgroup_generated(b, picks)
-    quo, proj = cokernel(inc)
-    return check_exact(inc, proj)
-
-
-@dataclass(frozen=True)
-class OrderSixFixture:
-    """An order-6 sequence glued from its 2-part and 3-part towers."""
-
-    m: int
-    towers: dict[int, KummerTower]
-    glue: CrtGlue
-
-
-def order_six_glued() -> OrderSixFixture:
-    """Direct-sum glue of the p=2 and p=3 sigma towers at level 1.
-
-    C of the glued sequence is Z/2 + Z/3 = Z/6, small enough that sections
-    can be checked by full enumeration.
-    """
-    t2 = sigma_kummer_tower(SigmaModel(2, 2, IntMatrix.from_rows(
-        [[3, 0], [0, 1]])), 1)
-    t3 = sigma_kummer_tower(SigmaModel(3, 2, IntMatrix.from_rows(
-        [[4, 0], [0, 1]])), 1)
-    top2, top3 = t2.top, t3.top
-    ds_a = direct_sum(top2.A, top3.A)
-    ds_b = direct_sum(top2.B, top3.B)
-    ds_c = direct_sum(top2.C, top3.C)
-    f = Homomorphism(ds_a.group, ds_b.group,
-                     block_diag(top2.f.matrix, top3.f.matrix))
-    g = Homomorphism(ds_b.group, ds_c.group,
-                     block_diag(top2.g.matrix, top3.g.matrix))
-    glued = check_exact(f, g)
-    glue = CrtGlue(glued, (
-        (2, ds_a.injections[0], ds_b.injections[0], ds_c.injections[0]),
-        (3, ds_a.injections[1], ds_b.injections[1], ds_c.injections[1])))
-    return OrderSixFixture(m=6, towers={2: t2, 3: t3}, glue=glue)
 
 
 def divisible_case_one_evidence(t: ColimitTower, level: int,

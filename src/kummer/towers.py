@@ -85,15 +85,22 @@ def _check_chain(p: int, seqs: tuple, maps: tuple, upward: bool) -> None:
     for i, lm in enumerate(maps):
         lo, hi = seqs[i], seqs[i + 1]
         src, tgt = (lo, hi) if upward else (hi, lo)
-        for h, slot, s_grp, t_grp in (
-            (lm.alpha, "alpha", src.A, tgt.A),
-            (lm.beta, "beta", src.B, tgt.B),
-            (lm.gamma, "gamma", src.C, tgt.C),
-        ):
-            if h.source != s_grp or h.target != t_grp:
-                raise InputError(
-                    f"{slot} map between levels {i + 1} and {i + 2} has "
-                    "mismatched presentation")
+        _check_level_maps(lm, src, tgt, i + 1)
+
+
+def _check_level_maps(lm: LevelMaps, src: ShortExactSequence,
+                      tgt: ShortExactSequence, level: int) -> None:
+    """Raise unless each map of lm runs from its column of src to the same
+    column of tgt; level and level + 1 name the pair in the message."""
+    for h, slot, s_grp, t_grp in (
+        (lm.alpha, "alpha", src.A, tgt.A),
+        (lm.beta, "beta", src.B, tgt.B),
+        (lm.gamma, "gamma", src.C, tgt.C),
+    ):
+        if h.source != s_grp or h.target != t_grp:
+            raise InputError(
+                f"{slot} map between levels {level} and {level + 1} has "
+                "mismatched presentation")
 
 
 @dataclass(frozen=True)

@@ -58,11 +58,10 @@ from kummer.fixtures import (
     divisible_case_one_evidence,
     doomed_bounded_evidence,
     doomed_divisible_evidence,
-    order_six_glued,
     random_sigma_model,
-    random_subgroup_sequence,
     split_tower,
 )
+from builders import order_six_glued, random_subgroup_sequence
 from oracles import (
     brute_same_order_lift,
     congruence_section,

@@ -165,7 +165,7 @@ def test_case_one_limit_split_solves_no_congruence():
 def test_sequence_verbs_print_one_verified_section_on_random_pure_sequences():
     """On 12 seeded pure sequences with |C| <= 64, seq-check and seq-split
     print the same section, and it lifts every element of C."""
-    from kummer.fixtures import random_subgroup_sequence
+    from builders import random_subgroup_sequence
     from kummer.sequences import is_pure
     from oracles import verify_section_on_all
 
@@ -275,7 +275,7 @@ def test_generate_then_split_pipeline():
 
 
 def test_tower_validate_reports_violations(tmp_path):
-    from kummer.fixtures import invalid_tower
+    from builders import invalid_tower
 
     doc = jsonio.dumps(jsonio.document(jsonio.encode_tower(invalid_tower(2))))
     path = tmp_path / "tower.json"

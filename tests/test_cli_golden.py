@@ -17,12 +17,13 @@ import pytest
 from kummer import jsonio
 from kummer.cohomology import regular_extension_fixture, tate_model
 from kummer.errors import PurityError
-from kummer.fixtures import invalid_tower, split_tower
+from kummer.fixtures import split_tower
 from kummer.groups import FgAbGroup, Homomorphism
 from kummer.matrices import IntMatrix
 from kummer.sequences import check_exact, pure_witness
 from kummer.towers import dual_tower
 
+from builders import invalid_tower
 from oracles import brute_same_order_lift
 
 

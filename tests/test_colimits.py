@@ -6,7 +6,6 @@ import pytest
 from kummer.arith import vp
 from kummer.colimits import (
     _probe_height,
-    _split_pushout,
     CaseOneEvidence,
     CaseTwoEvidence,
     ColimitElement,
@@ -23,14 +22,13 @@ from kummer.colimits import (
 from kummer.errors import (
     EvidenceError,
     InputError,
-    PurityError,
     TowerInvalidError,
     UnsupportedError,
 )
 from kummer.groups import FgAbGroup, Homomorphism, hom_from_images
-from kummer.matrices import IntMatrix, vstack
+from kummer.matrices import IntMatrix
 from kummer.sequences import check_exact, section_exists
-from kummer.towers import LevelMaps, validate_tower
+from kummer.towers import LevelMaps, tower_split, validate_tower
 
 from kummer.fixtures import (
     divisible_case_one_evidence,
@@ -49,6 +47,26 @@ def test_connecting_maps_join_the_memoized_levels(family):
             assert h.source is getattr(lo, col) and h.target is getattr(hi, col)
 
 
+def test_step_rejects_maps_that_do_not_run_between_the_levels():
+    """A maps_fn whose alpha starts at level k+1 is refused by step(k), with
+    the slot and both levels named, so a case-1 split stops at the first
+    step it reads instead of running the evidence checks on the wrong map."""
+    base = divisible_tower(3)
+
+    def maps_fn(k, lo, hi):
+        return dataclasses.replace(
+            base.step(k), alpha=Homomorphism(hi.A, hi.A, IntMatrix.from_rows([[3]])))
+
+    t = ColimitTower(3, base.sequence, maps_fn)
+    message = "^alpha map between levels 1 and 2 has mismatched presentation$"
+    with pytest.raises(InputError, match=message) as err:
+        t.step(1)
+    assert not isinstance(err.value, EvidenceError)
+    with pytest.raises(InputError, match=message) as err:
+        direct_limit_split(t, divisible_case_one_evidence(t, 3))
+    assert not isinstance(err.value, EvidenceError)
+
+
 def test_stabilizing_tower_rejects_the_level_before_the_prime():
     with pytest.raises(InputError, match="stabilization level"):
         stabilizing_tower(4, 0)
@@ -56,17 +74,35 @@ def test_stabilizing_tower_rejects_the_level_before_the_prime():
         stabilizing_tower(4, 1)
 
 
-def test_case_two_rejects_an_invalid_prefix_as_tower_split_does():
-    # B = Z/9 at every level is not killed by p = 3 at level 1
+def constant_nine_tower():
+    """0 -> Z/9 -> Z/9 -> 0 -> 0 at every level, with identity maps: B_1 is
+    not killed by p = 3, so no prefix is a valid tower."""
     z9 = FgAbGroup.cyclic(9)
     seq = check_exact(Homomorphism.identity(z9), Homomorphism.zero(z9, FgAbGroup.trivial()))
 
     def maps_fn(k, lo, hi):
         return LevelMaps(*(Homomorphism.identity(g) for g in (lo.A, lo.B, lo.C)))
 
-    t = ColimitTower(3, lambda k: seq, maps_fn)
+    return ColimitTower(3, lambda k: seq, maps_fn)
+
+
+def test_case_two_rejects_an_invalid_prefix_as_tower_split_does():
+    t = constant_nine_tower()
     with pytest.raises(TowerInvalidError, match="tower violates the splitting hypotheses"):
         direct_limit_split(t, CaseTwoEvidence(level=1))
+
+
+def test_case_one_rejects_an_invalid_prefix_after_its_evidence_checks():
+    """A = Z/9 claimed bounded by itself passes V1-V5 at level 2; the split
+    of the prefix then refuses the tower."""
+    t = constant_nine_tower()
+    a = t.sequence(1).A
+    ev = CaseOneEvidence(
+        level=2, divisible_rank=0, precision=2, m_group=a,
+        pi_divisible=(Homomorphism.zero(a, FgAbGroup.trivial()),) * 2,
+        pi_bounded=(Homomorphism.identity(a),) * 2)
+    with pytest.raises(TowerInvalidError, match="tower violates the splitting hypotheses"):
+        direct_limit_split(t, ev)
 
 
 def test_counterexample_levels_have_the_stated_shape():
@@ -228,10 +264,10 @@ def test_case_one_split_on_the_divisible_family():
         ev = divisible_case_one_evidence(t, 3)
         res = direct_limit_split(t, ev)
         assert res.case == 1
-        assert res.divisible_section is not None
         seq = t.sequence(res.level)
         assert verify_section_on_all(seq, res.section)
-        assert any("divisible" in note for note in res.notes)
+        assert res.notes == ("divisible part handled at precision p^5, bounded "
+                             "part of exponent p^0 split by purity",)
 
 
 def test_counterexample_defeats_both_splitting_routes():
@@ -298,61 +334,27 @@ def bounded_part_evidence(t, level, j):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_case_one_section_glues_the_two_pushout_sections(p):
-    """The limit section s is the one map C -> B with q_div∘s and q_bnd∘s the
-    sections of the divisible and bounded pushouts, where q: B -> pushout is
-    the second summand of its presentation on (Q, B). Covered at levels
-    1-3: the divisible family with M = 0 and with M = Z/p^j for every j up
-    to the level, and the twisted family with M = 0, with the divisible
-    projections as given and negated. Negated, at levels 2 and 3, the glued
-    section differs from the top level's own lift-loop section."""
-    cases = []
-    for level in (1, 2, 3):
+def test_case_one_section_is_the_section_of_the_prefix_tower(p):
+    """Case 1 only checks the evidence: its section is tower_split of the
+    first `level` levels, and g∘s = id on every element of C. Covered at
+    levels 1-4: the divisible family with M = 0 and with M = Z/p^j for every
+    j up to the level, and the twisted family with M = 0 (the divisible
+    projections as given and negated) and with every such M. Each of the
+    twisted evidences with j < level was once refused: gluing the one
+    section that each pushout's lift loop picked found no map C -> B."""
+    for level in (1, 2, 3, 4):
         t, twisted = divisible_tower(p), twisted_divisible_tower(p)
         honest = divisible_case_one_evidence(twisted, level)
         negated = dataclasses.replace(honest, pi_divisible=tuple(
             Homomorphism(h.source, h.target, h.matrix.scaled(-1)) for h in honest.pi_divisible))
-        cases += [(t, divisible_case_one_evidence(t, level)),
-                  (twisted, honest), (twisted, negated)]
-        cases += [(t, bounded_part_evidence(t, level, j)) for j in range(1, level + 1)]
-    for t, ev in cases:
-        res = direct_limit_split(t, ev)
-        top = t.sequence(ev.level)
-        gb = top.B.generator_count
-        for part in (res.divisible_section, res.bounded_section):
-            gq = part.seq.B.generator_count - gb
-            q = Homomorphism(top.B, part.seq.B,
-                             vstack(IntMatrix.zeros(gq, gb), IntMatrix.identity(gb)))
-            assert (q @ res.section.s).same_map(part.s)
-        assert verify_section_on_all(top, res.section)
-
-
-@pytest.mark.parametrize("check", ["extension", "bounded-split"])
-def test_a_pushout_without_section_is_refused_with_its_check_name(check):
-    """Through direct_limit_split neither pushout check can fail: the
-    evidence checks make B_L killed by p^L and the precision at least L, so
-    the divisible projection extends into (Z/p^prec)^d, and the top of a
-    valid tower splits, so both of its pushouts do. The helper is therefore
-    driven directly, with 0 -> Z/2 -> Z/4 -> Z/2 -> 0 pushed out along the
-    identity, which does not split."""
-    z2, z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
-    seq = check_exact(Homomorphism(z2, z4, IntMatrix.from_rows([[2]])),
-                      Homomorphism(z4, z2, IntMatrix.from_rows([[1]])))
-    with pytest.raises(EvidenceError, match="^no section here$") as err:
-        _split_pushout(seq, Homomorphism.identity(z2), check, "no section here")
-    assert err.value.check == check
-    assert isinstance(err.value.__cause__, PurityError)
-
-
-def test_pushout_sections_that_do_not_glue_fail_the_combine_check():
-    """On the twisted family with M = Z/2 at level 2, the sections that the
-    lift loop picks for the two pushouts are not q_div∘s and q_bnd∘s for one
-    map s: C -> B, so factor_through finds no glued section."""
-    t = twisted_divisible_tower(2)
-    with pytest.raises(EvidenceError, match="do not glue") as err:
-        direct_limit_split(t, bounded_part_evidence(t, 2, 1))
-    assert err.value.check == "combine"
-    assert isinstance(err.value.__cause__, InputError)
+        cases = [(t, divisible_case_one_evidence(t, level)), (twisted, honest), (twisted, negated)]
+        cases += [(tower, bounded_part_evidence(tower, level, j))
+                  for tower in (t, twisted) for j in range(1, level + 1)]
+        for tower, ev in cases:
+            res = direct_limit_split(tower, ev)
+            assert (res.case, res.level) == (1, level)
+            assert res.section.s.matrix == tower_split(tower.prefix(level)).s.matrix
+            assert verify_section_on_all(tower.sequence(level), res.section)
 
 
 def test_prefix_is_cached_and_consistent():

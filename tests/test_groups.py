@@ -38,10 +38,10 @@ from kummer.matrices import (
     preimage_lattice,
 )
 
-from kummer.fixtures import random_finite_group
 from kummer.sequences import check_exact
 
 import oracles
+from builders import random_finite_group
 from oracles import elements, snf_solve
 
 orders_lists = st.lists(st.sampled_from([2, 3, 4, 5, 8, 9, 12]),

@@ -40,7 +40,7 @@ from kummer.sequences import (
     split_sequence,
 )
 
-from kummer.fixtures import random_finite_group, random_subgroup_sequence
+from builders import random_finite_group, random_subgroup_sequence
 from oracles import (
     brute_same_order_lift,
     congruence_section,

@@ -17,13 +17,8 @@ from kummer.towers import (
     validate_tower,
 )
 
-from kummer.fixtures import (
-    default_sigma_models,
-    invalid_tower,
-    order_six_glued,
-    random_sigma_model,
-    split_tower,
-)
+from kummer.fixtures import random_sigma_model, split_tower
+from builders import default_sigma_models, invalid_tower, order_six_glued
 import oracles
 from oracles import elements, verify_section_on_all
 
