@@ -22,12 +22,14 @@ from .matrices import (
     IntMatrix,
     MatrixEquationSystem,
     SmithDecomposition,
+    _diagonal_of,
+    _smith_form,
     _tracked_elimination,
     block_diag,
     hermite_column_form,
     hstack,
     int_tuple,
-    smith_normal_form,
+    smith_normal_form,  # noqa: F401  (perfbench's tracer test reads it here)
     solve_integer_columns,
     solve_modular_columns,
 )
@@ -64,6 +66,10 @@ INFINITE = math.inf
 # long as some group holds it.
 _SNF: weakref.WeakValueDictionary[IntMatrix, SmithDecomposition] = weakref.WeakValueDictionary()
 _HERMITE: weakref.WeakValueDictionary[IntMatrix, HermiteColumnForm] = weakref.WeakValueDictionary()
+# The elimination of every live map, by matrix and target relations, so that
+# equal maps built separately share one, and one kernel form.
+_ELIMINATIONS: weakref.WeakValueDictionary[tuple[IntMatrix, IntMatrix], "_Elimination"] = (
+    weakref.WeakValueDictionary())
 
 
 @dataclass(frozen=True)
@@ -114,9 +120,11 @@ class FgAbGroup:
 
     @cached_property
     def snf(self) -> SmithDecomposition:
+        """Smith form of the relations with U, S and U_inv only, the parts a
+        group reads (``matrices._smith_form``): V and V_inv are None."""
         dec = _SNF.get(self.relations)
         if dec is None:
-            dec = _SNF[self.relations] = smith_normal_form(self.relations)
+            dec = _SNF[self.relations] = _smith_form(self.relations, columns=False)
         return dec
 
     @cached_property
@@ -125,6 +133,13 @@ class FgAbGroup:
         if form is None:
             form = _HERMITE[self.relations] = hermite_column_form(self.relations)
         return form
+
+    @cached_property
+    def _moduli(self) -> Optional[tuple[int, ...]]:
+        """d_i for each generator i if the relations are diagonal (relator i
+        is d_i times generator i; d_i = 0 past the relators), else None."""
+        diag = _diagonal_of(self.relations)
+        return None if diag is None else diag + (0,) * (self.generator_count - len(diag))
 
     def _full_diagonal(self) -> tuple[int, ...]:
         """SNF diagonal padded with zeros up to generator_count."""
@@ -246,6 +261,17 @@ class FgAbGroup:
         return f"FgAbGroup<{name}>"
 
 
+def _first_outside(moduli: tuple[int, ...], mat: IntMatrix, scales: Sequence[int]
+                   ) -> Optional[int]:
+    """The first j for which scales[j] times column j of mat leaves the
+    lattice spanned by the moduli[i] e_i, or None: entry i must be a multiple
+    of moduli[i], and zero where that is 0. Columns scaled by 0 stay in."""
+    for j, d in enumerate(scales):
+        if d and any(x * d % c if c else x for x, c in zip(mat.col(j), moduli)):
+            return j
+    return None
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Element of an FgAbGroup in canonical reduced coordinates."""
@@ -316,27 +342,35 @@ class Homomorphism:
                 f"matrix is {self.matrix.rows}x{self.matrix.cols}, expected "
                 f"{self.target.generator_count}x{self.source.generator_count}"
             )
-        j = self.target.hermite.outside(self.matrix @ self.source.relations)
+        src, tgt = self.source._moduli, self.target._moduli
+        if src is None or tgt is None:
+            j = self.target.hermite.outside(self.matrix @ self.source.relations)
+        else:  # relator j is src[j] e_j, so it maps to src[j] times column j
+            j = _first_outside(tgt, self.matrix, src)
         if j is not None:
             raise InputError(
                 f"not a homomorphism: relator {j} maps to a nonzero element "
                 "of the target")
 
     @cached_property
-    def _elimination(self) -> tuple[HermiteColumnForm, IntMatrix, list[list[int]]]:
-        """The image lattice, raw kernel generators and the transform rows
-        that solve into the image (``_tracked_elimination``), computed once."""
-        return _tracked_elimination(self.matrix, self.target.relations)
+    def _elimination(self) -> "_Elimination":
+        """The elimination of [matrix | target relations], shared by every
+        live map with the same two matrices."""
+        key = (self.matrix, self.target.relations)
+        elim = _ELIMINATIONS.get(key)
+        if elim is None:
+            elim = _ELIMINATIONS[key] = _Elimination(*key)
+        return elim
 
     @property
     def image_form(self) -> HermiteColumnForm:
         """Hermite form of the image lattice, ``target.span(matrix)``."""
-        return self._elimination[0]
+        return self._elimination.image_form
 
-    @cached_property
+    @property
     def kernel_form(self) -> HermiteColumnForm:
         """The kernel lattice, ``preimage_lattice(matrix, target.relations)``."""
-        return hermite_column_form(self._elimination[1])
+        return self._elimination.kernel_form
 
     @classmethod
     def identity(cls, g: FgAbGroup) -> "Homomorphism":
@@ -366,6 +400,19 @@ class Homomorphism:
 
     def is_identity(self) -> bool:
         return self.source == self.target and self.target._disagreement(self.matrix) is None
+
+
+class _Elimination:
+    """``_tracked_elimination`` of a map's matrix and its target relations:
+    the image lattice, raw kernel generators and the transform rows that
+    solve into the image; and the kernel lattice, computed once."""
+
+    def __init__(self, mat: IntMatrix, target_relations: IntMatrix):
+        self.image_form, self.kernel_gens, self.top = _tracked_elimination(mat, target_relations)
+
+    @cached_property
+    def kernel_form(self) -> HermiteColumnForm:
+        return hermite_column_form(self.kernel_gens)
 
 
 def hom_from_images(source: FgAbGroup, target: FgAbGroup,
@@ -466,7 +513,7 @@ def kernel_witness(h: Homomorphism) -> Optional[GroupElement]:
     """A nonzero element of the kernel of h, or None if h is injective: the
     first Hermite basis column of the kernel lattice that is nonzero in the
     source. The raw kernel generators decide whether there is one."""
-    if h.source.hermite.outside(h._elimination[1]) is None:
+    if h.source.hermite.outside(h._elimination.kernel_gens) is None:
         return None
     basis = h.kernel_form.matrix
     return h.source.element(basis.col(h.source.hermite.outside(basis)))

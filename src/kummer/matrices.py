@@ -238,14 +238,16 @@ class SmithDecomposition:
     S a divisibility chain.
 
     U_inv and V_inv are the exact inverses, accumulated during elimination;
-    they make changes of generators invertible without extra solving.
+    they make changes of generators invertible without extra solving. A
+    group's Smith form (``FgAbGroup.snf``) reads only U, S and U_inv, so it
+    has no V and no V_inv (both None).
     """
 
     U: IntMatrix
     S: IntMatrix
-    V: IntMatrix
+    V: Optional[IntMatrix]
     U_inv: IntMatrix
-    V_inv: IntMatrix
+    V_inv: Optional[IntMatrix]
 
     @cached_property
     def diagonal(self) -> tuple[int, ...]:
@@ -392,13 +394,25 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
     zeros trail. An input already in that form makes no step of the
     passes, so it is returned with identity transforms without them.
     """
+    return _smith_form(mat, columns=True)
+
+
+def _smith_form(mat: IntMatrix, columns: bool) -> SmithDecomposition:
+    """``smith_normal_form(mat)``; without ``columns``, V = V_inv = None.
+
+    Then the column passes run untracked. Each one yields the row Hermite
+    form of a^T, which is unique (Cohen, GTM 138, §2.4), so the next row
+    pass, and with it U, S and U_inv, is the same bit for bit."""
     r, c = mat.rows, mat.cols
     diag = _diagonal_of(mat)
     if diag is not None and _is_smith_chain(diag):
-        u, v = IntMatrix.identity(r), IntMatrix.identity(c)
+        u, v = IntMatrix.identity(r), (IntMatrix.identity(c) if columns else None)
         return SmithDecomposition(U=u, S=mat, V=v, U_inv=u, V_inv=v)
     a = [list(mat.row(i)) + e for i, e in enumerate(_identity_rows(r))]
-    u_inv_t, v_t, v_inv = _identity_rows(r), _identity_rows(c), _identity_rows(c)
+    u_inv_t = _identity_rows(r)
+    # untracked, V^T has empty rows, so the column pass sees rows of width r
+    # and reduces in batches
+    v_t, v_inv = (_identity_rows(c), _identity_rows(c)) if columns else ([[]] * c, None)
     while True:
         _hermite_pass(a, c, u_inv_t)
         a, u = [row[:c] for row in a], [row[c:] for row in a]
@@ -422,16 +436,17 @@ def smith_normal_form(mat: IntMatrix) -> SmithDecomposition:
             g, x, y = _ext_gcd(di, dj)
             a[i][i], a[j][j] = g, di // g * dj
             _combine(i, j, x, y, -dj // g, di // g, u, u_inv_t)
-            # V2 == [[1, -y*dj/g], [1, x*di/g]] acts on columns: its
-            # transpose acts on the rows of V^T
-            _combine(i, j, 1, 1, -y * dj // g, x * di // g, v_t, v_inv)
+            if columns:
+                # V2 == [[1, -y*dj/g], [1, x*di/g]] acts on columns: its
+                # transpose acts on the rows of V^T
+                _combine(i, j, 1, 1, -y * dj // g, x * di // g, v_t, v_inv)
 
     return SmithDecomposition(
         U=IntMatrix(r, r, tuple(x for row in u for x in row)),
         S=IntMatrix(r, c, tuple(x for row in a for x in row)),
-        V=IntMatrix(c, c, tuple(x for col in zip(*v_t) for x in col)),
+        V=IntMatrix(c, c, tuple(x for col in zip(*v_t) for x in col)) if columns else None,
         U_inv=IntMatrix(r, r, tuple(x for col in zip(*u_inv_t) for x in col)),
-        V_inv=IntMatrix(c, c, tuple(x for row in v_inv for x in row)),
+        V_inv=IntMatrix(c, c, tuple(x for row in v_inv for x in row)) if columns else None,
     )
 
 
@@ -500,7 +515,7 @@ def hermite_column_form(mat: IntMatrix) -> HermiteColumnForm:
     if diag is not None and min(diag, default=0) >= 0:
         piv = [i for i, d in enumerate(diag) if d]
         return _column_form(mat.rows, [mat.col(i) for i in piv], piv)
-    return _column_pass(mat, track=False)[0]
+    return _column_pass(mat, track=0)[0]
 
 
 def _column_form(rows: int, cols: list, piv: list[int]) -> HermiteColumnForm:
@@ -509,17 +524,20 @@ def _column_form(rows: int, cols: list, piv: list[int]) -> HermiteColumnForm:
                              pivots=tuple((row, j) for j, row in enumerate(piv)))
 
 
-def _column_pass(mat: IntMatrix, track: bool) -> tuple[HermiteColumnForm, list[list[int]]]:
+def _column_pass(mat: IntMatrix, track: int) -> tuple[HermiteColumnForm, list[list[int]]]:
     """The row pass on the columns of mat: the Hermite form H of their
-    lattice and, with ``track``, the rows of the transform T of an identity
-    companion, each carried in the row of its column ([cols | T]). Row s of
-    T combines the columns of mat into column s of H for s below the rank,
-    and into zero past it."""
+    lattice and, if ``track`` is positive, the rows of the transform T of an
+    identity companion, each carried in the row of its column ([cols | T]).
+    Row s of T combines the columns of mat into column s of H for s below
+    the rank, and into zero past it. Only the first ``track`` columns of T
+    are carried (none: every row empty); row steps act entry by entry, so
+    those are the entries of the full transform."""
     w = mat.rows
     if not track:
         rows = [list(mat.col(j)) for j in range(mat.cols)]
-        return _column_form(w, rows, _hermite_pass(rows, w)), []
-    rows = [[*mat.col(j), *e] for j, e in enumerate(_identity_rows(mat.cols))]
+        return _column_form(w, rows, _hermite_pass(rows, w)), [[]] * mat.cols
+    companion = _identity_rows(track) + [[0] * track] * (mat.cols - track)
+    rows = [[*mat.col(j), *e] for j, e in enumerate(companion)]
     piv = _hermite_pass(rows, w)
     return _column_form(w, [row[:w] for row in rows[:len(piv)]], piv), [row[w:] for row in rows]
 
@@ -528,7 +546,7 @@ def kernel_lattice(mat: IntMatrix) -> IntMatrix:
     """Basis (as columns) of the integer kernel {x : mat @ x = 0}: the rows
     of the column pass's transform T past the rank, whose combinations of
     the columns of mat vanish."""
-    form, t = _column_pass(mat, track=True)
+    form, t = _column_pass(mat, track=mat.cols)
     return IntMatrix.from_columns(mat.cols, t[len(form.pivots):])
 
 
@@ -544,16 +562,17 @@ def _tracked_elimination(mat: IntMatrix, target_relations: IntMatrix
                          ) -> tuple[HermiteColumnForm, IntMatrix, list[list[int]]]:
     """``image_and_kernel``, and the rows of T below the rank cut to mat's
     columns: y_s times row s, summed, solves mat @ x = b modulo the
-    relations for y the coordinates of b in the image (Cohen, §2.4). A map
-    into the trivial group (no rows) has image 0 and kernel everything, so
-    its pass, which would make no step, is written down in closed form."""
+    relations for y the coordinates of b in the image (Cohen, §2.4). The
+    pass carries T only on mat's columns. A map into the trivial group (no
+    rows) has image 0 and kernel everything, so its pass, which would make
+    no step, is written down in closed form."""
     if mat.rows == target_relations.rows == 0:
         n = mat.cols
         return (_column_form(0, [], []),
                 hstack(IntMatrix.identity(n), IntMatrix.zeros(n, target_relations.cols)), [])
-    form, t = _column_pass(hstack(mat, target_relations), track=True)
-    top, rank = [row[:mat.cols] for row in t], len(form.pivots)
-    return form, IntMatrix.from_columns(mat.cols, top[rank:]), top[:rank]
+    form, t = _column_pass(hstack(mat, target_relations), track=mat.cols)
+    rank = len(form.pivots)
+    return form, IntMatrix.from_columns(mat.cols, t[rank:]), t[:rank]
 
 
 def preimage_lattice(mat: IntMatrix, target_relations: IntMatrix
@@ -584,7 +603,7 @@ def solve_integer_columns(mat: IntMatrix, rhss: Sequence[Sequence[int]]
     """
     if any(len(rhs) != mat.rows for rhs in rhss):
         raise InputError("right-hand side length does not match row count")
-    form, t = _column_pass(mat, track=True)
+    form, t = _column_pass(mat, track=mat.cols)
     ys = [form.coordinates(rhs) for rhs in rhss]
     return [None if y is None else
             tuple(sum(yi * ti[j] for yi, ti in zip(y, t)) for j in range(mat.cols)) for y in ys]

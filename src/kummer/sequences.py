@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, singledispatch
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .arith import divisors, factorint, vp
 from .errors import InputError, NotExactError, PurityError, UnsupportedError
@@ -26,6 +25,9 @@ from .groups import (
     kernel_witness,
 )
 from .matrices import IntMatrix
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ShortExactSequence",
@@ -86,9 +88,9 @@ class ShortExactSequence:
         if self.C.is_finite:
             b0s = self.C.solve_columns(self.g.matrix, [c.coords for c in cs])
         else:  # the exact solve reads the pass of [g | R_C] that checked g
-            form, _, top = self.g._elimination
-            lift = IntMatrix.from_columns(self.B.generator_count, top)
-            b0s = [lift.apply(form.coordinates(c.coords)) for c in cs]
+            elim = self.g._elimination
+            lift = IntMatrix.from_columns(self.B.generator_count, elim.top)
+            b0s = [lift.apply(elim.image_form.coordinates(c.coords)) for c in cs]
         try:
             lifts = [_same_order_lift(self, c, b0) for c, b0 in zip(cs, b0s)]
         except PurityError as exc:
@@ -333,6 +335,9 @@ def _(h: Homomorphism) -> Homomorphism:
 
 def character_pairing(chi: GroupElement, x: GroupElement) -> Fraction:
     """Value in Q/Z of a character against a group element, in [0, 1)."""
+    # imported here: fractions loads numbers and decimal, which no verb needs
+    from fractions import Fraction
+
     dual = chi.group
     g = x.group
     if dual != pontryagin_dual(g):

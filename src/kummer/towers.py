@@ -32,10 +32,10 @@ from .matrices import (
     HermiteColumnForm,
     IntMatrix,
     SmithDecomposition,
+    _smith_form,
     block_diag,
     hstack,
     preimage_lattice,
-    smith_normal_form,
     solve_modular_columns,
 )
 from .sequences import (
@@ -354,7 +354,9 @@ class SigmaModel:
 
     @cached_property
     def difference_smith(self) -> SmithDecomposition:
-        return smith_normal_form(self.M - IntMatrix.identity(self.r))
+        """U, S and U_inv of the Smith form of D, the parts a tower reads
+        (``matrices._smith_form``): V and V_inv are None."""
+        return _smith_form(self.M - IntMatrix.identity(self.r), columns=False)
 
     @property
     def corank(self) -> int:

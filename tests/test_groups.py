@@ -104,6 +104,88 @@ def test_equal_groups_share_one_smith_and_hermite_form():
     assert set(groups._SNF) <= before[0] and set(groups._HERMITE) <= before[1]
 
 
+def test_equal_maps_share_one_elimination_while_one_is_alive():
+    def build():  # a fresh copy of every object, down to the matrices
+        src = FgAbGroup(2, IntMatrix.from_rows([[7919, 0], [0, 0]]))
+        tgt = FgAbGroup(2, IntMatrix.from_rows([[3, 1], [0, 7919]]))
+        return Homomorphism(src, tgt, IntMatrix.from_rows([[3, 5], [0, 1]]))
+
+    one, two = build(), build()
+    key = (one.matrix, one.target.relations)
+    assert one.matrix is not two.matrix and key not in groups._ELIMINATIONS
+    assert one._elimination is two._elimination
+    assert one.kernel_form is two.kernel_form and one.image_form is two.image_form
+    other = Homomorphism(one.source, one.target, IntMatrix.from_rows([[3, 5], [0, 2]]))
+    assert other._elimination is not one._elimination
+    del one, other
+    gc.collect()
+    assert key in groups._ELIMINATIONS
+    del two
+    gc.collect()
+    assert key not in groups._ELIMINATIONS
+
+
+def _diagonal_group(rng: random.Random) -> FgAbGroup:
+    """A diagonal presentation: zero, negative and unit entries, and more or
+    fewer relation columns than generators."""
+    g, k = rng.randint(0, 4), rng.randint(0, 5)
+    diag = [rng.choice([0, 1, -1, 2, -2, 3, 4, -6, 8, 12]) for _ in range(min(g, k))]
+    return FgAbGroup(g, IntMatrix.diagonal(diag, rows=g, cols=k))
+
+
+def _some_matrix(rng: random.Random, rows: int, cols: int) -> IntMatrix:
+    bound = rng.choice([1, 3, 25])
+    return IntMatrix(rows, cols, tuple(rng.choice([0, rng.randint(-bound, bound)])
+                                       for _ in range(rows * cols)))
+
+
+diagonal_groups = st.tuples(st.integers(0, 4), st.integers(0, 5)).flatmap(
+    lambda gk: st.lists(st.sampled_from([0, 1, -1, 2, -2, 3, 4, -6, 8, 12]),
+                        min_size=min(gk), max_size=min(gk)).map(
+        lambda diag: FgAbGroup(gk[0], IntMatrix.diagonal(diag, rows=gk[0], cols=gk[1]))))
+
+
+def _assert_divisibility_is_the_hermite_test(src, tgt, mat):
+    j = tgt.hermite.outside(mat @ src.relations)
+    if j is None:
+        Homomorphism(src, tgt, mat)
+    else:
+        with pytest.raises(InputError) as err:
+            Homomorphism(src, tgt, mat)
+        assert str(err.value) == (f"not a homomorphism: relator {j} maps to a "
+                                  "nonzero element of the target")
+    return j is not None
+
+
+@settings(max_examples=150)
+@given(diagonal_groups, diagonal_groups, st.data())
+def test_diagonal_maps_are_checked_by_divisibility(src, tgt, data):
+    """Between diagonal presentations, well-definedness is decided without
+    the product matrix: the same verdict, first failing relator and message
+    as the Hermite test of matrix @ source.relations."""
+    mat = _draw_matrix(data, tgt.generator_count, src.generator_count)
+    _assert_divisibility_is_the_hermite_test(src, tgt, mat)
+
+
+def test_diagonal_maps_are_checked_by_divisibility_on_seeded_cases():
+    rng = random.Random(2028)
+    refused = 0
+    for _ in range(10000):
+        src, tgt = _diagonal_group(rng), _diagonal_group(rng)
+        assert src._moduli is not None and tgt._moduli is not None
+        mat = _some_matrix(rng, tgt.generator_count, src.generator_count)
+        refused += _assert_divisibility_is_the_hermite_test(src, tgt, mat)
+    assert 1000 < refused < 9000
+
+
+def test_a_presentation_off_the_diagonal_has_no_moduli():
+    assert FgAbGroup(2, IntMatrix.from_rows([[2, 1], [0, 2]]))._moduli is None
+    assert FgAbGroup(2, IntMatrix.from_rows([[0, 2], [0, 0]]))._moduli is None
+    assert FgAbGroup(3, IntMatrix.diagonal([4, -2], rows=3, cols=2))._moduli == (4, -2, 0)
+    assert FgAbGroup(1, IntMatrix.from_rows([[3, 0, 0]]))._moduli == (3,)
+    assert FgAbGroup.free(2)._moduli == (0, 0) and FgAbGroup.trivial()._moduli == ()
+
+
 def test_hom_well_definedness_guard():
     src = FgAbGroup.cyclic(2)
     tgt = FgAbGroup.cyclic(3)

@@ -21,14 +21,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CONSTRUCTIONS = {"towers", "colimits", "cohomology", "demos", "fixtures"}
 
 
-def loaded_layers(argv: list[str], stdin: str = "") -> set[str]:
+def loaded_modules(argv: list[str], stdin: str = "") -> tuple[set[str], int]:
+    """Every module the child imported, and its exit code."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], input=stdin,
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stdout
     names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
              if line.startswith("import time:")}
-    assert "kummer" in names
+    assert "kummer" in names, proc.stderr
+    return names, proc.returncode
+
+
+def loaded_layers(argv: list[str], stdin: str = "") -> set[str]:
+    names, code = loaded_modules(argv, stdin)
+    assert code == 0
     return {name.split(".", 1)[1] for name in names if name.startswith("kummer.")}
 
 
@@ -65,6 +71,27 @@ def test_a_verb_loads_only_its_layers(verb):
     layers = loaded_layers(["-m", "kummer", *verb.split()], doc)
     assert {"cli", "jsonio"} | runs <= layers
     assert layers & unused == set()
+
+
+def _golden_case_per_verb() -> dict[str, tuple[list[str], str]]:
+    from test_cli_golden import CASES
+
+    cases: dict[str, tuple[list[str], str]] = {}
+    for _, (argv, stdin) in sorted(CASES.items()):
+        cases.setdefault(" ".join(argv[:2] if argv[0] == "demo" else argv[:1]), (argv, stdin()))
+    return cases
+
+
+GOLDEN_VERBS = _golden_case_per_verb()
+
+
+@pytest.mark.parametrize("verb", sorted(GOLDEN_VERBS))
+def test_no_verb_loads_fractions_or_decimal(verb):
+    """fractions imports numbers and decimal; only the library function
+    ``character_pairing`` needs it, and no verb calls that."""
+    argv, stdin = GOLDEN_VERBS[verb]
+    names, _ = loaded_modules(["-m", "kummer", *argv], stdin)
+    assert names & {"fractions", "decimal", "numbers"} == set()
 
 
 def test_the_parser_lists_every_demo():

@@ -9,7 +9,10 @@ from kummer.groups import FgAbGroup
 from kummer.matrices import (
     IntMatrix,
     MatrixEquationSystem,
+    _column_pass,
     _hermite_pass,
+    _smith_form,
+    _tracked_elimination,
     hermite_column_form,
     hstack,
     image_and_kernel,
@@ -309,6 +312,77 @@ def test_eliminations_equal_the_reference_step_for_step():
                 == reference_solve_modular_columns(both, rhss, m)
 
 
+@st.composite
+def relation_matrices(draw):
+    """0-6 rows, 0-7 columns: random entries (negative ones too), products of
+    lower rank, and diagonal inputs with zero, negative and unit entries."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["random", "product", "diagonal"]))
+    if kind == "diagonal":
+        diag = draw(st.lists(st.sampled_from([0, 1, -1, 2, -3, 4, 6, 12, 36]),
+                             min_size=min(rows, cols), max_size=min(rows, cols)))
+        return IntMatrix.diagonal(diag, rows=rows, cols=cols)
+    if kind == "product" and rows and cols:
+        inner = draw(st.integers(0, min(rows, cols) - 1))
+        left = draw(st.lists(st.integers(-6, 6), min_size=rows * inner, max_size=rows * inner))
+        right = draw(st.lists(st.integers(-6, 6), min_size=inner * cols, max_size=inner * cols))
+        return IntMatrix(rows, inner, tuple(left)) @ IntMatrix(inner, cols, tuple(right))
+    return IntMatrix(rows, cols, tuple(draw(st.lists(
+        st.integers(-30, 30), min_size=rows * cols, max_size=rows * cols))))
+
+
+def _assert_group_smith_form_agrees(mat):
+    full, rows = smith_normal_form(mat), _smith_form(mat, columns=False)
+    assert (rows.U, rows.S, rows.U_inv) == (full.U, full.S, full.U_inv), mat
+    assert rows.V is None and rows.V_inv is None
+    assert FgAbGroup(mat.rows, mat).snf == rows
+
+
+@settings(max_examples=300)
+@given(relation_matrices())
+def test_a_group_smith_form_is_the_smith_form_without_v(mat):
+    """The untracked column passes of ``_smith_form`` leave U, S and U_inv
+    those of ``smith_normal_form``: the Hermite form of a^T is unique."""
+    _assert_group_smith_form_agrees(mat)
+
+
+def test_a_group_smith_form_is_the_smith_form_without_v_on_seeded_shapes():
+    rng = random.Random(28)
+    for mat, _, _ in _seeded_shapes(random.Random(24)):
+        _assert_group_smith_form_agrees(mat)
+    for _ in range(2000):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        bound = rng.choice([1, 3, 40, 10 ** 6])
+        _assert_group_smith_form_agrees(IntMatrix(rows, cols, tuple(
+            rng.randint(-bound, bound) for _ in range(rows * cols))))
+
+
+def _assert_trimmed_pass_is_the_full_pass_cut(mat, relations):
+    both = hstack(mat, relations)
+    form, t = _column_pass(both, track=mat.cols)
+    full_form, full_t = _column_pass(both, track=both.cols)
+    cut = [row[:mat.cols] for row in full_t]
+    assert (form, t) == (full_form, cut)
+    rank = len(form.pivots)
+    assert _tracked_elimination(mat, relations) == (
+        form, IntMatrix.from_columns(mat.cols, cut[rank:]), cut[:rank])
+
+
+@settings(max_examples=200)
+@given(relation_matrices(), st.integers(0, 4), st.data())
+def test_a_trimmed_elimination_is_the_full_pass_cut_to_the_map_columns(mat, extra, data):
+    """T carried only on mat's columns is the full transform cut to them, so
+    image, kernel generators and lift rows are unchanged."""
+    relations = IntMatrix(mat.rows, extra, tuple(data.draw(st.lists(
+        st.integers(-12, 12), min_size=mat.rows * extra, max_size=mat.rows * extra))))
+    _assert_trimmed_pass_is_the_full_pass_cut(mat, relations)
+
+
+def test_a_trimmed_elimination_is_the_full_pass_cut_on_seeded_shapes():
+    for mat, relations, _ in _seeded_shapes(random.Random(25)):
+        _assert_trimmed_pass_is_the_full_pass_cut(mat, relations)
+
+
 def test_diagonal_inputs_off_the_pass_through_still_eliminate():
     # a broken chain, a negative entry and a nonzero off the diagonal
     assert smith_normal_form(IntMatrix.diagonal([2, 3])).diagonal == (1, 6)
@@ -457,7 +531,7 @@ def test_a_map_into_the_trivial_group_is_eliminated_in_closed_form():
     for c in range(7):
         for k in range(4):
             mat, rel = IntMatrix.zeros(0, c), IntMatrix.zeros(0, k)
-            form, t = matrices._column_pass(hstack(mat, rel), track=True)
+            form, t = matrices._column_pass(hstack(mat, rel), track=c + k)
             top, rank = [row[:c] for row in t], len(form.pivots)
             assert matrices._tracked_elimination(mat, rel) == (
                 form, IntMatrix.from_columns(c, top[rank:]), top[:rank])

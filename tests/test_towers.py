@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from kummer.errors import GlueError, InputError, TowerInvalidError
 from kummer.groups import FgAbGroup, Homomorphism
-from kummer.matrices import IntMatrix, block_diag
+from kummer.matrices import IntMatrix, block_diag, smith_normal_form
 from kummer.sequences import check_exact, pontryagin_dual, split_sequence
 from kummer.towers import (
     CrtGlue,
@@ -33,6 +35,17 @@ def test_sigma_model_reads_smith_data():
     assert ident.valuations == ()
     # det 1, though no row or column is a unit vector
     assert SigmaModel(3, 2, IntMatrix.from_rows([[2, 1], [1, 1]])).corank == 0
+
+
+def test_sigma_model_smith_data_is_the_smith_form_of_m_minus_one():
+    rng = random.Random(356)
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            model = random_sigma_model(rng, p, max_rank=5)
+            dec = model.difference_smith
+            full = smith_normal_form(model.M - IntMatrix.identity(model.r))
+            assert (dec.U, dec.S, dec.U_inv) == (full.U, full.S, full.U_inv)
+            assert dec.V is None and dec.V_inv is None
 
 
 def test_sigma_model_rejects_non_automorphism():
