@@ -9,7 +9,6 @@ __all__ = [
     "is_prime",
     "require_prime",
     "factorint",
-    "divisors",
     "vp",
 ]
 
@@ -76,14 +75,6 @@ def factorint(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return dict(sorted(out.items()))
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
-    divs = [1]
-    for p, a in factorint(n).items():
-        divs = [d * p**k for d in divs for k in range(a + 1)]
-    return sorted(divs)
 
 
 def vp(n: int, p: int) -> int:

@@ -69,13 +69,13 @@ def _cmd_group(args) -> tuple[dict, int]:
 
 
 def _cmd_seq(args) -> tuple[dict, int]:
-    """seq-check and seq-split: exactness, then a section or a witness.
-
-    seq-check lets is_pure decide purity; both read the section or the
-    witness of the lift loop, which the sequence runs once.
+    """seq-check and seq-split: exactness, then one run of the lift loop,
+    which gives a section or the witness of the first cyclic generator of
+    C with no same-order lift. The loop splits exactly the pure sequences,
+    so seq-check's "pure" is its verdict, as ``is_pure`` reads it.
     """
     from .errors import PurityError
-    from .sequences import check_exact, is_pure, section_from_purity
+    from .sequences import check_exact, section_from_purity
 
     check = args.command == "seq-check"
     f, g = jsonio.decode_seq(_read_document(args), "$")
@@ -87,12 +87,12 @@ def _cmd_seq(args) -> tuple[dict, int]:
     except NotExactError as exc:
         payload.update(exact=False, condition=exc.condition)
         return _maybe_witness(payload, exc.witness), 1
-    if check:
-        payload["pure"] = is_pure(seq).pure
     try:
         section = section_from_purity(seq)
     except PurityError as exc:
         return _maybe_witness(payload, exc.element), 1
+    if check:
+        payload["pure"] = True
     payload.update(split=True, section=jsonio.encode_section(section))
     return payload, 0
 

@@ -30,7 +30,6 @@ from .matrices import (
     hstack,
     int_tuple,
     smith_normal_form,  # noqa: F401  (perfbench's tracer test reads it here)
-    solve_integer_columns,
     solve_modular_columns,
 )
 
@@ -67,7 +66,8 @@ INFINITE = math.inf
 _SNF: weakref.WeakValueDictionary[IntMatrix, SmithDecomposition] = weakref.WeakValueDictionary()
 _HERMITE: weakref.WeakValueDictionary[IntMatrix, HermiteColumnForm] = weakref.WeakValueDictionary()
 # The elimination of every live map, by matrix and target relations, so that
-# equal maps built separately share one, and one kernel form.
+# equal maps built separately share one, and one kernel form, and a solve in
+# an infinite group through a map's matrix reads the map's elimination.
 _ELIMINATIONS: weakref.WeakValueDictionary[tuple[IntMatrix, IntMatrix], "_Elimination"] = (
     weakref.WeakValueDictionary())
 
@@ -237,13 +237,21 @@ class FgAbGroup:
         That is, mat @ x - rhs lies in the relation lattice. A finite group's
         lattice contains exponent * Z^g, so there the congruence is solved
         with arithmetic modulo the exponent (Cohen, GTM 138, §2.4), which
-        keeps coefficients small; the answer is the same as over Z. One
-        elimination of [mat | relations] serves every rhs.
+        keeps coefficients small; the answer is the same as over Z. Otherwise
+        x is back-substituted through the shared elimination of
+        [mat | relations]: the coordinates of rhs in its image, times the
+        transform rows that reach it. One elimination serves every rhs.
         """
-        big, m = hstack(mat, self.relations), common_exponent(self)
-        sols = (solve_integer_columns(big, rhss) if m is None
-                else solve_modular_columns(big, rhss, m))
-        return None if None in sols else [sol[:mat.cols] for sol in sols]
+        m = common_exponent(self)
+        if m is not None:
+            sols = solve_modular_columns(hstack(mat, self.relations), rhss, m)
+            return None if None in sols else [sol[:mat.cols] for sol in sols]
+        elim = _shared_elimination(mat, self.relations)
+        ys = [elim.image_form.coordinates(rhs) for rhs in rhss]
+        if None in ys:
+            return None
+        lift = IntMatrix.from_columns(mat.cols, elim.top)
+        return [lift.apply(y) for y in ys]
 
     def _disagreement(self, one: IntMatrix, two: Optional[IntMatrix] = None
                       ) -> Optional["GroupElement"]:
@@ -356,11 +364,7 @@ class Homomorphism:
     def _elimination(self) -> "_Elimination":
         """The elimination of [matrix | target relations], shared by every
         live map with the same two matrices."""
-        key = (self.matrix, self.target.relations)
-        elim = _ELIMINATIONS.get(key)
-        if elim is None:
-            elim = _ELIMINATIONS[key] = _Elimination(*key)
-        return elim
+        return _shared_elimination(self.matrix, self.target.relations)
 
     @property
     def image_form(self) -> HermiteColumnForm:
@@ -413,6 +417,16 @@ class _Elimination:
     @cached_property
     def kernel_form(self) -> HermiteColumnForm:
         return hermite_column_form(self.kernel_gens)
+
+
+def _shared_elimination(mat: IntMatrix, relations: IntMatrix) -> _Elimination:
+    """The live elimination of [mat | relations] from ``_ELIMINATIONS``, or a
+    new one, registered there."""
+    key = (mat, relations)
+    elim = _ELIMINATIONS.get(key)
+    if elim is None:
+        elim = _ELIMINATIONS[key] = _Elimination(*key)
+    return elim
 
 
 def hom_from_images(source: FgAbGroup, target: FgAbGroup,

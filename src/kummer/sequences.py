@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, singledispatch
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .arith import divisors, factorint, vp
+from .arith import factorint, vp
 from .errors import InputError, NotExactError, PurityError, UnsupportedError
 from .groups import (
     FgAbGroup,
@@ -81,16 +81,12 @@ class ShortExactSequence:
     @cached_property
     def _lift_loop(self) -> tuple[Optional["Section"], Optional[PurityError]]:
         """The lift loop, run once: a section from one same-order lift per
-        cyclic generator of C (one solve gives every preimage), or the
+        cyclic generator of C (one solve gives every preimage; for infinite
+        C it reads the elimination of [g | R_C] that checked g), or the
         PurityError of the first generator with none."""
         dec = self.C.simplified
         cs = [dec.from_simple(e) for e in dec.group.generators()]
-        if self.C.is_finite:
-            b0s = self.C.solve_columns(self.g.matrix, [c.coords for c in cs])
-        else:  # the exact solve reads the pass of [g | R_C] that checked g
-            elim = self.g._elimination
-            lift = IntMatrix.from_columns(self.B.generator_count, elim.top)
-            b0s = [lift.apply(elim.image_form.coordinates(c.coords)) for c in cs]
+        b0s = self.C.solve_columns(self.g.matrix, [c.coords for c in cs])
         try:
             lifts = [_same_order_lift(self, c, b0) for c, b0 in zip(cs, b0s)]
         except PurityError as exc:
@@ -142,11 +138,10 @@ class Section:
 
 @dataclass(frozen=True)
 class PurityCertificate:
-    """Outcome of the subgroup purity test nA = A ∩ nB; ``comparisons``
-    lists each multiplier n compared with its verdict."""
+    """Outcome of the lift loop: pure, or the first cyclic generator of C
+    with no lift of its order."""
 
     pure: bool
-    comparisons: tuple[tuple[int, bool], ...]
     failure: Optional[GroupElement] = None
 
     def __bool__(self) -> bool:
@@ -154,36 +149,21 @@ class PurityCertificate:
 
 
 def is_pure(seq: ShortExactSequence) -> PurityCertificate:
-    """Subgroup purity criterion: nA = A ∩ nB for every n >= 1.
+    """Subgroup purity, nA = A ∩ nB for every n >= 1, decided by the lift
+    loop: pure exactly when every cyclic generator of C lifts to an element
+    of its own order, and then the lifts assemble into a section.
 
-    The divisors of e = lcm(d_B, d_C) are tested, where d_G is the largest
-    invariant factor of G (1 if G has none); for finite B, e = exp(B). The
-    set is complete: suppose a = nb lies in A ∩ nB but not in nA, and let
-    m be the order of g(b). Then m divides n and d_C, and mb lies in
-    A ∩ mB but not in mA, since mb = ma′ would give a = (n/m)·mb = n·a′ ∈ nA.
-
-    Each n >= 1 is decided by counting. Tensoring with Z/n is right exact,
-    so A/nA -> B/nB -> C/nC -> 0 is exact, and the kernel of its first map
-    is (A ∩ nB)/nA. Hence nA = A ∩ nB exactly when
-    |A/nA| · |C/nC| = |B/nB|, and each order is read off the invariant
-    factors and the free rank.
+    Pure ⇒ lifts: if c has order m and g(b) = c, then mb lies in A ∩ mB =
+    mA, say mb = ma, and b - a lifts c with order m. Lifts ⇒ section ⇒ A is
+    a summand ⇒ pure. (A pure subgroup with a direct sum of cyclic groups
+    as quotient is a summand: Fuchs, Infinite Abelian Groups I, §28.)
 
     A failure carries the first cyclic generator of C with no same-order
-    lift; one exists, or the lifts would assemble into a section.
+    lift, which proves the sequence impure and not split.
     """
-    e = math.lcm(*seq.B.invariant_factors[-1:], *seq.C.invariant_factors[-1:])
-    comparisons = tuple(
-        (n, _order_mod(seq.A, n) * _order_mod(seq.C, n) == _order_mod(seq.B, n))
-        for n in divisors(e))
-    failed = not all(ok for _, ok in comparisons)
-    error = seq._lift_loop[1] if failed else None
-    return PurityCertificate(pure=not failed, comparisons=comparisons,
-                             failure=error.element if error else None)
-
-
-def _order_mod(g: FgAbGroup, n: int) -> int:
-    """|G/nG| for n >= 1: n^free_rank · ∏ gcd(d, n) over the invariant factors."""
-    return n ** g.free_rank * math.prod(math.gcd(d, n) for d in g.invariant_factors)
+    section, error = seq._lift_loop
+    return PurityCertificate(pure=section is not None,
+                             failure=None if error is None else error.element)
 
 
 def pure_witness(seq: ShortExactSequence, c: GroupElement) -> GroupElement:

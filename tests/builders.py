@@ -1,6 +1,6 @@
 """Test-only inputs: an invalid tower, a bag of sigma models, random
-finite groups and sequences, and the order-6 sequence glued from its
-2-part and 3-part towers.
+finite groups and sequences, cyclic sequences of huge prime orders, and
+the order-6 sequence glued from its 2-part and 3-part towers.
 
 The library's own shared inputs (split towers, limit evidence) stay in
 ``kummer.fixtures``; these are built only by the tests.
@@ -77,6 +77,20 @@ def random_subgroup_sequence(rng: random.Random,
     sub, inc = subgroup_generated(b, picks)
     quo, proj = cokernel(inc)
     return check_exact(inc, proj)
+
+
+P61 = 2**61 - 1
+Q82 = 3_317_044_064_679_887_385_961_813  # the largest prime arith.is_prime accepts
+
+
+def cyclic_sequence(a: int, b: int) -> ShortExactSequence:
+    """0 -> Z/a -×(b/a)-> Z/b -1-> Z/(b/a) -> 0 for a dividing b; Z/1 is
+    the trivial group. cyclic_sequence(1, P61) splits and
+    cyclic_sequence(Q82, Q82**2) does not."""
+    za = FgAbGroup.trivial() if a == 1 else FgAbGroup.cyclic(a)
+    zb, zc = FgAbGroup.cyclic(b), FgAbGroup.cyclic(b // a)
+    f = IntMatrix.from_rows([[b // a]]) if a > 1 else IntMatrix.zeros(1, 0)
+    return check_exact(Homomorphism(za, zb, f), Homomorphism(zb, zc, IntMatrix.from_rows([[1]])))
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,20 @@ def brute_same_order_lift(seq: ShortExactSequence,
     return False
 
 
+def lattice_same_order_lift(seq: ShortExactSequence, c: GroupElement) -> bool:
+    """Whether c has a preimage of its own order, B finite or not. The
+    preimages are b0 + f(a) modulo B's relations for one preimage b0 (read
+    off the Smith form of [g | R_C]), and m(b0 + f(a)) = 0 for m = ord(c)
+    exactly when m·b0 lies in the span of m·f and B's relations."""
+    m = c.order()
+    if m == math.inf:
+        return True
+    b0 = snf_solve(hstack(seq.g.matrix, seq.C.relations), c.coords)[:seq.B.generator_count]
+    if seq.g(seq.B.element(b0)) != c:
+        raise AssertionError("the Smith solve gave no preimage")
+    return seq.B.span(seq.f.matrix.scaled(m)).contains(tuple(m * x for x in b0))
+
+
 def congruence_section(seq: ShortExactSequence) -> Optional[Section]:
     """A verified section of g, or None (a proof that none exists).
 

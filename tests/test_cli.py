@@ -21,6 +21,8 @@ from kummer.matrices import IntMatrix
 from kummer.sequences import Section, check_exact, split_sequence
 from kummer.towers import CoKummerTower, LevelMaps, validate_tower
 
+from builders import P61, Q82, cyclic_sequence
+
 
 def run_cli(argv, stdin="", timeout=120):
     return subprocess.run([sys.executable, "-m", "kummer", *argv],
@@ -126,9 +128,9 @@ def test_sequences_with_an_infinite_middle_group_are_decided(verb, name):
 @pytest.mark.parametrize("doc, expected", [(split_doc, 0), (impure_doc, 1)],
                          ids=["pure", "impure"])
 def test_sequence_verbs_run_the_lift_loop_once_and_solve_no_congruence(verb, doc, expected):
-    """A sequence verb splits by at most one run of the lift loop: seq-check
-    builds a section only after is_pure says pure, and an impure answer
-    reuses the loop's witness. No congruence system is solved."""
+    """A sequence verb decides once: both verbs read the section or the
+    witness of one run of the lift loop, and seq-check prints its verdict
+    as "pure". No congruence system is solved."""
     import kummer.sequences
     from kummer.matrices import MatrixEquationSystem
 
@@ -140,12 +142,32 @@ def test_sequence_verbs_run_the_lift_loop_once_and_solve_no_congruence(verb, doc
         code, out, err = run_main([verb], text)
     assert (code, err) == (expected, "")
     assert json.loads(out)["split"] is (expected == 0)
-    assert loop.call_count <= 1
+    assert loop.call_count == 1
+
+
+@pytest.mark.parametrize("verb", ["seq-check", "seq-split"])
+@pytest.mark.parametrize("a, b, code", [(1, P61, 0), (Q82, Q82 * Q82, 1)],
+                         ids=["2^61-1-pure", "82-bit-impure"])
+def test_sequence_verbs_decide_huge_prime_orders_without_factoring(verb, a, b, code):
+    """0 -> 0 -> Z/P -> Z/P -> 0 for P = 2^61 - 1 splits, and
+    0 -> Z/Q -×Q-> Z/Q² -> Z/Q -> 0 for the 82-bit prime Q does not: both
+    are decided within the timeout, since no exponent is factored."""
+    doc = jsonio.dumps(jsonio.document(jsonio.encode_seq(cyclic_sequence(a, b))))
+    res = run_cli([verb], doc, timeout=20)
+    assert (res.returncode, res.stderr) == (code, "")
+    out = json.loads(res.stdout)
+    assert out["split"] is (code == 0)
+    if verb == "seq-check":
+        assert out["pure"] is (code == 0)
+    if code == 0:
+        assert out["section"]["matrix"]["data"] == ["1"]
+    else:
+        assert out["witness"]["coords"] == ["1"]
 
 
 def test_case_one_limit_split_solves_no_congruence():
-    """A case-1 direct-limit split runs the lift loop on each pushout and
-    glues the two sections by one factor_through: no congruence system is
+    """A case-1 direct-limit split checks the supplied decomposition, then
+    splits the prefix tower by tower_split: no congruence system is
     solved, through the CLI verb or the library call."""
     from kummer.colimits import direct_limit_split, divisible_tower
     from kummer.fixtures import divisible_case_one_evidence

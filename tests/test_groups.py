@@ -36,6 +36,7 @@ from kummer.matrices import (
     hermite_column_form,
     hstack,
     preimage_lattice,
+    solve_integer_columns,
 )
 
 from kummer.sequences import check_exact
@@ -351,6 +352,53 @@ def test_solve_columns_is_solve_on_each_column(g, data):
     assert (batched is None) == (None in singles)
     if batched is not None:
         assert batched == singles
+
+
+@st.composite
+def infinite_presentations(draw):
+    """Z^r ⊕ Z/k_1 ⊕ ... with free rank r in 1-2 and up to two torsion
+    orders, presented diagonally or through a unimodular change of basis
+    (an elementary row step on the relations), with or without a redundant
+    relator; with no torsion the relation matrix has no columns."""
+    free = draw(st.integers(1, 2))
+    torsion = draw(st.lists(st.integers(2, 12), max_size=2))
+    g = FgAbGroup.of_orders(*torsion, *[0] * free)
+    rel, n = g.relations, g.generator_count
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            step = [[int(r == c) + (draw(st.integers(-3, 3)) if (r, c) == (i, j) else 0)
+                     for c in range(n)] for r in range(n)]
+            rel = IntMatrix.from_rows(step) @ rel
+    if rel.cols and draw(st.booleans()):
+        rel = hstack(rel, rel.select(range(n), [0]).scaled(draw(st.integers(-2, 2))))
+    return FgAbGroup(n, rel)
+
+
+@settings(max_examples=150)
+@given(infinite_presentations(), st.data())
+def test_an_infinite_group_solves_through_the_shared_elimination(g, data):
+    """An infinite group's solve back-substitutes through the elimination of
+    [mat | relations] and returns what the exact solve of that matrix gives,
+    cut to mat's columns, and None where some column has no solution. mat
+    may have no columns; it always has rows, since a group with free rank
+    has a generator."""
+    assert not g.is_finite
+    n, k = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 4))
+    mat = _draw_matrix(data, g.generator_count, n)
+    rhss = []
+    for _ in range(k):
+        if data.draw(st.booleans()):  # planted: solvable
+            x = _draw_matrix(data, n, 1)
+            y = _draw_matrix(data, g.relations.cols, 1)
+            rhss.append((mat @ x + g.relations @ y).col(0))
+        else:  # random, or the first generator outside the span if any
+            rhs = _draw_matrix(data, g.generator_count, 1).col(0)
+            j = g.span(mat).outside(IntMatrix.identity(g.generator_count))
+            rhss.append(rhs if j is None or data.draw(st.booleans()) else g.generator(j).coords)
+    full = solve_integer_columns(hstack(mat, g.relations), rhss)
+    assert g.solve_columns(mat, rhss) == (None if None in full else
+                                          [x[:mat.cols] for x in full])
 
 
 @settings(max_examples=100)

@@ -8,11 +8,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import kummer
-from kummer import matrices
-from kummer.arith import divisors
+from kummer import groups, matrices
+from kummer.arith import MR_BOUND, is_prime
 from kummer.errors import InputError, NotExactError, PurityError
 from kummer.groups import (
     FgAbGroup,
@@ -40,12 +40,13 @@ from kummer.sequences import (
     split_sequence,
 )
 
-from builders import random_finite_group, random_subgroup_sequence
+from builders import P61, Q82, cyclic_sequence, random_finite_group, random_subgroup_sequence
 from oracles import (
     brute_same_order_lift,
     congruence_section,
     elements,
     lattice_purity_comparisons,
+    lattice_same_order_lift,
     verify_section_on_all,
 )
 
@@ -246,7 +247,6 @@ def test_purity_for_infinite_middle():
     seq = check_exact(f, g)
     cert = is_pure(seq)
     assert not cert
-    assert cert.comparisons == ((1, True), (2, False))
     assert cert.failure == z2.generator(0)
 
 
@@ -266,9 +266,12 @@ def multiples_sequence(rng: random.Random, b: FgAbGroup):
 @settings(max_examples=200)
 @given(st.integers(0, 10_000), st.booleans())
 def test_purity_comparisons_match_the_lattice_oracle(seed, finite):
-    """Every per-n verdict on the divisors of e = lcm(d_B, d_C), which is
-    exp(B) for finite B; the middle group is a mixed finite presentation
-    or Z^r ⊕ Z/k_1 ⊕ ..."""
+    """is_pure's verdict is nA = A ∩ nB, compared by Hermite forms, for
+    every divisor n of e = lcm(d_B, d_C), which is exp(B) for finite B; the
+    middle group is a mixed finite presentation or Z^r ⊕ Z/k_1 ⊕ ... . The
+    divisors suffice: if a = nb lies in A ∩ nB but not in nA and g(b) has
+    order m, then m divides n and d_C, and mb lies in A ∩ mB but not in mA.
+    An impure verdict's witness has no lift of its order."""
     rng = random.Random(seed)
     if finite:
         seq = multiples_sequence(rng, random_finite_group(rng, 64))
@@ -279,9 +282,13 @@ def test_purity_comparisons_match_the_lattice_oracle(seed, finite):
     e = math.lcm(*seq.B.invariant_factors, *seq.C.invariant_factors)
     if finite:
         assert e == seq.B.exponent
+    ns = [n for n in range(1, e + 1) if e % n == 0]
     cert = is_pure(seq)
-    assert cert.comparisons == lattice_purity_comparisons(seq, divisors(e))
-    assert cert.pure == all(ok for _, ok in cert.comparisons)
+    assert cert.pure == all(ok for _, ok in lattice_purity_comparisons(seq, ns))
+    assert (cert.failure is None) == cert.pure
+    if not cert.pure:
+        lifts = brute_same_order_lift if seq.B.is_finite else lattice_same_order_lift
+        assert not lifts(seq, cert.failure)
 
 
 @st.composite
@@ -400,6 +407,43 @@ def test_an_infinite_quotient_lifts_through_the_pass_that_checked_g():
         section = section_exists(seq)
     assert section is not None and (seq.g @ section.s).is_identity()
     assert sum(call.args[0] == g_rc for call in column_pass.call_args_list) == 1
+
+
+@settings(max_examples=60)
+@given(fg_sequence_params())
+@example((1, [], []))  # 0 -> 0 -> Z -> Z -> 0
+@example((2, [4], [[2, 2, 0]]))  # C = Z/2 ⊕ Z/4 ⊕ Z, impure
+def test_an_infinite_quotient_adds_no_elimination_of_g(params):
+    """With C infinite, the lift loop's one solve in C reads the elimination
+    of [g | R_C] that the exactness check ran: is_pure and section_exists
+    call ``_tracked_elimination`` on g's matrix and C's relations no more
+    often than check_exact already did (at most once, the entry is shared)."""
+    free, torsion, picks = params
+    b = FgAbGroup.of_orders(*torsion, *[0] * free)
+    _, inc = subgroup_generated(b, [b.element(v) for v in picks])
+    _, proj = cokernel(inc)
+    assume(not proj.target.is_finite)
+    key = (proj.matrix, proj.target.relations)
+    with mock.patch.object(groups, "_tracked_elimination",
+                           wraps=groups._tracked_elimination) as tracked:
+        seq = check_exact(inc, proj)
+        checked = sum(call.args == key for call in tracked.call_args_list)
+        tracked.reset_mock()
+        assert bool(is_pure(seq)) == (section_exists(seq) is not None)
+    assert checked <= 1
+    assert sum(call.args == key for call in tracked.call_args_list) == 0
+
+
+def test_huge_prime_sequences_are_decided_without_factoring():
+    """0 -> 0 -> Z/P -> Z/P -> 0 (P = 2^61 - 1) is pure and
+    0 -> Z/Q -×Q-> Z/Q² -> Z/Q -> 0 (Q the last prime below MR_BOUND) is
+    not; the lift loop decides both without factoring an exponent."""
+    assert is_prime(Q82) and not any(is_prime(n) for n in range(Q82 + 1, MR_BOUND))
+    cert = is_pure(cyclic_sequence(1, P61))
+    assert cert.pure and cert.failure is None
+    seq = cyclic_sequence(Q82, Q82 * Q82)
+    cert = is_pure(seq)
+    assert not cert.pure and cert.failure == seq.C.generator(0)
 
 
 def _seeded_sequence(pure: bool):
