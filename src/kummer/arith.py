@@ -8,7 +8,6 @@ __all__ = [
     "MR_BOUND",
     "is_prime",
     "require_prime",
-    "factorint",
     "vp",
 ]
 
@@ -54,27 +53,6 @@ def require_prime(p: int) -> None:
     if not is_prime(p):
         raise InputError(f"{p} is not prime" if p > -MR_BOUND
                          else f"a {p.bit_length()}-bit negative number is not prime")
-
-
-def factorint(n: int) -> dict[int, int]:
-    """Prime factorization {p: multiplicity} of n >= 1."""
-    if n < 1:
-        raise InputError(f"cannot factor non-positive integer {n}")
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return dict(sorted(out.items()))
 
 
 def vp(n: int, p: int) -> int:

@@ -11,7 +11,6 @@ Infinite groups (positive free rank) are first-class here.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -60,16 +59,41 @@ __all__ = [
 # Additive order / group order of something with a free part.
 INFINITE = math.inf
 
-# The Smith and Hermite forms of every live group, by relation matrix, so
-# that equal groups built separately share one of each. An entry lives as
-# long as some group holds it.
-_SNF: weakref.WeakValueDictionary[IntMatrix, SmithDecomposition] = weakref.WeakValueDictionary()
-_HERMITE: weakref.WeakValueDictionary[IntMatrix, HermiteColumnForm] = weakref.WeakValueDictionary()
-# The elimination of every live map, by matrix and target relations, so that
-# equal maps built separately share one, and one kernel form, and a solve in
-# an infinite group through a map's matrix reads the map's elimination.
-_ELIMINATIONS: weakref.WeakValueDictionary[tuple[IntMatrix, IntMatrix], "_Elimination"] = (
-    weakref.WeakValueDictionary())
+# Pure kernel results, such as a group's Smith and Hermite forms, by kind and
+# full input, least recently used first, so that equal inputs built
+# separately share one result, also after the objects that asked for it are
+# gone. A key weighs one plus the number of matrix and vector entries in it,
+# and the weights stay within the budget; a key heavier than the budget is
+# not stored.
+_MEMO_BUDGET = 49_152
+_MEMO: dict[tuple, tuple[int, object]] = {}
+_memo_weight = 0
+
+
+def _key_weight(key) -> int:
+    """The matrix and vector entries in a key."""
+    if isinstance(key, IntMatrix):
+        return key.rows * key.cols
+    if isinstance(key, tuple):
+        return sum(map(_key_weight, key))
+    return 1 if isinstance(key, int) else 0
+
+
+def _memo(kind: str, key, make):
+    """The memoized ``make()`` for (kind, key), computed on a miss; ``key``
+    must determine the result."""
+    global _memo_weight
+    slot = (kind, key)
+    entry = _MEMO.pop(slot, None)
+    if entry is None:
+        entry = (1 + _key_weight(key), make())
+        if entry[0] > _MEMO_BUDGET:
+            return entry[1]
+        _memo_weight += entry[0]
+        while _memo_weight > _MEMO_BUDGET:
+            _memo_weight -= _MEMO.pop(next(iter(_MEMO)))[0]
+    _MEMO[slot] = entry
+    return entry[1]
 
 
 @dataclass(frozen=True)
@@ -122,17 +146,12 @@ class FgAbGroup:
     def snf(self) -> SmithDecomposition:
         """Smith form of the relations with U, S and U_inv only, the parts a
         group reads (``matrices._smith_form``): V and V_inv are None."""
-        dec = _SNF.get(self.relations)
-        if dec is None:
-            dec = _SNF[self.relations] = _smith_form(self.relations, columns=False)
-        return dec
+        return _memo("snf", self.relations,
+                     lambda: _smith_form(self.relations, columns=False))
 
     @cached_property
     def hermite(self) -> HermiteColumnForm:
-        form = _HERMITE.get(self.relations)
-        if form is None:
-            form = _HERMITE[self.relations] = hermite_column_form(self.relations)
-        return form
+        return _memo("hermite", self.relations, lambda: hermite_column_form(self.relations))
 
     @cached_property
     def _moduli(self) -> Optional[tuple[int, ...]]:
@@ -241,11 +260,18 @@ class FgAbGroup:
         x is back-substituted through the shared elimination of
         [mat | relations]: the coordinates of rhs in its image, times the
         transform rows that reach it. One elimination serves every rhs.
+        Both kinds of answer are memoized by their full input, and each call
+        returns a list of its own.
         """
         m = common_exponent(self)
         if m is not None:
-            sols = solve_modular_columns(hstack(mat, self.relations), rhss, m)
-            return None if None in sols else [sol[:mat.cols] for sol in sols]
+            rhss = tuple(map(int_tuple, rhss))
+
+            def solve() -> Optional[tuple[tuple[int, ...], ...]]:
+                sols = solve_modular_columns(hstack(mat, self.relations), rhss, m)
+                return None if None in sols else tuple(sol[:mat.cols] for sol in sols)
+            sols = _memo("solve", (mat, self.relations, rhss), solve)
+            return None if sols is None else list(sols)
         elim = _shared_elimination(mat, self.relations)
         ys = [elim.image_form.coordinates(rhs) for rhs in rhss]
         if None in ys:
@@ -363,7 +389,7 @@ class Homomorphism:
     @cached_property
     def _elimination(self) -> "_Elimination":
         """The elimination of [matrix | target relations], shared by every
-        live map with the same two matrices."""
+        map with the same two matrices while the memo keeps it."""
         return _shared_elimination(self.matrix, self.target.relations)
 
     @property
@@ -420,13 +446,8 @@ class _Elimination:
 
 
 def _shared_elimination(mat: IntMatrix, relations: IntMatrix) -> _Elimination:
-    """The live elimination of [mat | relations] from ``_ELIMINATIONS``, or a
-    new one, registered there."""
-    key = (mat, relations)
-    elim = _ELIMINATIONS.get(key)
-    if elim is None:
-        elim = _ELIMINATIONS[key] = _Elimination(*key)
-    return elim
+    """The memoized elimination of [mat | relations]."""
+    return _memo("elimination", (mat, relations), lambda: _Elimination(mat, relations))
 
 
 def hom_from_images(source: FgAbGroup, target: FgAbGroup,
@@ -460,19 +481,26 @@ def solve_congruences(unknowns: dict[str, tuple[int, int]],
     order, as -relations @ slack; that layout fixes which solution is
     returned. Every lattice contains common_exponent(*groups) * Z^g, so the
     system is solved modulo that number (exactly if a group is infinite)
-    with the same feasibility as over Z.
+    with the same feasibility as over Z. The answer is memoized by the
+    unknowns, the terms, the right-hand sides and the relations, and each
+    call returns a dict of its own.
     """
-    system = MatrixEquationSystem()
-    for name, (rows, cols) in unknowns.items():
-        system.add_unknown(name, rows, cols)
-    for i, (terms, rhs, group) in enumerate(equations):
-        slack = f"<slack {i}>"
-        system.add_unknown(slack, group.relations.cols, rhs.cols)
-        system.add_equation([*terms, (-group.relations, slack, None)], rhs)
-    sol = system.solve(mod=common_exponent(*(group for _, _, group in equations)))
-    if sol is None:
-        return None
-    return {name: sol[name] for name in unknowns}
+    def solve() -> Optional[tuple[tuple[str, IntMatrix], ...]]:
+        system = MatrixEquationSystem()
+        for name, (rows, cols) in unknowns.items():
+            system.add_unknown(name, rows, cols)
+        for i, (terms, rhs, group) in enumerate(equations):
+            slack = f"<slack {i}>"
+            system.add_unknown(slack, group.relations.cols, rhs.cols)
+            system.add_equation([*terms, (-group.relations, slack, None)], rhs)
+        sol = system.solve(mod=common_exponent(*(group for _, _, group in equations)))
+        return None if sol is None else tuple((name, sol[name]) for name in unknowns)
+
+    key = (tuple((name, tuple(shape)) for name, shape in unknowns.items()),
+           tuple((tuple(map(tuple, terms)), rhs, group.relations)
+                 for terms, rhs, group in equations))
+    sol = _memo("congruences", key, solve)
+    return None if sol is None else dict(sol)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property, singledispatch
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .arith import factorint, vp
 from .errors import InputError, NotExactError, PurityError, UnsupportedError
 from .groups import (
     FgAbGroup,
@@ -352,15 +351,15 @@ def dualize_sequence(seq: ShortExactSequence) -> ShortExactSequence:
 
 
 def rank_m(g: FgAbGroup, m: int) -> int:
-    """Largest r with a subgroup isomorphic to (Z/m)^r.
+    """Largest r with a subgroup isomorphic to (Z/m)^r: the number of
+    invariant factors that m divides.
 
-    For m = p^t this counts invariant factors with p-adic valuation >= t;
-    composite m takes the minimum over its prime-power parts, since a copy
-    of (Z/m)^r contains (Z/p^v)^r for every part and conversely. A free
-    summand holds no element of finite order, so it adds nothing.
+    For m = p^t it is the number of factors with p-adic valuation >= t, and
+    for composite m the least such number over the prime-power parts. The
+    factors form a divisibility chain, so each part's factors are a suffix
+    of it and their intersection is the factors m divides; m is never
+    factored. A free summand holds no element of finite order.
     """
     if m < 2:
         raise InputError("rank is defined for m >= 2")
-    facts = g.invariant_factors
-    return min(sum(1 for d in facts if vp(d, p) >= t)
-               for p, t in factorint(m).items())
+    return sum(d % m == 0 for d in g.invariant_factors)

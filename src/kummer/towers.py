@@ -448,19 +448,16 @@ def crt_split(m: int, towers: Mapping[int, KummerTower],
     the sections along the glue isomorphisms. Raises GlueError naming the
     first inconsistent component.
     """
-    from .arith import factorint
-
-    fact = factorint(m)
-    if set(fact) != set(towers):
-        raise GlueError(
-            f"towers given for primes {sorted(towers)} but m = {m} has "
-            f"primes {sorted(fact)}", component="primes")
-    primes = sorted(fact)
+    primes = sorted(towers)
+    if m < 1 or any(towers[p].p != p or m % p for p in primes) \
+            or m != math.prod(p ** vp(m, p) for p in primes):
+        raise GlueError(f"towers given for primes {primes} are not those of m = {m}",
+                        component="primes")
     for p in primes:
-        if towers[p].n != fact[p]:
+        if towers[p].n != vp(m, p):
             raise GlueError(
                 f"tower for p={p} has {towers[p].n} levels, expected "
-                f"v_p(m) = {fact[p]}", component=f"level:{p}")
+                f"v_p(m) = {vp(m, p)}", component=f"level:{p}")
     tops = {p: towers[p].top for p in primes}
     for p in primes:
         a_p, b_p, c_p = glue.for_prime(p)

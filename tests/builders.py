@@ -1,6 +1,7 @@
 """Test-only inputs: an invalid tower, a bag of sigma models, random
 finite groups and sequences, cyclic sequences of huge prime orders, and
-the order-6 sequence glued from its 2-part and 3-part towers.
+the order-6 sequence glued from its 2-part and 3-part towers, and a time
+limit for calls that must not factor a huge number.
 
 The library's own shared inputs (split towers, limit evidence) stay in
 ``kummer.fixtures``; these are built only by the tests.
@@ -9,6 +10,8 @@ The library's own shared inputs (split towers, limit evidence) stay in
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from kummer.fixtures import split_tower
@@ -77,6 +80,22 @@ def random_subgroup_sequence(rng: random.Random,
     sub, inc = subgroup_generated(b, picks)
     quo, proj = cokernel(inc)
     return check_exact(inc, proj)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the block after this many seconds (SIGALRM):
+    trial division up to the square root of P61 would run for hours."""
+    def expired(signum, frame):
+        raise TimeoutError(f"ran for {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 P61 = 2**61 - 1

@@ -21,6 +21,7 @@ from itertools import combinations, product
 
 from typing import Iterator, Optional, Sequence
 
+from kummer.arith import vp
 from kummer.errors import InputError, UnsupportedError
 from kummer.groups import FgAbGroup, GroupElement, Homomorphism, solve_congruences
 from kummer.matrices import (HermiteColumnForm, IntMatrix, SmithDecomposition, _diagonal_of,
@@ -300,6 +301,29 @@ def snf_solve(mat: IntMatrix, rhs: tuple[int, ...]):
         if d:
             w[i] = t // d
     return dec.V.apply(w)
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization {p: multiplicity} of n >= 1, by trial division."""
+    if n < 1:
+        raise InputError(f"cannot factor non-positive integer {n}")
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def factored_rank_m(g: FgAbGroup, m: int) -> int:
+    """rank_m by prime powers: the least, over the parts p^t of m, count of
+    invariant factors with p-adic valuation at least t."""
+    facts = g.invariant_factors
+    return min(sum(1 for d in facts if vp(d, p) >= t) for p, t in factorint(m).items())
 
 
 def lattice_purity_comparisons(seq: ShortExactSequence,

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,11 +33,14 @@ from kummer.groups import (
 from kummer.matrices import (
     IntMatrix,
     MatrixEquationSystem,
+    _smith_form,
+    _tracked_elimination,
     block_diag,
     hermite_column_form,
     hstack,
     preimage_lattice,
     solve_integer_columns,
+    solve_modular_columns,
 )
 
 from kummer.sequences import check_exact
@@ -89,41 +93,107 @@ def test_element_arithmetic_and_canonicalization():
     assert x.order() == 12
 
 
-def test_equal_groups_share_one_smith_and_hermite_form():
-    # groups other test modules keep alive may hold entries of their own
-    before = set(groups._SNF), set(groups._HERMITE)
-    a = FgAbGroup(2, IntMatrix.from_rows([[4, 2], [6, 8]]))
-    b = FgAbGroup(2, IntMatrix.from_rows([[4, 2], [6, 8]]))
+def test_equal_groups_share_one_smith_and_hermite_form(empty_memo):
+    def build():  # a fresh copy of the group, down to the relation matrix
+        return FgAbGroup(2, IntMatrix.from_rows([[4, 2], [6, 8]]))
+
+    a, b = build(), build()
+    assert a.relations is not b.relations
     assert a.snf is b.snf and a.hermite is b.hermite
+    dec, form = a.snf, a.hermite
     z2, z4 = FgAbGroup.cyclic(2), FgAbGroup.cyclic(4)
     assert z2.snf is not z4.snf and z2.hermite is not z4.hermite
     f0, f1 = FgAbGroup.free(0), FgAbGroup.free(1)
     assert f0.snf is not f1.snf and f0.hermite is not f1.hermite
     assert f0.snf.U.shape == (0, 0) and f1.snf.U.shape == (1, 1)
-    del a, b, z2, z4, f0, f1
+    del a, b
     gc.collect()
-    assert set(groups._SNF) <= before[0] and set(groups._HERMITE) <= before[1]
+    c = build()  # both holders are gone, the memo still has their forms
+    assert c.snf is dec and c.hermite is form
 
 
-def test_equal_maps_share_one_elimination_while_one_is_alive():
+def test_equal_maps_share_one_elimination_also_after_both_are_collected(empty_memo):
     def build():  # a fresh copy of every object, down to the matrices
         src = FgAbGroup(2, IntMatrix.from_rows([[7919, 0], [0, 0]]))
         tgt = FgAbGroup(2, IntMatrix.from_rows([[3, 1], [0, 7919]]))
         return Homomorphism(src, tgt, IntMatrix.from_rows([[3, 5], [0, 1]]))
 
     one, two = build(), build()
-    key = (one.matrix, one.target.relations)
-    assert one.matrix is not two.matrix and key not in groups._ELIMINATIONS
+    assert one.matrix is not two.matrix
     assert one._elimination is two._elimination
     assert one.kernel_form is two.kernel_form and one.image_form is two.image_form
     other = Homomorphism(one.source, one.target, IntMatrix.from_rows([[3, 5], [0, 2]]))
     assert other._elimination is not one._elimination
-    del one, other
+    elim = one._elimination
+    del one, two, other
     gc.collect()
-    assert key in groups._ELIMINATIONS
-    del two
-    gc.collect()
-    assert key not in groups._ELIMINATIONS
+    assert build()._elimination is elim
+
+
+def _memo_weight_is_consistent():
+    weights = [weight for weight, _ in groups._MEMO.values()]
+    assert groups._memo_weight == sum(weights) <= groups._MEMO_BUDGET
+    return True
+
+
+def test_the_memo_evicts_the_least_recently_used_entry_first(empty_memo):
+    third = groups._MEMO_BUDGET // 3  # a 1 x (third - 1) key weighs third
+    keys = [IntMatrix(1, third - 1, (i,) * (third - 1)) for i in range(4)]
+    made = []
+
+    def make(i):
+        return lambda: made.append(i) or f"value {i}"
+
+    for i in range(3):
+        assert groups._memo("test", keys[i], make(i)) == f"value {i}"
+    assert groups._memo_weight == 3 * third == groups._MEMO_BUDGET
+    assert groups._memo("test", keys[0], make(0)) == "value 0"  # a hit
+    assert made == [0, 1, 2]
+    assert list(groups._MEMO) == [("test", keys[1]), ("test", keys[2]), ("test", keys[0])]
+    assert groups._memo("test", keys[3], make(3)) == "value 3"
+    assert list(groups._MEMO) == [("test", keys[2]), ("test", keys[0]), ("test", keys[3])]
+    assert _memo_weight_is_consistent()
+    assert groups._memo("test", keys[1], make(1)) == "value 1"  # evicted: made again
+    assert made == [0, 1, 2, 3, 1] and ("test", keys[2]) not in groups._MEMO
+
+
+def test_the_memo_stores_no_key_heavier_than_its_budget(empty_memo):
+    small = IntMatrix.from_rows([[2]])
+    groups._memo("test", small, lambda: "small")
+    heavy = IntMatrix.zeros(1, groups._MEMO_BUDGET)  # weighs budget + 1
+    made = []
+    for _ in range(2):
+        assert groups._memo("test", heavy, lambda: made.append(1) or "heavy") == "heavy"
+    assert made == [1, 1]
+    assert list(groups._MEMO) == [("test", small)] and groups._memo_weight == 2
+
+
+def test_a_make_that_raises_stores_nothing(empty_memo):
+    def fail():
+        raise InputError("no result")
+
+    key = IntMatrix.from_rows([[3]])
+    for _ in range(2):
+        with pytest.raises(InputError, match="^no result$"):
+            groups._memo("test", key, fail)
+    assert groups._MEMO == {} and groups._memo_weight == 0
+    with pytest.raises(InputError):  # the same through a memoized site
+        solve_congruences({"X": (1, 1)}, [([(IntMatrix.zeros(2, 1), "X", None)],
+                                           IntMatrix.zeros(1, 1), FgAbGroup.cyclic(2))])
+    assert groups._MEMO == {} and groups._memo_weight == 0
+
+
+def test_the_memo_weight_never_exceeds_its_budget(empty_memo, monkeypatch):
+    """Real sites under a small budget: every answer matches a fresh one
+    while entries are evicted, and the key weight stays within the budget."""
+    monkeypatch.setattr(groups, "_MEMO_BUDGET", 300)
+    rng = random.Random(4242)
+    pool = [_random_group(rng) for _ in range(12)]
+    for _ in range(200):
+        g = pool[rng.randrange(len(pool))]
+        _check_memoized_sites(g, pool[rng.randrange(len(pool))], rng)
+        assert _memo_weight_is_consistent()
+    assert groups._memo_weight > 200
 
 
 def _diagonal_group(rng: random.Random) -> FgAbGroup:
@@ -506,6 +576,87 @@ def _map_pairs(rng: random.Random):
     return [(inc_s, proj_s), (inc_b, proj_s), (inc_s, proj_b),
             (_random_hom(lambda: rng.randint(-3, 3), _random_group(rng), b), proj_s),
             (inc_s, _random_hom(lambda: rng.randint(-3, 3), b, _random_group(rng)))]
+
+
+def _copy(g: FgAbGroup) -> FgAbGroup:
+    """An equal group built separately, with no cached forms."""
+    rel = g.relations
+    return FgAbGroup(g.generator_count, IntMatrix(rel.rows, rel.cols, tuple(rel.data)))
+
+
+def _fresh(fn, *args):
+    """fn(*args) with every memoized site computing its result anew."""
+    with mock.patch.object(groups, "_memo", lambda kind, key, make: make()):
+        return fn(*args)
+
+
+def _check_memoized_sites(g: FgAbGroup, h: FgAbGroup, rng: random.Random) -> None:
+    """Each memoized site, called twice on equal inputs built separately,
+    returns what a fresh computation returns, also after the caller changed
+    the list or dict it was given."""
+    def matrix(rows, cols):
+        return _some_matrix(rng, rows, cols)
+
+    for grp in (g, _copy(g)):
+        assert grp.snf == _smith_form(g.relations, columns=False)
+        assert grp.hermite == hermite_column_form(g.relations)
+    n = rng.randint(0, 3)
+    mat = matrix(g.generator_count, n)
+    image_form, kernel_gens, top = _tracked_elimination(mat, g.relations)
+    for copy in (mat, IntMatrix(mat.rows, mat.cols, tuple(mat.data))):
+        elim = groups._shared_elimination(copy, _copy(g).relations)
+        assert (elim.image_form, elim.kernel_gens, elim.top) == (image_form, kernel_gens, top)
+        assert elim.kernel_form == hermite_column_form(kernel_gens)
+
+    rhss = [(mat @ matrix(n, 1) + g.relations @ matrix(g.relations.cols, 1)).col(0)
+            if rng.random() < 0.7 else matrix(g.generator_count, 1).col(0)
+            for _ in range(rng.randint(0, 3))]
+    fresh = _fresh(_copy(g).solve_columns, mat, rhss)
+    if g.is_finite:
+        fresh_sols = solve_modular_columns(hstack(mat, g.relations), rhss, common_exponent(g))
+        assert fresh == (None if None in fresh_sols else [x[:n] for x in fresh_sols])
+    for grp in (g, _copy(g)):
+        sols = grp.solve_columns(mat, [list(rhs) for rhs in rhss])
+        assert sols == fresh
+        if sols is not None:
+            sols.append(None)
+            sols[:1] = []
+
+    a, k, k2 = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 2)
+    left, left2, right2 = matrix(g.generator_count, a), matrix(h.generator_count, a), matrix(k, k2)
+    x0 = matrix(a, k)
+    rhs = left @ x0 + g.relations @ matrix(g.relations.cols, k)
+    rhs2 = left2 @ x0 @ right2
+    if rng.random() < 0.3:
+        rhs2 = rhs2 + matrix(h.generator_count, k2)
+
+    def system(one, two):
+        return ({"X": (a, k)},
+                [([(left, "X", None)], rhs, one), ([(left2, "X", right2)], rhs2, two)])
+
+    fresh = _fresh(solve_congruences, *system(_copy(g), _copy(h)))
+    for one, two in ((g, h), (_copy(g), _copy(h))):
+        sol = solve_congruences(*system(one, two))
+        assert sol == fresh
+        if sol is not None:
+            sol["X"] = IntMatrix.zeros(1, 1)
+            sol["Y"] = sol.pop("X")
+
+
+def test_memoized_sites_match_fresh_computations_on_seeded_groups(empty_memo):
+    rng = random.Random(1931)
+    pool = [_random_group(rng) for _ in range(8)]
+    for _ in range(150):
+        g, h = rng.choice(pool), rng.choice(pool)
+        _check_memoized_sites(g, h, rng)
+        _check_memoized_sites(g, h, random.Random(rng.randrange(3)))  # repeated inputs
+    assert _memo_weight_is_consistent()
+
+
+@given(any_groups, any_groups, st.integers(0, 2**32))
+def test_memoized_sites_match_fresh_computations(g, h, seed):
+    for _ in range(2):
+        _check_memoized_sites(g, h, random.Random(seed))
 
 
 def test_witnesses_agree_with_separate_eliminations():

@@ -20,7 +20,7 @@ from kummer.towers import (
 )
 
 from kummer.fixtures import random_sigma_model, split_tower
-from builders import default_sigma_models, invalid_tower, order_six_glued
+from builders import P61, default_sigma_models, invalid_tower, order_six_glued, time_limit
 import oracles
 from oracles import elements, verify_section_on_all
 
@@ -192,6 +192,21 @@ def test_crt_glue_errors_name_their_component():
     missing = {2: fix.towers[2]}
     with pytest.raises(GlueError) as err:
         crt_split(6, missing, fix.glue)
+    assert err.value.component == "primes"
+    with pytest.raises(GlueError) as err:
+        crt_split(12, fix.towers, fix.glue)
+    assert err.value.component == "level:2"
+    with pytest.raises(GlueError) as err:
+        crt_split(2, fix.towers, fix.glue)
+    assert err.value.component == "primes"
+
+
+def test_crt_split_does_not_factor_m():
+    """m = 6·P61 is refused for the prime P61 that no tower covers, without
+    trial division up to its square root."""
+    fix = order_six_glued()
+    with time_limit(10), pytest.raises(GlueError) as err:
+        crt_split(6 * P61, fix.towers, fix.glue)
     assert err.value.component == "primes"
 
 
